@@ -12,8 +12,7 @@ Run:  python demos/demo_energy_inequality.py
 import math
 from pathlib import Path
 
-from ineqstats import (lorenz_energy, per_capita_kw, slope_profile,
-                       weighted_cdf, world_average)
+from ineqstats import per_capita_kw, slope_profile, weighted_cdf
 from ineqstats.io import write_csv
 from ineqstats.wri_fixture import (FIXTURE_YEARS, WORLD_AVERAGE_KW,
                                    fixture_records)
@@ -24,9 +23,9 @@ OUT.mkdir(exist_ok=True)
 print("embedded fixture: 22 countries, per-capita energy use in kW\n")
 
 for year in FIXTURE_YEARS:
-    records = fixture_records(year)
-    avg = world_average(records)
-    curve = lorenz_energy(records)
+    cdf = weighted_cdf(fixture_records(year))
+    avg = cdf.mean
+    curve = cdf.lorenz()
     print(f"{year}: fixture-weighted average {avg:.2f} kW "
           f"(published world row {WORLD_AVERAGE_KW[year]:.1f} kW), "
           f"Gini {curve.gini:.3f}")
@@ -56,7 +55,7 @@ print("The overlay column is exp(-eps/T) with T fixed by the world "
       "average: no fitted parameters.")
 
 # --- the Lorenz kink ------------------------------------------------------
-profile = slope_profile(lorenz_energy(fixture_records(1990)))
+profile = slope_profile(weighted_cdf(fixture_records(1990)).lorenz())
 print(f"\n1990 Lorenz slope profile: largest slope jump at x = "
       f"{profile.kink_x:.3f} (jump {profile.max_jump:.2f})")
 print("On the full country set this kink marks the developed/developing "

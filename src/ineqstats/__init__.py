@@ -8,13 +8,13 @@ population-weighted energy-consumption analytics (CDF, Lorenz, Gini).
 
 __version__ = "0.1.0"
 
-from .distributions import (TwoClassModel, LorenzCurve, two_class_pdf,
-                            two_class_cdf, lorenz_exponential,
+from types import ModuleType as _ModuleType
+
+from .distributions import (TwoClassModel, LorenzCurve, lorenz_exponential,
                             lorenz_two_class, sample_lorenz_curve,
-                            gini_from_curve, tail_fraction, class_boundary)
+                            tail_fraction, class_boundary)
 from .energy import (CountryRecord, DropReport, SlopeProfile, ingest_wri,
-                     per_capita_kw, weighted_cdf, world_average,
-                     lorenz_energy, slope_profile)
+                     per_capita_kw, weighted_cdf, slope_profile)
 from .errors import (IneqStatsError, DomainError, InsufficientDataError,
                      NoIntersectionError, SingularDiffusionError,
                      ConfigurationError, MalformedCurveError,
@@ -34,4 +34,7 @@ from .kinetic import (AgentEnsemble, ExchangeRule, BinnedHistogram, CycleSpec,
                       RULE_UNIFORM)
 from .weighted import WeightedCDF
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# Importing the submodules binds them here too (``io`` among them, which a
+# star import would let shadow the stdlib module); export only the API.
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

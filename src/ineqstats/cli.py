@@ -22,14 +22,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .energy import ingest_wri, lorenz_energy, slope_profile, weighted_cdf, world_average
+from .energy import ingest_wri, slope_profile, weighted_cdf
 from .errors import IneqStatsError
 from .fokker_planck import DriftDiffusionSpec, make_grid, stationary_solution
 from .income import IncomeBinTable, fit_report
 from .io import sha256_file, write_csv, write_json
-from .kinetic import (BinnedHistogram, ExchangeRule, SimulationConfig,
-                      couple_systems, init_ensemble, run_from_config,
-                      run_simulation)
+from .kinetic import (BinnedHistogram, SimulationConfig, couple_systems,
+                      init_ensemble, run_from_config, run_simulation)
 
 __all__ = ["build_parser", "dispatch", "emit_manifest", "main"]
 
@@ -65,24 +64,20 @@ def _config_echo(args) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _default_delta(rule: str, agents: int, money: int, delta) -> int:
-    if delta is not None:
-        return delta
-    if rule == "fixed":
-        return 1
-    return max(1, round(2 * money / agents))
-
-
 def _cmd_simulate(args) -> int:
     out = _out_dir(args)
     outputs = []
     inputs = []
 
     coupled = args.agents2 is not None or args.money2 is not None
-    if args.config and coupled:
-        print("usage: --config covers single-system runs only", file=sys.stderr)
-        return 2
-    if not args.config:
+    if args.config:
+        if coupled:
+            print("usage: --config covers single-system runs only", file=sys.stderr)
+            return 2
+        config = SimulationConfig.from_json(
+            Path(args.config).read_text(encoding="utf-8"))
+        inputs.append(args.config)
+    else:
         missing = [name for name in ("agents", "money", "steps", "seed")
                    if getattr(args, name) is None]
         if missing:
@@ -91,17 +86,22 @@ def _cmd_simulate(args) -> int:
                   f"(missing: {', '.join('--' + m for m in missing)})",
                   file=sys.stderr)
             return 2
+        config = SimulationConfig(
+            n_agents=args.agents, total_money_quanta=args.money,
+            steps=args.steps, seed=args.seed, rule=args.rule,
+            delta=args.delta, floor=args.floor,
+            quantum_value=args.quantum_value,
+            checkpoint_every=args.checkpoint_every)
 
     if coupled:
         if args.agents2 is None or args.money2 is None:
             raise IneqStatsError("coupled mode needs both --agents2 and --money2")
-        delta = _default_delta(args.rule, args.agents, args.money, args.delta)
-        rule = ExchangeRule(args.rule, delta=delta, floor=args.floor)
-        ens1 = init_ensemble(args.agents, args.money)
+        rule = config.exchange_rule()
+        ens1 = config.build_ensemble()
         ens2 = init_ensemble(args.agents2, args.money2)
-        rng = np.random.default_rng(args.seed)
-        run_simulation(ens1, rule, args.steps, rng=rng)
-        run_simulation(ens2, rule, args.steps, rng=rng)
+        rng = np.random.default_rng(config.seed)
+        run_simulation(ens1, rule, config.steps, rng=rng)
+        run_simulation(ens2, rule, config.steps, rng=rng)
         report = couple_systems(ens1, ens2, rule, args.events,
                                 args.migration_rate, rng=rng)
         (out / "flux.json").write_text(report.to_json() + "\n", encoding="utf-8")
@@ -116,17 +116,6 @@ def _cmd_simulate(args) -> int:
               f"dS_est={report.delta_entropy_estimate:.4f}", file=sys.stderr)
         config_echo = _config_echo(args)
     else:
-        if args.config:
-            config = SimulationConfig.from_json(
-                Path(args.config).read_text(encoding="utf-8"))
-            inputs.append(args.config)
-        else:
-            config = SimulationConfig(
-                n_agents=args.agents, total_money_quanta=args.money,
-                steps=args.steps, seed=args.seed, rule=args.rule,
-                delta=args.delta, floor=args.floor,
-                quantum_value=args.quantum_value,
-                checkpoint_every=args.checkpoint_every)
         traj = run_from_config(config)
         qv = config.quantum_value
         write_csv(out / "trajectory.csv", ("step", "entropy", "temperature"),
@@ -205,7 +194,7 @@ def _cmd_energy(args) -> int:
         for name, reason in drops.dropped:
             print(f"  {name}: {reason}", file=sys.stderr)
     cdf = weighted_cdf(records)
-    curve = lorenz_energy(records)
+    curve = cdf.lorenz()
     profile = slope_profile(curve)
     write_csv(out / "cdf.csv", ("epsilon_kw", "C"), cdf.rows())
     write_csv(out / "lorenz.csv", ("x", "y"),
@@ -213,7 +202,7 @@ def _cmd_energy(args) -> int:
     write_json(out / "summary.json", {
         "year": args.year,
         "countries": len(records),
-        "world_avg_kw": world_average(records),
+        "world_avg_kw": cdf.mean,
         "gini": curve.gini,
         "kink_x": profile.kink_x,
     })
@@ -221,7 +210,7 @@ def _cmd_energy(args) -> int:
                   [args.energy, args.population],
                   ["cdf.csv", "lorenz.csv", "summary.json"])
     print(f"{len(records)} countries; world average "
-          f"{world_average(records):.3f} kW", file=sys.stderr)
+          f"{cdf.mean:.3f} kW", file=sys.stderr)
     return 0
 
 
@@ -317,10 +306,7 @@ def dispatch(argv) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except IneqStatsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (IneqStatsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -25,16 +25,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, MalformedCurveError, NoIntersectionError
+from .io import load_json_object
 
 __all__ = [
     "TwoClassModel",
     "LorenzCurve",
-    "two_class_pdf",
-    "two_class_cdf",
     "lorenz_exponential",
     "lorenz_two_class",
     "sample_lorenz_curve",
-    "gini_from_curve",
     "tail_fraction",
     "class_boundary",
 ]
@@ -180,21 +178,11 @@ class TwoClassModel:
 
     @classmethod
     def from_json(cls, text: str) -> "TwoClassModel":
-        obj = json.loads(text)
+        obj = load_json_object(text, "two-class model")
         return cls(obj["T"], obj["alpha"], obj["r0"])
 
     def __repr__(self):
         return f"TwoClassModel(T={self.T:g}, alpha={self.alpha:g}, r0={self.r0:g}, c={self.c:.6g})"
-
-
-def two_class_pdf(r, model: TwoClassModel):
-    """Density of the interpolating distribution at income r."""
-    return model.pdf(r)
-
-
-def two_class_cdf(r, model: TwoClassModel):
-    """Complementary CDF of the interpolating distribution at income r."""
-    return model.cdf(r)
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +196,8 @@ _CURVE_TOL = 1e-9
 class LorenzCurve:
     """Monotone curve from (0,0) to (1,1); x is the population share,
     y the resource share.  Duplicate x values are allowed and represent a
-    vertical jump (used by the two-class curve at x = 1)."""
+    vertical jump (used by the two-class curve at x = 1).  ``gini`` is
+    twice the area between the diagonal and the curve, by trapezoid."""
 
     x: np.ndarray
     y: np.ndarray
@@ -231,19 +220,8 @@ class LorenzCurve:
             raise MalformedCurveError("Lorenz curve must lie on or below the diagonal")
         object.__setattr__(self, "gini", 1.0 - 2.0 * float(np.trapezoid(y, x)))
 
-    @property
-    def points(self) -> np.ndarray:
-        return np.column_stack([self.x, self.y])
-
     def __len__(self):
         return self.x.size
-
-
-def gini_from_curve(curve: LorenzCurve) -> float:
-    """Twice the area between the diagonal and the curve, by trapezoid."""
-    if len(curve) < 2:
-        raise MalformedCurveError("need at least two points to integrate")
-    return 1.0 - 2.0 * float(np.trapezoid(curve.y, curve.x))
 
 
 def lorenz_exponential(x):

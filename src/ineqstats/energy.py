@@ -11,14 +11,13 @@ flag.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .distributions import LorenzCurve
-from .errors import (DegenerateCurveError, DomainError, EmptyJoinError,
-                     FormatError)
+from .errors import DomainError, EmptyJoinError, FormatError
+from .io import read_csv_rows
 from .weighted import WeightedCDF
 
 __all__ = [
@@ -30,8 +29,6 @@ __all__ = [
     "ingest_wri",
     "per_capita_kw",
     "weighted_cdf",
-    "world_average",
-    "lorenz_energy",
     "slope_profile",
 ]
 
@@ -86,25 +83,17 @@ def _read_country_year_csv(path) -> dict[tuple[str, int], float | None]:
     Raises FormatError with the line number on structural problems.
     """
     out: dict[tuple[str, int], float | None] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        for lineno, row in enumerate(reader, start=1):
-            if lineno == 1:
-                continue  # header
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) < 3:
-                raise FormatError(f"{path}:{lineno}: expected country,year,value")
-            name = row[0].strip()
-            try:
-                year = int(row[1])
-            except ValueError as exc:
-                raise FormatError(f"{path}:{lineno}: bad year {row[1]!r}") from exc
-            try:
-                value = float(row[2])
-            except ValueError:
-                value = None
-            out[(name, year)] = value
+    for lineno, row in read_csv_rows(path, 3, "country,year,value"):
+        name = row[0].strip()
+        try:
+            year = int(row[1])
+        except ValueError as exc:
+            raise FormatError(f"{path}:{lineno}: bad year {row[1]!r}") from exc
+        try:
+            value = float(row[2])
+        except ValueError:
+            value = None
+        out[(name, year)] = value
     return out
 
 
@@ -154,40 +143,16 @@ def ingest_wri(energy_csv, population_csv, year: int,
     return records, DropReport(len(records), tuple(dropped))
 
 
-def _sorted_by_consumption(records) -> list[CountryRecord]:
-    if not records:
-        raise DomainError("need at least one country record")
-    return sorted(records, key=lambda rec: (per_capita_kw(rec), rec.label, rec.name))
-
-
 def weighted_cdf(records) -> WeightedCDF:
-    """Population-weighted complementary CDF of per-capita consumption:
-    every resident of a country is assigned that country's value."""
-    recs = _sorted_by_consumption(records)
+    """Population-weighted distribution of per-capita consumption: every
+    resident of a country is assigned that country's value.  Its ``mean``
+    is the world average and its ``lorenz()`` the Lorenz curve; countries
+    sort by (consumption, label, name), so ties break the same way for
+    any input order."""
+    recs = sorted(records, key=lambda rec: (per_capita_kw(rec), rec.label, rec.name))
     values = np.array([per_capita_kw(r) for r in recs])
     weights = np.array([r.population for r in recs], dtype=float)
     return WeightedCDF(values, weights)
-
-
-def world_average(records) -> float:
-    """Population-weighted mean consumption, the effective temperature of
-    the parameter-free exponential overlay."""
-    recs = _sorted_by_consumption(records)
-    values = np.array([per_capita_kw(r) for r in recs])
-    weights = np.array([r.population for r in recs], dtype=float)
-    return float(np.sum(values * weights) / weights.sum())
-
-
-def lorenz_energy(records) -> LorenzCurve:
-    """Lorenz curve of consumption vs population, countries ascending."""
-    if len(list(records)) < 2:
-        raise DomainError("need at least two countries for a Lorenz curve")
-    recs = _sorted_by_consumption(records)
-    values = np.array([per_capita_kw(r) for r in recs])
-    weights = np.array([r.population for r in recs], dtype=float)
-    if np.all(values == 0):
-        raise DegenerateCurveError("all energy values are zero")
-    return WeightedCDF(values, weights).lorenz()
 
 
 @dataclass(frozen=True)

@@ -19,10 +19,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, SingularDiffusionError
+from .io import load_json_object
 
 __all__ = [
     "KIND_ADDITIVE",
@@ -52,8 +54,8 @@ _FIELDS_BY_KIND = {
 class DriftDiffusionSpec:
     """Drift/diffusion coefficients.  a0 and b0 are the additive
     constants, a and b the multiplicative rates; which must be present
-    depends on ``kind``.  Derived scales: T = b0/a0, r0 = sqrt(b0/b),
-    alpha = 1 + a/b."""
+    depends on ``kind``, and the others must be None.  Derived scales:
+    T = b0/a0, r0 = sqrt(b0/b), alpha = 1 + a/b."""
 
     kind: str
     a0: float | None = None
@@ -62,13 +64,17 @@ class DriftDiffusionSpec:
     b: float | None = None
 
     def __post_init__(self):
-        if self.kind not in _FIELDS_BY_KIND:
+        if not isinstance(self.kind, str) or self.kind not in _FIELDS_BY_KIND:
             raise DomainError(f"unknown drift/diffusion kind {self.kind!r}")
-        for name in _FIELDS_BY_KIND[self.kind]:
+        for name in ("a0", "a", "b0", "b"):
             value = getattr(self, name)
-            if value is None or value <= 0:
+            if name not in _FIELDS_BY_KIND[self.kind]:
+                if value is not None:
+                    raise DomainError(
+                        f"{self.kind} spec takes no {name}; got {value!r}")
+            elif not (isinstance(value, Real) and 0 < value < math.inf):
                 raise DomainError(
-                    f"{self.kind} spec needs {name} > 0; got {value!r}")
+                    f"{self.kind} spec needs a finite {name} > 0; got {value!r}")
 
     # -- derived scales ----------------------------------------------------
 
@@ -129,9 +135,9 @@ class DriftDiffusionSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "DriftDiffusionSpec":
-        obj = json.loads(text)
-        kind = obj.pop("kind", None)
-        return cls(kind=kind, **{k: obj.get(k) for k in ("a0", "a", "b0", "b")})
+        obj = load_json_object(text, "drift/diffusion spec")
+        return cls(kind=obj.get("kind"),
+                   **{k: obj.get(k) for k in ("a0", "a", "b0", "b")})
 
     # -- convenience constructors ------------------------------------------
 
@@ -187,9 +193,6 @@ class GridDistribution:
             raise DomainError("cannot normalise a zero-mass distribution")
         return GridDistribution(self.grid, self.density / m)
 
-    def interp(self, r):
-        return np.interp(r, self.grid, self.density)
-
     def l1_distance(self, other: "GridDistribution") -> float:
         if other.grid.shape != self.grid.shape or np.any(other.grid != self.grid):
             raise DomainError("distributions live on different grids")
@@ -207,6 +210,9 @@ def make_grid(spec: DriftDiffusionSpec, r_max: float | None = None,
     For the multiplicative kind (B(0) = 0) pass r_min > 0 and the grid is
     purely log-spaced.
     """
+    if points_per_decade < 1:
+        raise ConfigurationError(
+            f"points_per_decade must be at least 1; got {points_per_decade}")
     scale = spec.scale()
     if r_max is None:
         r_max = 1e4 * scale
@@ -216,14 +222,23 @@ def make_grid(spec: DriftDiffusionSpec, r_max: float | None = None,
         if r_min <= 0:
             raise SingularDiffusionError(
                 "multiplicative diffusion vanishes at r = 0; start the grid at r_min > 0")
-        n = int(np.ceil(np.log10(r_max / r_min) * points_per_decade))
-        return np.geomspace(r_min, r_max, n)
+        return _log_spaced(r_min, r_max, points_per_decade)
     knee = scale / 100.0
-    n_log = int(np.ceil(np.log10(r_max / knee) * points_per_decade))
     return np.concatenate([
         np.linspace(0.0, knee, n_linear, endpoint=False),
-        np.geomspace(knee, r_max, n_log),
+        _log_spaced(knee, r_max, points_per_decade),
     ])
+
+
+def _log_spaced(lo: float, hi: float, points_per_decade: int) -> np.ndarray:
+    """ceil(decades * points_per_decade) log-spaced points from lo to hi."""
+    if 0 < lo < hi:
+        n = np.ceil(np.log10(hi / lo) * points_per_decade)
+        if n < np.inf:
+            return np.geomspace(lo, hi, int(n))
+    raise ConfigurationError(
+        f"no finite log grid from {lo:g} to {hi:g} "
+        f"at {points_per_decade} points per decade")
 
 
 def stationary_solution(spec: DriftDiffusionSpec,

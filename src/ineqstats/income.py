@@ -30,6 +30,7 @@ import numpy as np
 from .distributions import LorenzCurve, TwoClassModel, class_boundary
 from .errors import (DomainError, FormatError, InsufficientDataError,
                      NoIntersectionError)
+from .io import read_csv_rows
 from .weighted import WeightedCDF
 
 __all__ = [
@@ -96,23 +97,13 @@ class IncomeBinTable:
                  year: int | None = None) -> "IncomeBinTable":
         """Read `level_kusd,<counts>` rows; ``mode`` says whether the count
         column is per-bin or at-or-above."""
-        import csv
-
         levels, counts = [], []
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            for lineno, row in enumerate(reader, start=1):
-                if lineno == 1:
-                    continue  # header
-                if not row or all(not cell.strip() for cell in row):
-                    continue
-                if len(row) < 2:
-                    raise FormatError(f"{path}:{lineno}: expected two columns")
-                try:
-                    levels.append(float(row[0]))
-                    counts.append(int(float(row[1])))
-                except ValueError as exc:
-                    raise FormatError(f"{path}:{lineno}: {exc}") from exc
+        for lineno, row in read_csv_rows(path, 2, "two columns"):
+            try:
+                levels.append(float(row[0]))
+                counts.append(int(float(row[1])))
+            except (ValueError, OverflowError) as exc:
+                raise FormatError(f"{path}:{lineno}: {exc}") from exc
         if not levels:
             raise FormatError(f"{path}: no data rows")
         if mode == MODE_AT_OR_ABOVE:

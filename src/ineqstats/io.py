@@ -1,4 +1,4 @@
-"""CSV/JSON emission helpers with deterministic formatting.
+"""CSV/JSON input parsing, and emission with deterministic formatting.
 
 Floats are written with repr() of the Python float (shortest round-trip
 form, '.' decimal separator), so identical data produces byte-identical
@@ -7,11 +7,15 @@ files.
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 from pathlib import Path
 
-__all__ = ["format_cell", "write_csv", "write_json", "sha256_file"]
+from .errors import FormatError
+
+__all__ = ["format_cell", "write_csv", "write_json", "sha256_file",
+           "read_csv_rows", "load_json_object"]
 
 
 def format_cell(value) -> str:
@@ -39,3 +43,32 @@ def sha256_file(path) -> str:
         for chunk in iter(lambda: fh.read(1 << 16), b""):
             digest.update(chunk)
     return digest.hexdigest()
+
+
+def read_csv_rows(path, n_columns: int, expected: str):
+    """Yield (lineno, row) for each data row of a CSV file.
+
+    The first line is a header and is skipped, as are blank rows.  A row
+    with fewer than ``n_columns`` cells raises
+    ``FormatError("path:line: expected <expected>")``.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        for lineno, row in enumerate(csv.reader(fh), start=1):
+            if lineno == 1 or not any(cell.strip() for cell in row):
+                continue
+            if len(row) < n_columns:
+                raise FormatError(f"{path}:{lineno}: expected {expected}")
+            yield lineno, row
+
+
+def load_json_object(text: str, what: str) -> dict:
+    """Parse JSON text that must hold an object; ``what`` names the
+    document in the FormatError raised for anything else."""
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"bad {what} JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise FormatError(f"{what} JSON must be an object, "
+                          f"not {type(obj).__name__}")
+    return obj

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, FormatError
+from .io import load_json_object
 
 __all__ = [
     "RULE_FIXED",
@@ -267,8 +268,16 @@ class SimulationConfig:
     checkpoint_every: int | None = None
 
     def __post_init__(self):
-        if self.quantum_value <= 0:
-            raise DomainError("quantum value must be positive")
+        if self.n_agents < 1:
+            raise DomainError("need at least one agent")
+        if self.seed < 0:
+            raise DomainError(f"seed must be non-negative; got {self.seed}")
+        if not 0 < self.quantum_value < math.inf:
+            raise DomainError("quantum value must be positive and finite")
+        if self.checkpoint_every is not None and self.checkpoint_every < 1:
+            raise ConfigurationError(
+                f"checkpoint interval must be at least one attempt; "
+                f"got {self.checkpoint_every}")
         self.exchange_rule()   # validates rule/delta/floor
 
     def resolved_delta(self) -> int:
@@ -300,12 +309,9 @@ class SimulationConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "SimulationConfig":
+        obj = load_json_object(text, "simulation config")
         try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"bad simulation config JSON: {exc}") from exc
-        try:
-            return cls(
+            fields = dict(
                 n_agents=int(obj["n_agents"]),
                 total_money_quanta=int(obj["total_money_quanta"]),
                 steps=int(obj["steps"]),
@@ -319,6 +325,9 @@ class SimulationConfig:
             )
         except KeyError as exc:
             raise DomainError(f"simulation config missing key {exc}") from exc
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise FormatError(f"bad simulation config value: {exc}") from exc
+        return cls(**fields)
 
 
 def run_from_config(config: SimulationConfig) -> "Trajectory":
@@ -427,6 +436,15 @@ class FluxReport:
         return json.dumps(self.__dict__, sort_keys=True)
 
 
+def _migration_entropy(t_src: float, t_dst: float) -> float:
+    """ln(T_dst/T_src), the population term of the entropy gradient."""
+    if t_src <= 0 or t_dst <= 0:
+        raise DomainError(
+            f"migration between money temperatures {t_src:g} -> {t_dst:g}: "
+            "ln(T_dst/T_src) needs both positive")
+    return math.log(t_dst / t_src)
+
+
 def couple_systems(ens1: AgentEnsemble, ens2: AgentEnsemble,
                    rule: ExchangeRule, steps: int, migration_rate: float,
                    *, seed: int | None = None,
@@ -476,7 +494,7 @@ def couple_systems(ens1: AgentEnsemble, ens2: AgentEnsemble,
             if k < n1:
                 if n1 < 2:
                     continue
-                ds = math.log(t2 / t1)
+                ds = _migration_entropy(t1, t2)
                 if ds >= 0 or rng.random() < math.exp(ds):
                     m = b1[k]
                     b1[k] = b1[-1]
@@ -491,7 +509,7 @@ def couple_systems(ens1: AgentEnsemble, ens2: AgentEnsemble,
                 if n2 < 2:
                     continue
                 idx = k - n1
-                ds = math.log(t1 / t2)
+                ds = _migration_entropy(t2, t1)
                 if ds >= 0 or rng.random() < math.exp(ds):
                     m = b2[idx]
                     b2[idx] = b2[-1]

@@ -53,10 +53,6 @@ class WeightedCDF:
         return self.values.size
 
     @property
-    def total_weight(self) -> float:
-        return float(self.weights.sum())
-
-    @property
     def mean(self) -> float:
         """Weight-averaged value (for energy: the consumption temperature)."""
         return float(np.sum(self.values * self.weights) / self.weights.sum())

@@ -12,10 +12,9 @@ from conftest import lattice_ks, requires_wri, wri_data_dir
 from ineqstats import (DriftDiffusionSpec, ExchangeRule, RULE_FIXED,
                        RULE_UNIFORM, TwoClassModel, class_boundary,
                        couple_systems, delta_r2_diagnostic, fit_report,
-                       init_ensemble, lorenz_energy, per_capita_kw,
-                       run_simulation, sample_income_table,
-                       sample_lorenz_curve, stationary_solution,
-                       world_average)
+                       init_ensemble, per_capita_kw, run_simulation,
+                       sample_income_table, sample_lorenz_curve,
+                       stationary_solution, weighted_cdf)
 from ineqstats.cli import dispatch
 from ineqstats.wri_fixture import WORLD_AVERAGE_KW, fixture_records
 from conftest import loglog_slope
@@ -189,7 +188,7 @@ def test_criterion_09_energy_fixture():
     world = WORLD_AVERAGE_KW[2005]
     usa = cdf_values["USA"] / world
     india = cdf_values["IND"] / world
-    gini = lorenz_energy(records).gini
+    gini = weighted_cdf(records).lorenz().gini
     elapsed = time.perf_counter() - start
     ok = 4.0 < usa < 5.0 and 0.2 < india < 0.3 and elapsed < 1.0
     report("9[fixture]", ok,
@@ -205,8 +204,9 @@ def test_criterion_09_full_wri_dataset():
     ginis = {}
     for year in (1990, 2000, 2005):
         recs, _ = ingest_wri(f"{base}/energy.csv", f"{base}/population.csv", year)
-        averages[year] = world_average(recs)
-        ginis[year] = lorenz_energy(recs).gini
+        cdf = weighted_cdf(recs)
+        averages[year] = cdf.mean
+        ginis[year] = cdf.lorenz().gini
     ok = (abs(averages[1990] - 2.2) <= 0.1 and abs(averages[2000] - 2.2) <= 0.1
           and abs(averages[2005] - 2.3) <= 0.1
           and ginis[1990] > ginis[2000] > ginis[2005])

@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ineqstats import TwoClassModel, sample_income_table
 from ineqstats.cli import dispatch
@@ -197,3 +201,105 @@ class TestUsage:
 
     def test_help_exits_zero(self):
         assert dispatch(["--help"]) == 0
+
+
+# Bad inputs from the command line; each must end in exit 1 with one
+# `error:` line.
+REJECTED = [
+    pytest.param(["simulate", "--agents", "20", "--money", "20", "--steps", "100",
+                  "--seed", "1", "--agents2", "20", "--money2", "20",
+                  "--floor", "-20", "--migration-rate", "0.5", "--events", "20000"],
+                 id="coupled-zero-temperature"),
+    pytest.param(["simulate", "--agents", "10", "--money", "10", "--steps", "100",
+                  "--seed", "2", "--agents2", "10", "--money2", "10",
+                  "--floor", "-30", "--migration-rate", "0.5", "--events", "50000"],
+                 id="coupled-negative-temperature"),
+    pytest.param(["simulate", "--agents", "300", "--money", "30000",
+                  "--agents2", "300", "--money2", "15000", "--steps", "300",
+                  "--seed", "5", "--quantum-value", "0"],
+                 id="coupled-quantum-value-0"),
+    pytest.param(["simulate", "--agents", "10", "--money", "100", "--steps", "100",
+                  "--seed", "1", "--checkpoint-every", "-5"],
+                 id="checkpoint-every-negative"),
+    pytest.param(["simulate", "--agents", "0", "--money", "10", "--steps", "10",
+                  "--seed", "1"], id="zero-agents"),
+    pytest.param(["simulate", "--agents", "10", "--money", "10", "--steps", "10",
+                  "--seed", "-1"], id="negative-seed"),
+    pytest.param(["fp", "--kind", "additive", "--a0", "1", "--b0", "40",
+                  "--points-per-decade", "0"], id="points-per-decade-0"),
+    pytest.param(["fp", "--kind", "additive", "--a0", "1", "--b0", "40",
+                  "--r-max", "1e308"], id="r-max-overflows-grid"),
+    pytest.param(["fp", "--kind", "multiplicative", "--a", "1", "--b", "1",
+                  "--r-min", "1e6", "--r-max", "100"], id="r-min-above-r-max"),
+    pytest.param(["fp", "--kind", "additive", "--a0", "1", "--b0", "40",
+                  "--a", "5"], id="coefficient-outside-kind"),
+    pytest.param(["fit-income", "--input", "{tmp}"], id="input-is-a-directory"),
+]
+
+
+@pytest.mark.parametrize("argv", REJECTED)
+def test_rejected_with_one_error_line(tmp_path, capsys, argv):
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+    code = dispatch(argv + ["--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and err.count("\n") == 1, err
+
+
+# JSON documents for the two config-file inputs.  Numbers stay small so
+# that a document which happens to be valid is a run of a few dozen
+# exchange attempts or a default-sized grid.
+_SCALARS = (st.none() | st.booleans() | st.integers(-3, 40) | st.floats(-50, 50)
+            | st.sampled_from([math.nan, math.inf, -math.inf, "fixed", "uniform",
+                               "additive", "multiplicative", "combined"])
+            | st.text(alphabet="abfinux", max_size=4))
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6)
+
+
+def _documents(flag_argv, required, optional, plausible):
+    objects = (st.fixed_dictionaries({k: plausible | _VALUES for k in required},
+                                     optional={k: plausible | _VALUES for k in optional})
+               | st.dictionaries(st.sampled_from(required + optional), _VALUES))
+    text = st.builds(json.dumps, objects | _VALUES) | st.text(max_size=12)
+    return st.tuples(st.just(flag_argv), text)
+
+
+_CONFIG_DOCUMENTS = (
+    _documents(("simulate", "--config"),
+               ["n_agents", "total_money_quanta", "steps", "seed"],
+               ["rule", "delta", "floor", "quantum_value", "checkpoint_every"],
+               st.integers(1, 40))
+    | _documents(("fp", "--spec-json"), ["kind"], ["a0", "a", "b0", "b"],
+                 st.floats(0.5, 50)))
+
+_SIM = ("simulate", "--config")
+_FP = ("fp", "--spec-json")
+
+
+@given(_CONFIG_DOCUMENTS)
+@example((_SIM, '{"n_agents": "ten", "total_money_quanta": 10, "steps": 10, "seed": 1}'))
+@example((_SIM, '{"n_agents": 10, "total_money_quanta": 10, "steps": 10, "seed": 1, '
+                '"checkpoint_every": -5}'))
+@example((_SIM, '{"n_agents": NaN, "total_money_quanta": 10, "steps": 10, "seed": 1}'))
+@example((_SIM, "[10, 10, 10, 1]"))
+@example((_FP, '{"kind": "additive", "a0": "1", "b0": 40}'))
+@example((_FP, '{"kind": "additive", "a0": 1, "b0": 40, "a": 5}'))
+@example((_FP, '{"kind": ["additive"], "a0": 1, "b0": 40}'))
+@example((_FP, "{not json"))
+@settings(max_examples=150, deadline=None)
+def test_config_documents_end_cleanly(tmp_path_factory, job):
+    flag_argv, text = job
+    base = tmp_path_factory.getbasetemp() / "config-documents"
+    base.mkdir(exist_ok=True)
+    doc = base / "input.json"
+    doc.write_text(text, encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = dispatch([*flag_argv, str(doc), "--out", str(base / "out")])
+    assert code in (0, 1, 2)
+    if code:
+        assert err.getvalue().startswith(("error:", "usage:")), err.getvalue()

@@ -8,9 +8,8 @@ from scipy import integrate
 
 from ineqstats import (DomainError, LorenzCurve, MalformedCurveError,
                        NoIntersectionError, TwoClassModel, class_boundary,
-                       gini_from_curve, lorenz_exponential, lorenz_two_class,
-                       sample_lorenz_curve, tail_fraction, two_class_cdf,
-                       two_class_pdf)
+                       lorenz_exponential, lorenz_two_class,
+                       sample_lorenz_curve, tail_fraction)
 
 
 def quad_complementary(model, r):
@@ -104,11 +103,6 @@ class TestTwoClassModel:
         again = TwoClassModel.from_json(model.to_json())
         assert again.c == pytest.approx(model.c, rel=1e-12)
 
-    def test_module_level_wrappers(self):
-        model = TwoClassModel(40, 1.5, 100)
-        assert two_class_pdf(3.0, model) == model.pdf(3.0)
-        assert two_class_cdf(3.0, model) == model.cdf(3.0)
-
     def test_mean_against_quadrature_oracle(self):
         model = TwoClassModel(48, 1.34, 113)
         def raw(s):
@@ -164,20 +158,16 @@ class TestLorenz:
 class TestGini:
     def test_diagonal_is_zero(self):
         curve = LorenzCurve(np.array([0.0, 1.0]), np.array([0.0, 1.0]))
-        assert gini_from_curve(curve) == 0.0
+        assert curve.gini == 0.0
 
     def test_exponential_gini_is_half(self):
         curve = sample_lorenz_curve(0.0, 10001)
-        assert gini_from_curve(curve) == pytest.approx(0.5, abs=0.005)
+        assert curve.gini == pytest.approx(0.5, abs=0.005)
 
     @pytest.mark.parametrize("f", [0.0, 0.1, 0.215, 0.4])
     def test_two_class_gini_formula(self, f):
         curve = sample_lorenz_curve(f, 10001)
-        assert gini_from_curve(curve) == pytest.approx((1 + f) / 2, abs=0.005)
-
-    def test_gini_attached_to_curve(self):
-        curve = sample_lorenz_curve(0.2, 10001)
-        assert curve.gini == gini_from_curve(curve)
+        assert curve.gini == pytest.approx((1 + f) / 2, abs=0.005)
 
     @given(st.lists(st.floats(min_value=0.01, max_value=1e4), min_size=2, max_size=60))
     @settings(max_examples=100, deadline=None)

@@ -4,8 +4,7 @@ import pytest
 from conftest import requires_wri, wri_data_dir
 from ineqstats import (CountryRecord, DegenerateCurveError, DomainError,
                        EmptyJoinError, FormatError, LorenzCurve, ingest_wri,
-                       lorenz_energy, per_capita_kw, slope_profile,
-                       weighted_cdf, world_average)
+                       per_capita_kw, slope_profile, weighted_cdf)
 from ineqstats.wri_fixture import (FIXTURE_YEARS, WORLD_AVERAGE_KW,
                                    fixture_records, write_fixture_csvs)
 
@@ -105,48 +104,48 @@ class TestWeightedCdf:
         assert 0.2 < by_label["IND"] / world < 0.3
 
     def test_world_average_small_case(self):
-        assert world_average([rec("A", 1.0, 5.0), rec("B", 3.0, 5.0)]) == 2.0
+        assert weighted_cdf([rec("A", 1.0, 5.0), rec("B", 3.0, 5.0)]).mean == 2.0
 
     def test_fixture_world_average_oracle(self):
         # independent spreadsheet-style sum over the fixture rows
         records = fixture_records(2005)
         num = sum(r.energy * r.population for r in records)
         den = sum(r.population for r in records)
-        assert world_average(records) == pytest.approx(num / den, rel=1e-12)
-        assert world_average(records) == pytest.approx(2.7463022473, rel=1e-9)
+        assert weighted_cdf(records).mean == pytest.approx(num / den, rel=1e-12)
+        assert weighted_cdf(records).mean == pytest.approx(2.7463022473, rel=1e-9)
 
 
 class TestLorenzEnergy:
     def test_equal_consumption_on_diagonal(self):
-        curve = lorenz_energy([rec("A", 2.0, 5.0), rec("B", 2.0, 5.0)])
+        curve = weighted_cdf([rec("A", 2.0, 5.0), rec("B", 2.0, 5.0)]).lorenz()
         assert curve.gini == pytest.approx(0.0, abs=1e-12)
 
     def test_concentration_limit(self):
-        curve = lorenz_energy([rec("A", 1e-9, 1e9), rec("B", 1e9, 1.0)])
+        curve = weighted_cdf([rec("A", 1e-9, 1e9), rec("B", 1e9, 1.0)]).lorenz()
         assert curve.gini > 0.99
 
     def test_all_zero_energy_degenerate(self):
         with pytest.raises(DegenerateCurveError):
-            lorenz_energy([rec("A", 0.0, 1.0), rec("B", 0.0, 2.0)])
+            weighted_cdf([rec("A", 0.0, 1.0), rec("B", 0.0, 2.0)]).lorenz()
 
     def test_permutation_invariance(self):
         records = fixture_records(2005)
         rng = np.random.default_rng(0)
         shuffled = list(records)
         rng.shuffle(shuffled)
-        a = lorenz_energy(records)
-        b = lorenz_energy(shuffled)
+        a = weighted_cdf(records).lorenz()
+        b = weighted_cdf(shuffled).lorenz()
         assert np.array_equal(a.x, b.x)
         assert np.array_equal(a.y, b.y)
         assert weighted_cdf(records).rows() == weighted_cdf(shuffled).rows()
 
     def test_convexity(self):
-        curve = lorenz_energy(fixture_records(1990))
+        curve = weighted_cdf(fixture_records(1990)).lorenz()
         slopes = np.diff(curve.y) / np.diff(curve.x)
         assert np.all(np.diff(slopes) > -1e-9)
 
     def test_fixture_gini_trend_decreases(self):
-        ginis = [lorenz_energy(fixture_records(y)).gini for y in FIXTURE_YEARS]
+        ginis = [weighted_cdf(fixture_records(y)).lorenz().gini for y in FIXTURE_YEARS]
         assert ginis[0] > ginis[1] > ginis[2]
 
 
@@ -168,7 +167,7 @@ class TestSlopeProfile:
         # on the 22-country fixture the largest jump sits at the small
         # high-consumption states near x = 1; the developing/developed
         # grouping statement needs the full country set (gated below)
-        profile = slope_profile(lorenz_energy(fixture_records(1990)))
+        profile = slope_profile(weighted_cdf(fixture_records(1990)).lorenz())
         assert profile.kink_x > 0.7
         assert profile.max_jump > 0.5
 
@@ -187,15 +186,15 @@ class TestFullWriDataset:
 
     @pytest.mark.parametrize("year,avg", [(1990, 2.2), (2000, 2.2), (2005, 2.3)])
     def test_world_averages(self, year, avg):
-        assert world_average(self._records(year)) == pytest.approx(avg, abs=0.1)
+        assert weighted_cdf(self._records(year)).mean == pytest.approx(avg, abs=0.1)
 
     def test_gini_trend(self):
-        ginis = [lorenz_energy(self._records(y)).gini for y in (1990, 2000, 2005)]
+        ginis = [weighted_cdf(self._records(y)).lorenz().gini for y in (1990, 2000, 2005)]
         assert ginis[0] > ginis[1] > ginis[2]
 
     def test_kink_separates_country_groups_1990(self):
         records = self._records(1990)
-        profile = slope_profile(lorenz_energy(records))
+        profile = slope_profile(weighted_cdf(records).lorenz())
         ordered = sorted(records, key=lambda r: (per_capita_kw(r), r.label, r.name))
         x_cum = np.cumsum([r.population for r in ordered]) / sum(
             r.population for r in ordered)
