@@ -10,9 +10,9 @@ __version__ = "0.1.0"
 
 from types import ModuleType as _ModuleType
 
-from .distributions import (TwoClassModel, LorenzCurve, lorenz_exponential,
-                            lorenz_two_class, sample_lorenz_curve,
-                            tail_fraction, class_boundary)
+from .distributions import (TwoClassModel, LevelQuadrature, LorenzCurve,
+                            lorenz_exponential, lorenz_two_class,
+                            sample_lorenz_curve, tail_fraction, class_boundary)
 from .energy import (CountryRecord, DropReport, SlopeProfile, ingest_wri,
                      per_capita_kw, weighted_cdf, slope_profile)
 from .errors import (IneqStatsError, DomainError, InsufficientDataError,

@@ -26,7 +26,7 @@ from .energy import ingest_wri, slope_profile, weighted_cdf
 from .errors import IneqStatsError
 from .fokker_planck import DriftDiffusionSpec, make_grid, stationary_solution
 from .income import IncomeBinTable, fit_report
-from .io import sha256_file, write_csv, write_json
+from .io import read_text, sha256_file, write_csv, write_json
 from .kinetic import (BinnedHistogram, SimulationConfig, couple_systems,
                       init_ensemble, run_from_config, run_simulation)
 
@@ -74,8 +74,7 @@ def _cmd_simulate(args) -> int:
         if coupled:
             print("usage: --config covers single-system runs only", file=sys.stderr)
             return 2
-        config = SimulationConfig.from_json(
-            Path(args.config).read_text(encoding="utf-8"))
+        config = SimulationConfig.from_json(read_text(args.config))
         inputs.append(args.config)
     else:
         missing = [name for name in ("agents", "money", "steps", "seed")
@@ -142,7 +141,7 @@ def _cmd_fp(args) -> int:
     out = _out_dir(args)
     inputs = []
     if args.spec_json:
-        spec = DriftDiffusionSpec.from_json(Path(args.spec_json).read_text(encoding="utf-8"))
+        spec = DriftDiffusionSpec.from_json(read_text(args.spec_json))
         inputs.append(args.spec_json)
     else:
         spec = DriftDiffusionSpec(kind=args.kind, a0=args.a0, a=args.a,
@@ -308,6 +307,10 @@ def dispatch(argv) -> int:
         return args.func(args)
     except (IneqStatsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}",
+              file=sys.stderr)
         return 1
 
 

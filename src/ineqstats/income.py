@@ -17,6 +17,12 @@ crossover region, the tail window is not yet asymptotic), so
 refinement of (T, alpha, r0) on the per-bin masses, weighted by counts.
 Per-bin residuals are close to independent, unlike cumulative-CDF
 residuals, which makes the refinement statistically well behaved.
+
+Stage 3, the refinement and the final residual only ever need the model
+CDF at the table's own levels, so each evaluates it through one
+:class:`~ineqstats.distributions.LevelQuadrature`: fixed Gauss-Legendre
+nodes built once from the levels, reused for every (T, alpha, r0) the
+search tries, in place of a full :class:`TwoClassModel` grid per try.
 """
 
 from __future__ import annotations
@@ -27,7 +33,8 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .distributions import LorenzCurve, TwoClassModel, class_boundary
+from .distributions import (LevelQuadrature, LorenzCurve, TwoClassModel,
+                            class_boundary)
 from .errors import (DomainError, FormatError, InsufficientDataError,
                      NoIntersectionError)
 from .io import read_csv_rows
@@ -211,8 +218,7 @@ def fit_pareto_exponent(cdf: WeightedCDF,
                      r.size, window)
 
 
-def _log_mse(model: TwoClassModel, values: np.ndarray, comp: np.ndarray) -> float:
-    theory = np.atleast_1d(model.cdf(values))
+def _log_mse(theory: np.ndarray, comp: np.ndarray) -> float:
     return float(np.sum(np.log(theory / comp) ** 2))
 
 
@@ -237,12 +243,13 @@ def fit_crossover(cdf: WeightedCDF, temperature: float, alpha: float,
     if values.size < 3:
         raise InsufficientDataError("need at least three levels with data")
 
+    quadrature = LevelQuadrature(values)
     cache: dict[float, float] = {}
 
     def objective(ln_r0: float) -> float:
         if ln_r0 not in cache:
-            cache[ln_r0] = _log_mse(TwoClassModel(temperature, alpha, math.exp(ln_r0)),
-                                    values, comp)
+            cache[ln_r0] = _log_mse(
+                quadrature.ccdf(temperature, alpha, math.exp(ln_r0)), comp)
         return cache[ln_r0]
 
     lo, hi = math.log(bracket[0]), math.log(bracket[1])
@@ -334,12 +341,10 @@ def refine_parameters(table: IncomeBinTable, temperature: float, alpha: float,
     q = counts / total
     pos = counts > 0
     weights = counts[pos].astype(float)
-    levels = table.levels
+    quadrature = LevelQuadrature(table.levels)
 
     def objective(x):
-        T_, alpha_, r0_ = math.exp(x[0]), 1.0 + math.exp(x[1]), math.exp(x[2])
-        model = TwoClassModel(T_, alpha_, r0_, points_per_decade=1200)
-        comp = np.atleast_1d(model.cdf(levels))
+        comp = quadrature.ccdf(math.exp(x[0]), 1.0 + math.exp(x[1]), math.exp(x[2]))
         p = np.empty_like(q)
         p[:-1] = comp[:-1] - comp[1:]
         p[-1] = comp[-1]
@@ -376,6 +381,7 @@ class FitReport:
     r0_staged: float
     refined: bool
     degenerate_tail: bool
+    crossover_method: str       # "golden" or "grid", from fit_crossover
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
@@ -424,18 +430,19 @@ def fit_report(table: IncomeBinTable,
     try:
         # boundary between the classes of the fitted distribution: where
         # the body anchor exp(-r/T) meets the exact tail asymptote; the
-        # prefactor underflows to zero when the tail is negligible
-        if final_model.tail_prefactor <= 0:
-            raise NoIntersectionError("tail mass negligible")
-        r_star, upper_fraction = class_boundary(
-            temperature, alpha, 1.0, final_model.tail_prefactor)
+        # prefactor underflows to zero when the tail is negligible, and
+        # leaves the float range only for fits that ran away
+        prefactor = final_model.tail_prefactor
+        if not 0 < prefactor < math.inf:
+            raise NoIntersectionError("tail prefactor outside the float range")
+        r_star, upper_fraction = class_boundary(temperature, alpha, 1.0, prefactor)
     except NoIntersectionError:
         r_star, upper_fraction = None, None
         degenerate_tail = True
 
     mask = cdf.complementary > 0
-    residual = _log_mse(final_model, cdf.values[mask],
-                        cdf.complementary[mask]) / int(mask.sum())
+    theory = LevelQuadrature(cdf.values[mask]).ccdf(temperature, alpha, r0)
+    residual = _log_mse(theory, cdf.complementary[mask]) / int(mask.sum())
 
     return FitReport(
         year=table.year,
@@ -454,6 +461,7 @@ def fit_report(table: IncomeBinTable,
         r0_staged=float(xfit.r0),
         refined=bool(refine),
         degenerate_tail=bool(degenerate_tail),
+        crossover_method=xfit.method,
     )
 
 

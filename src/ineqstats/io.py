@@ -15,7 +15,7 @@ from pathlib import Path
 from .errors import FormatError
 
 __all__ = ["format_cell", "write_csv", "write_json", "sha256_file",
-           "read_csv_rows", "load_json_object"]
+           "read_text", "read_csv_rows", "load_json_object"]
 
 
 def format_cell(value) -> str:
@@ -45,20 +45,36 @@ def sha256_file(path) -> str:
     return digest.hexdigest()
 
 
+def _not_utf8(path, exc: UnicodeDecodeError) -> FormatError:
+    return FormatError(f"{path}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x})")
+
+
+def read_text(path) -> str:
+    """Contents of a UTF-8 text file; other bytes raise FormatError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc) from exc
+
+
 def read_csv_rows(path, n_columns: int, expected: str):
-    """Yield (lineno, row) for each data row of a CSV file.
+    """Yield (lineno, row) for each data row of a UTF-8 CSV file.
 
     The first line is a header and is skipped, as are blank rows.  A row
     with fewer than ``n_columns`` cells raises
-    ``FormatError("path:line: expected <expected>")``.
+    ``FormatError("path:line: expected <expected>")``, and bytes that are
+    not UTF-8 raise FormatError too.
     """
     with open(path, newline="", encoding="utf-8") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if lineno == 1 or not any(cell.strip() for cell in row):
-                continue
-            if len(row) < n_columns:
-                raise FormatError(f"{path}:{lineno}: expected {expected}")
-            yield lineno, row
+        try:
+            for lineno, row in enumerate(csv.reader(fh), start=1):
+                if lineno == 1 or not any(cell.strip() for cell in row):
+                    continue
+                if len(row) < n_columns:
+                    raise FormatError(f"{path}:{lineno}: expected {expected}")
+                yield lineno, row
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(path, exc) from exc
 
 
 def load_json_object(text: str, what: str) -> dict:

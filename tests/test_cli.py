@@ -234,16 +234,39 @@ REJECTED = [
     pytest.param(["fp", "--kind", "additive", "--a0", "1", "--b0", "40",
                   "--a", "5"], id="coefficient-outside-kind"),
     pytest.param(["fit-income", "--input", "{tmp}"], id="input-is-a-directory"),
+    # {latin1} is a file holding the byte 0xE9, which is not UTF-8
+    pytest.param(["fit-income", "--input", "{latin1}"], id="fit-income-not-utf8"),
+    pytest.param(["energy", "--energy", "{latin1}", "--population", "{latin1}",
+                  "--year", "2005"], id="energy-not-utf8"),
+    pytest.param(["simulate", "--config", "{latin1}"], id="config-not-utf8"),
+    pytest.param(["fp", "--spec-json", "{latin1}"], id="spec-json-not-utf8"),
 ]
 
 
 @pytest.mark.parametrize("argv", REJECTED)
 def test_rejected_with_one_error_line(tmp_path, capsys, argv):
-    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+    latin1 = tmp_path / "latin1.csv"
+    latin1.write_bytes(b"level_kusd,returns_at_or_above\n0,100\n10,50 caf\xe9\n")
+    argv = [arg.replace("{tmp}", str(tmp_path)).replace("{latin1}", str(latin1))
+            for arg in argv]
     code = dispatch(argv + ["--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error:") and err.count("\n") == 1, err
+
+
+def test_out_of_memory_is_one_error_line(tmp_path, capsys, monkeypatch):
+    # A real oversized allocation could take the host's memory, so the
+    # pipeline entry point raises MemoryError instead.
+    def exhausted(config):
+        raise MemoryError("Unable to allocate 72.8 TiB for an array")
+
+    monkeypatch.setattr("ineqstats.cli.run_from_config", exhausted)
+    code = dispatch(["simulate", "--agents", "10", "--money", "10", "--steps", "1",
+                     "--seed", "1", "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == "error: out of memory: Unable to allocate 72.8 TiB for an array\n"
 
 
 # JSON documents for the two config-file inputs.  Numbers stay small so

@@ -3,12 +3,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import integrate
 
-from ineqstats import (DomainError, LorenzCurve, MalformedCurveError,
-                       NoIntersectionError, TwoClassModel, class_boundary,
-                       lorenz_exponential, lorenz_two_class,
+from ineqstats import (DomainError, LevelQuadrature, LorenzCurve,
+                       MalformedCurveError, NoIntersectionError, TwoClassModel,
+                       class_boundary, lorenz_exponential, lorenz_two_class,
                        sample_lorenz_curve, tail_fraction)
 
 
@@ -111,6 +111,95 @@ class TestTwoClassModel:
         total, _ = integrate.quad(raw, 0, np.inf, limit=600)
         first, _ = integrate.quad(lambda s: s * raw(s), 0, np.inf, limit=600)
         assert model.mean() == pytest.approx(first / total, rel=1e-4)
+
+
+def quad_ccdf_at_levels(levels, T, alpha, r0):
+    """Independent oracle for C at each level: adaptive quadrature of the
+    density in ln r, piece by piece between the levels and unit steps of
+    ln r, with the pieces summed from the top down.  Mass beyond
+    1e32 * r0 (below 1e-32 of the total for alpha > 1) is left out, so
+    the oracle reads 0 for levels above that."""
+    def log_density(s):
+        x = s / r0
+        log_1px2 = 2 * math.log(x) + math.log1p(x ** -2) if x > 1 else math.log1p(x * x)
+        return -(r0 / T) * math.atan(x) - 0.5 * (alpha + 1) * log_1px2
+
+    def in_log(u):
+        return math.exp(u + log_density(math.exp(u)))
+
+    positive = levels[levels > 0]
+    lo = 1e-4 * min(T, r0, *positive)
+    hi = 1e32 * r0
+    cuts = np.unique(np.concatenate([np.exp(np.arange(math.log(lo), math.log(hi), 1.0)),
+                                     positive[positive < hi], [hi]]))
+    pieces = [integrate.quad(in_log, math.log(a), math.log(b), epsabs=0,
+                             epsrel=1e-13, limit=200)[0]
+              for a, b in zip(cuts[:-1], cuts[1:])]
+    head = integrate.quad(lambda s: math.exp(log_density(s)), 0, cuts[0],
+                          epsabs=0, epsrel=1e-13)[0]
+    above = np.append(np.cumsum(pieces[::-1])[::-1], 0.0)
+    index = np.minimum(np.searchsorted(cuts, levels), cuts.size - 1)
+    return np.where(levels > 0, above[index] / (head + above[0]), 1.0)
+
+
+def _irs_levels(first, ratios):
+    levels = first * np.cumprod([1.0, *ratios])
+    return levels[levels <= 100.0]
+
+
+# Level sets in units of T: a table from 0 through the body and tail, a
+# table whose first level is positive, IRS-shaped wide bins (each level
+# 2 to 10 times the last, up to 100 T) and levels reaching 1e300.
+_LEVEL_SETS = st.one_of(
+    st.builds(lambda lo, hi, n: np.concatenate([[0.0], np.geomspace(lo, hi, n)]),
+              st.floats(0.01, 1.0), st.floats(2.0, 40.0), st.integers(3, 60)),
+    st.builds(lambda first, step, n: first * step ** np.arange(n),
+              st.floats(1e-3, 3.0), st.floats(1.05, 3.0), st.integers(1, 40)),
+    st.builds(_irs_levels, st.floats(0.01, 1.0),
+              st.lists(st.floats(2.0, 10.0), min_size=1, max_size=12)),
+    st.builds(lambda n: np.concatenate([[0.0], np.geomspace(0.1, 1e300, n)]),
+              st.integers(3, 40)),
+)
+
+
+class TestLevelQuadrature:
+    @settings(max_examples=40, deadline=None)
+    @given(T=st.floats(0.1, 1000.0),
+           alpha=st.floats(1.01, 4.0),
+           log_ratio=st.floats(math.log(0.05), math.log(50.0)),
+           levels=_LEVEL_SETS)
+    # r0 = 50 T keeps the body exponential out to the levels near 30 T
+    # where C is still above 1e-12; panels 0.5 wide in ln r miss by 2e-9
+    @example(T=1.0, alpha=2.0, log_ratio=math.log(50.0),
+             levels=np.concatenate([[0.0], np.geomspace(0.5, 30.0, 40)]))
+    def test_ccdf_matches_quadrature_oracle(self, T, alpha, log_ratio, levels):
+        r0 = T * math.exp(log_ratio)
+        levels = levels * T if levels[-1] < 1e200 else levels
+        quadrature = LevelQuadrature(levels)
+        got = quadrature.ccdf(T, alpha, r0)
+        want = quad_ccdf_at_levels(levels, T, alpha, r0)
+        checked = want >= 1e-12
+        assert np.all(np.abs(got[checked] / want[checked] - 1.0) <= 1e-10)
+        assert np.all(got >= 0) and np.all(got <= 1)
+
+    def test_agrees_with_model_cdf(self):
+        levels = np.concatenate([[0.0], np.geomspace(1.0, 5000.0, 30)])
+        quadrature = LevelQuadrature(levels)
+        for params in [(48, 1.34, 113), (40, 1.5, 100), (1, 2.0, 0.5)]:
+            model = TwoClassModel(*params)
+            assert quadrature.ccdf(*params) == pytest.approx(model.cdf(levels), rel=1e-6)
+
+    def test_zero_level_is_one(self):
+        assert LevelQuadrature([0.0, 10.0]).ccdf(40, 1.5, 100)[0] == 1.0
+
+    @pytest.mark.parametrize("bad", [[], [-1.0, 2.0], [1.0, np.inf], [[1.0, 2.0]]])
+    def test_invalid_levels_rejected(self, bad):
+        with pytest.raises(DomainError):
+            LevelQuadrature(bad)
+
+    def test_invalid_parameters_rejected(self):
+        with pytest.raises(DomainError):
+            LevelQuadrature([0.0, 10.0]).ccdf(40, 1.0, 100)
 
 
 class TestLorenz:

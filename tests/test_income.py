@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -185,6 +187,15 @@ class TestRefinedPipeline:
         assert report.gini == pytest.approx(0.5, abs=0.01)
         assert report.degenerate_tail
 
+    def test_runaway_tail_fit_is_degenerate(self):
+        # with no tail in the data the refinement runs r0 and alpha far
+        # out, where r0^(alpha+1) overflows although the tail prefactor
+        # underflows to zero
+        report = fit_report(exponential_table(T=33.0, n_levels=20))
+        assert report.degenerate_tail
+        assert report.r_star is None
+        assert report.temperature == pytest.approx(33.0, rel=1e-3)
+
     def test_empirical_lorenz_matches_closed_form_for_exponential(self):
         table = exponential_table(T=33.0, n_levels=60)
         curve = table.lorenz(top_bin_alpha=5.0)
@@ -213,6 +224,30 @@ class TestRefinedPipeline:
         report = fit_report(table_2007, refine=False)
         assert not report.refined
         assert report.temperature == report.temperature_staged
+
+    def test_report_carries_crossover_method(self, table_2007):
+        cdf = empirical_cdf_income(table_2007)
+        staged = fit_report(table_2007, refine=False)
+        xfit = fit_crossover(cdf, staged.temperature_staged,
+                             max(staged.alpha_staged, 1.01))
+        report = fit_report(table_2007)
+        assert report.crossover_method == xfit.method
+        assert json.loads(report.to_json())["crossover_method"] == xfit.method
+
+    def test_fit_builds_at_most_one_model(self, table_2007, monkeypatch):
+        # the crossover search, the refinement and the residual evaluate
+        # the CDF through a LevelQuadrature; only the final model that
+        # gives the tail prefactor is built
+        builds = []
+        build = TwoClassModel.__init__
+
+        def counting(self, *args, **kwargs):
+            builds.append(args)
+            build(self, *args, **kwargs)
+
+        monkeypatch.setattr(TwoClassModel, "__init__", counting)
+        fit_report(table_2007)
+        assert len(builds) <= 1
 
     def test_refine_parameters_standalone(self, model_2007, table_2007):
         T, alpha, r0 = refine_parameters(table_2007, 51.0, 1.6, 80.0)
