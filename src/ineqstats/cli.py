@@ -55,8 +55,16 @@ def _out_dir(args) -> Path:
 
 
 def _config_echo(args) -> dict:
-    skip = {"func"}
+    skip = {"func", "flag_default"}
     return {k: v for k, v in vars(args).items() if k not in skip}
+
+
+def _reject_unread(args, names, mode: str) -> None:
+    """Fail on a flag in ``names`` set away from its parser default: the
+    chosen ``mode`` never reads it, so running would silently drop it."""
+    for name in names:
+        if getattr(args, name) != args.flag_default(name):
+            raise IneqStatsError(f"--{name.replace('_', '-')} is not read {mode}")
 
 
 # ---------------------------------------------------------------------------
@@ -74,6 +82,9 @@ def _cmd_simulate(args) -> int:
         if coupled:
             print("usage: --config covers single-system runs only", file=sys.stderr)
             return 2
+        _reject_unread(args, ("agents", "money", "steps", "seed", "rule", "delta",
+                              "floor", "quantum_value", "checkpoint_every",
+                              "migration_rate", "events"), "with --config")
         config = SimulationConfig.from_json(read_text(args.config))
         inputs.append(args.config)
     else:
@@ -85,6 +96,12 @@ def _cmd_simulate(args) -> int:
                   f"(missing: {', '.join('--' + m for m in missing)})",
                   file=sys.stderr)
             return 2
+        if coupled:
+            _reject_unread(args, ("quantum_value", "checkpoint_every"),
+                           "in coupled mode")
+        else:
+            _reject_unread(args, ("migration_rate", "events"),
+                           "without --agents2/--money2")
         config = SimulationConfig(
             n_agents=args.agents, total_money_quanta=args.money,
             steps=args.steps, seed=args.seed, rule=args.rule,
@@ -96,7 +113,7 @@ def _cmd_simulate(args) -> int:
         if args.agents2 is None or args.money2 is None:
             raise IneqStatsError("coupled mode needs both --agents2 and --money2")
         rule = config.exchange_rule()
-        ens1 = config.build_ensemble()
+        ens1 = init_ensemble(config.n_agents, config.total_money_quanta)
         ens2 = init_ensemble(args.agents2, args.money2)
         rng = np.random.default_rng(config.seed)
         run_simulation(ens1, rule, config.steps, rng=rng)
@@ -141,6 +158,7 @@ def _cmd_fp(args) -> int:
     out = _out_dir(args)
     inputs = []
     if args.spec_json:
+        _reject_unread(args, ("kind", "a0", "a", "b0", "b"), "with --spec-json")
         spec = DriftDiffusionSpec.from_json(read_text(args.spec_json))
         inputs.append(args.spec_json)
     else:
@@ -253,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--events", type=int, default=1000,
                      help="coupling events in coupled mode")
     sim.add_argument("--out", required=True)
-    sim.set_defaults(func=_cmd_simulate)
+    sim.set_defaults(func=_cmd_simulate, flag_default=sim.get_default)
 
     fp = sub.add_parser("fp", help="stationary income diffusion solution")
     fp.add_argument("--kind", choices=("additive", "multiplicative", "combined"))
@@ -268,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="grid start (required > 0 for multiplicative)")
     fp.add_argument("--points-per-decade", type=int, default=2000)
     fp.add_argument("--out", required=True)
-    fp.set_defaults(func=_cmd_fp)
+    fp.set_defaults(func=_cmd_fp, flag_default=fp.get_default)
 
     fit = sub.add_parser("fit-income", help="two-class income fit")
     fit.add_argument("--input", required=True,

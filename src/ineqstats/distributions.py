@@ -132,7 +132,9 @@ class TwoClassModel:
     # -- internals ---------------------------------------------------------
 
     def _raw_pdf(self, r):
-        return _raw_density(np.asarray(r, dtype=float), self.T, self.alpha, self.r0)
+        # far beyond r0, x*x and its power overflow; the density is 0 either way
+        with np.errstate(over="ignore"):
+            return _raw_density(np.asarray(r, dtype=float), self.T, self.alpha, self.r0)
 
     # -- public surface ----------------------------------------------------
 
@@ -287,14 +289,16 @@ class LevelQuadrature:
         self._last_above = self._nodes.size - 1 - below
 
     def ccdf(self, T: float, alpha: float, r0: float) -> np.ndarray:
-        """C(L) at each level for parameters (T, alpha, r0)."""
+        """C(L) at each level for parameters (T, alpha, r0).  NaN where r0
+        lies so far beyond the top node that the analytic tail mass
+        overflows, as in fits that run away on tables with no tail."""
         _check_parameters(T, alpha, r0)
         # nodes far beyond r0 overflow x*x; their density is 0 either way
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             mass = _raw_density(self._nodes, T, alpha, r0) * self._weights
-        mass[0] = _tail_mass(T, alpha, r0, self._nodes[0])
-        above = np.cumsum(mass)
-        return above[self._last_above] / above[-1]
+            mass[0] = _tail_mass(T, alpha, r0, self._nodes[0])
+            above = np.cumsum(mass)
+            return above[self._last_above] / above[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -366,12 +370,13 @@ def lorenz_two_class(x, f: float):
     return float(out[0]) if scalar else out.reshape(arr.shape)
 
 
-def sample_lorenz_curve(f: float = 0.0, n: int = 10001) -> LorenzCurve:
-    """Sample lorenz_two_class on a uniform grid, keeping the pre-jump
-    point (1, 1-f) so the jump is visible in plots and CSV output."""
-    if n < 2:
-        raise DomainError("need at least two sample points")
-    x = np.linspace(0.0, 1.0, n)
+_LORENZ_SAMPLES = 10001
+
+
+def sample_lorenz_curve(f: float = 0.0) -> LorenzCurve:
+    """Sample lorenz_two_class at 10 001 uniform points, keeping the
+    pre-jump point (1, 1-f) so the jump is visible in plots and CSV output."""
+    x = np.linspace(0.0, 1.0, _LORENZ_SAMPLES)
     y = np.atleast_1d(lorenz_two_class(x, f))
     if f > 0:
         x = np.append(np.append(x[:-1], 1.0), 1.0)
@@ -399,13 +404,16 @@ def tail_fraction(T: float, mean_income: float) -> float:
     return 1.0 - T / mean_income
 
 
+_BOUNDARY_BRACKET = (1.0, 100.0)   # search range for r*, in units of T
+_BOUNDARY_TOL = 1e-12              # bisection stops below this width, in units of T
+
+
 def class_boundary(T: float, alpha: float, exp_prefactor: float,
-                   pl_prefactor: float, bracket: tuple[float, float] = (1.0, 100.0),
-                   tol: float = 1e-12) -> tuple[float, float]:
+                   pl_prefactor: float) -> tuple[float, float]:
     """Intersection r* of the fitted exponential and power-law CDFs.
 
     Solves exp_prefactor * exp(-r/T) = pl_prefactor * r^-alpha by
-    bisection on r in [bracket[0]*T, bracket[1]*T].  Returns (r_star,
+    bisection on r in [T, 100 T] to a width of 1e-12 T.  Returns (r_star,
     upper_fraction) where upper_fraction = exp(-r*/T) is the implied
     population share of the upper class.
     """
@@ -415,7 +423,7 @@ def class_boundary(T: float, alpha: float, exp_prefactor: float,
     def gap(r):
         return math.log(exp_prefactor) - r / T - math.log(pl_prefactor) + alpha * math.log(r)
 
-    lo, hi = bracket[0] * T, bracket[1] * T
+    lo, hi = _BOUNDARY_BRACKET[0] * T, _BOUNDARY_BRACKET[1] * T
     g_lo, g_hi = gap(lo), gap(hi)
     if g_lo == 0.0:
         return lo, math.exp(-lo / T)
@@ -425,7 +433,7 @@ def class_boundary(T: float, alpha: float, exp_prefactor: float,
         raise NoIntersectionError(
             "fitted exponential and power-law CDFs do not cross in "
             f"[{lo:g}, {hi:g}]; the fits are degenerate")
-    while hi - lo > tol * T:
+    while hi - lo > _BOUNDARY_TOL * T:
         mid = 0.5 * (lo + hi)
         g_mid = gap(mid)
         if g_mid == 0.0:

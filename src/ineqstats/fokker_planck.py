@@ -202,10 +202,12 @@ class GridDistribution:
         return list(zip(self.grid.tolist(), self.density.tolist()))
 
 
+_LINEAR_POINTS = 300   # points of the linear stretch below the knee
+
+
 def make_grid(spec: DriftDiffusionSpec, r_max: float | None = None,
-              r_min: float = 0.0, n_linear: int = 300,
-              points_per_decade: int = 2000) -> np.ndarray:
-    """Default solver grid: linear below scale/100, log-spaced above.
+              r_min: float = 0.0, points_per_decade: int = 2000) -> np.ndarray:
+    """Default solver grid: 300 linear points below scale/100, log above.
 
     For the multiplicative kind (B(0) = 0) pass r_min > 0 and the grid is
     purely log-spaced.
@@ -225,7 +227,7 @@ def make_grid(spec: DriftDiffusionSpec, r_max: float | None = None,
         return _log_spaced(r_min, r_max, points_per_decade)
     knee = scale / 100.0
     return np.concatenate([
-        np.linspace(0.0, knee, n_linear, endpoint=False),
+        np.linspace(0.0, knee, _LINEAR_POINTS, endpoint=False),
         _log_spaced(knee, r_max, points_per_decade),
     ])
 

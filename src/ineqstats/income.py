@@ -59,6 +59,10 @@ MODE_IN_BIN = "in-bin"
 MODE_AT_OR_ABOVE = "at-or-above"
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_GOLDEN_ITERATIONS = 40      # golden-section steps of the crossover search
+_SIMPLEX_STEP = 0.12         # initial simplex offsets, in the log parameters
+_SIMPLEX_ITERATIONS = 220    # Nelder-Mead steps of the joint refinement
+_COMP_MIN = 1e-4             # lowest complementary-CDF target of a sampled table
 
 
 @dataclass(frozen=True)
@@ -222,35 +226,28 @@ def _log_mse(theory: np.ndarray, comp: np.ndarray) -> float:
     return float(np.sum(np.log(theory / comp) ** 2))
 
 
-def fit_crossover(cdf: WeightedCDF, temperature: float, alpha: float,
-                  bracket: tuple[float, float] | None = None,
-                  iterations: int = 40) -> CrossoverFit:
+def fit_crossover(cdf: WeightedCDF, temperature: float,
+                  alpha: float) -> CrossoverFit:
     """Golden-section search (on ln r0) for the crossover income.
 
     Minimises sum_n ln^2[C_t(r_n) / C_e(r_n)] over every level with data,
-    T and alpha held fixed.  If the initial probes reveal a non-unimodal
-    shape (both bracket ends below the interior), fall back to a dense
-    log-spaced grid scan of 1000 points and return the global grid
-    minimum.  An argmin pinned at a bracket edge is flagged degenerate
+    T and alpha held fixed, in 40 steps over r0 in [T/10, 100 T].  If the
+    initial probes reveal a non-unimodal shape (both ends below the
+    interior), fall back to a 1000-point log-spaced grid scan and return
+    its global minimum.  An argmin pinned at a bracket edge is degenerate
     (typical for data with no tail, where r0 runs away upward).
     """
     if temperature <= 0 or alpha <= 1:
         raise DomainError("need temperature > 0 and alpha > 1")
-    if bracket is None:
-        bracket = (temperature / 10.0, 100.0 * temperature)
-    mask = cdf.complementary > 0
-    values, comp = cdf.values[mask], cdf.complementary[mask]
-    if values.size < 3:
+    bracket = (temperature / 10.0, 100.0 * temperature)
+    if len(cdf) < 3:
         raise InsufficientDataError("need at least three levels with data")
 
-    quadrature = LevelQuadrature(values)
-    cache: dict[float, float] = {}
+    quadrature = LevelQuadrature(cdf.values)
 
     def objective(ln_r0: float) -> float:
-        if ln_r0 not in cache:
-            cache[ln_r0] = _log_mse(
-                quadrature.ccdf(temperature, alpha, math.exp(ln_r0)), comp)
-        return cache[ln_r0]
+        return _log_mse(quadrature.ccdf(temperature, alpha, math.exp(ln_r0)),
+                        cdf.complementary)
 
     lo, hi = math.log(bracket[0]), math.log(bracket[1])
     x1 = hi - _GOLDEN * (hi - lo)
@@ -267,7 +264,7 @@ def fit_crossover(cdf: WeightedCDF, temperature: float, alpha: float,
         return CrossoverFit(r0, vals[best], degenerate, "grid")
 
     a, b = lo, hi
-    for _ in range(iterations):
+    for _ in range(_GOLDEN_ITERATIONS):
         if f1 < f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - _GOLDEN * (b - a)
@@ -287,17 +284,17 @@ def fit_crossover(cdf: WeightedCDF, temperature: float, alpha: float,
 # ---------------------------------------------------------------------------
 
 
-def _nelder_mead(func, x0, scale=0.12, iterations=220):
+def _nelder_mead(func, x0):
     """Minimal Nelder-Mead simplex for the 3-parameter refinement."""
     x0 = np.asarray(x0, dtype=float)
     n = x0.size
     points = [x0]
     for i in range(n):
         p = x0.copy()
-        p[i] += scale
+        p[i] += _SIMPLEX_STEP
         points.append(p)
     values = [func(p) for p in points]
-    for _ in range(iterations):
+    for _ in range(_SIMPLEX_ITERATIONS):
         order = np.argsort(values)
         points = [points[i] for i in order]
         values = [values[i] for i in order]
@@ -327,14 +324,14 @@ def _nelder_mead(func, x0, scale=0.12, iterations=220):
 
 
 def refine_parameters(table: IncomeBinTable, temperature: float, alpha: float,
-                      r0: float, iterations: int = 220) -> tuple[float, float, float]:
+                      r0: float) -> tuple[float, float, float]:
     """Joint least-squares refinement of (T, alpha, r0).
 
     Minimises sum_n w_n ln^2(q_n / p_n) over the observed bin fractions
     q_n, with model bin masses p_n and weights w_n = counts (the inverse
     variance of ln q_n up to a constant).  The search runs in
-    (ln T, ln(alpha-1), ln r0) with a Nelder-Mead simplex seeded at the
-    staged estimates.
+    (ln T, ln(alpha-1), ln r0) with 220 Nelder-Mead steps from a simplex
+    seeded at the staged estimates.
     """
     counts = table.counts
     total = table.total
@@ -349,10 +346,12 @@ def refine_parameters(table: IncomeBinTable, temperature: float, alpha: float,
         p[:-1] = comp[:-1] - comp[1:]
         p[-1] = comp[-1]
         p = np.maximum(p, 1e-300)
-        return float(np.sum(weights * np.log(q[pos] / p[pos]) ** 2))
+        value = float(np.sum(weights * np.log(q[pos] / p[pos]) ** 2))
+        # a CCDF that is NaN (see LevelQuadrature.ccdf) rejects the point
+        return math.inf if math.isnan(value) else value
 
     x0 = [math.log(temperature), math.log(max(alpha - 1.0, 1e-3)), math.log(r0)]
-    best, _ = _nelder_mead(objective, x0, iterations=iterations)
+    best, _ = _nelder_mead(objective, x0)
     return math.exp(best[0]), 1.0 + math.exp(best[1]), math.exp(best[2])
 
 
@@ -440,9 +439,8 @@ def fit_report(table: IncomeBinTable,
         r_star, upper_fraction = None, None
         degenerate_tail = True
 
-    mask = cdf.complementary > 0
-    theory = LevelQuadrature(cdf.values[mask]).ccdf(temperature, alpha, r0)
-    residual = _log_mse(theory, cdf.complementary[mask]) / int(mask.sum())
+    theory = LevelQuadrature(cdf.values).ccdf(temperature, alpha, r0)
+    residual = _log_mse(theory, cdf.complementary) / len(cdf)
 
     return FitReport(
         year=table.year,
@@ -467,13 +465,12 @@ def fit_report(table: IncomeBinTable,
 
 def sample_income_table(model: TwoClassModel, n_samples: int,
                         rng: np.random.Generator, n_levels: int = 50,
-                        comp_min: float = 1e-4,
                         year: int | None = None) -> IncomeBinTable:
     """Draw incomes from the model and bin them at levels placed at
-    log-spaced complementary-CDF targets spanning [comp_min, 1]."""
+    log-spaced complementary-CDF targets spanning [1e-4, 1]."""
     if n_levels < 3:
         raise DomainError("need at least three levels")
-    targets = np.geomspace(1.0, comp_min, n_levels)
+    targets = np.geomspace(1.0, _COMP_MIN, n_levels)
     levels = np.atleast_1d(model.inverse_cdf(targets))
     levels[0] = 0.0
     samples = model.sample(n_samples, rng)

@@ -170,17 +170,14 @@ def _run_round(balances: np.ndarray, rule: ExchangeRule,
 
 @dataclass
 class BinnedHistogram:
-    """Occupation counts over uniform bins of width ``bin_width`` starting
-    at ``origin`` (the floor in debt mode)."""
+    """Occupation counts over bins one quantum wide, starting at
+    ``origin`` (the floor in debt mode)."""
 
     counts: np.ndarray
-    bin_width: float = 1.0
     origin: float = 0.0
 
     def __post_init__(self):
         self.counts = np.asarray(self.counts, dtype=np.int64)
-        if self.bin_width <= 0:
-            raise DomainError("bin width must be positive")
         if np.any(self.counts < 0):
             raise DomainError("bin counts must be non-negative")
 
@@ -189,16 +186,14 @@ class BinnedHistogram:
         return int(self.counts.sum())
 
     @classmethod
-    def from_ensemble(cls, ens: AgentEnsemble, bin_width: int = 1,
-                      origin: int | None = None) -> "BinnedHistogram":
-        origin = int(ens.balances.min()) if origin is None else origin
-        idx = (ens.balances - origin) // bin_width
+    def from_ensemble(cls, ens: AgentEnsemble, origin: int) -> "BinnedHistogram":
+        idx = ens.balances - origin
         if np.any(idx < 0):
             raise DomainError("origin must not exceed the minimum balance")
-        return cls(np.bincount(idx), float(bin_width), float(origin))
+        return cls(np.bincount(idx), float(origin))
 
     def bin_lowers(self) -> np.ndarray:
-        return self.origin + self.bin_width * np.arange(self.counts.size)
+        return self.origin + np.arange(self.counts.size)
 
 
 def entropy(hist: BinnedHistogram) -> float:
@@ -236,8 +231,8 @@ def multiplicity_exact(occupations) -> tuple[int, float]:
 def temperature_and_potential(ens: AgentEnsemble, m_star: float = 1.0) -> tuple[float, float]:
     """Money temperature T = M/N and chemical potential mu = -T ln(T/m*).
 
-    ``m_star`` is the money value of one quantum (= the histogram bin
-    width); T and mu come back in the same money units.
+    ``m_star`` is the money value of one quantum (the width of a
+    histogram bin); T and mu come back in the same money units.
     """
     if m_star <= 0:
         raise DomainError("quantum size must be positive")
@@ -291,9 +286,6 @@ class SimulationConfig:
         return ExchangeRule(self.rule, delta=self.resolved_delta(),
                             floor=self.floor)
 
-    def build_ensemble(self) -> AgentEnsemble:
-        return init_ensemble(self.n_agents, self.total_money_quanta)
-
     def to_json(self) -> str:
         return json.dumps({
             "n_agents": self.n_agents,
@@ -332,7 +324,7 @@ class SimulationConfig:
 
 def run_from_config(config: SimulationConfig) -> "Trajectory":
     """Build the ensemble from the config and run it to completion."""
-    ens = config.build_ensemble()
+    ens = init_ensemble(config.n_agents, config.total_money_quanta)
     return run_simulation(ens, config.exchange_rule(), config.steps,
                           checkpoint_every=config.checkpoint_every,
                           seed=config.seed)
@@ -356,16 +348,16 @@ class Trajectory:
 def run_simulation(ens: AgentEnsemble, rule: ExchangeRule, steps: int,
                    checkpoint_every: int | None = None, *,
                    seed: int | None = None,
-                   rng: np.random.Generator | None = None,
-                   bin_width: int = 1) -> Trajectory:
+                   rng: np.random.Generator | None = None) -> Trajectory:
     """Run ``steps`` exchange attempts on the ensemble (mutated in place).
 
     Attempts execute in rounds of N//2 disjoint pairs; checkpoints land on
     the first round boundary at or past each multiple of
     ``checkpoint_every`` and record the entropy of the balance histogram
-    (bins of ``bin_width`` quanta anchored at the rule floor) and the
+    (bins one quantum wide, anchored at the rule floor) and the
     temperature M/N in quanta.  The step counts reported are exact attempt
-    counts.  Total money is asserted at every checkpoint.
+    counts.  Total money is asserted at every checkpoint.  The last
+    checkpoint's histogram is returned as ``final_histogram``.
     """
     if steps < 1:
         raise DomainError("need at least one step")
@@ -383,14 +375,13 @@ def run_simulation(ens: AgentEnsemble, rule: ExchangeRule, steps: int,
     total_before = ens.total
     balances = ens.balances
 
-    def checkpoint(done_rounds, out):
-        hist = BinnedHistogram.from_ensemble(ens, bin_width, origin=rule.floor)
-        out.append((done_rounds * per_round, entropy(hist), ens.total / ens.n))
-
     records: list[tuple[int, float, float]] = []
-    checkpoint(0, records)
     done = 0
-    while done < n_rounds:
+    while True:
+        hist = BinnedHistogram.from_ensemble(ens, origin=rule.floor)
+        records.append((done * per_round, entropy(hist), ens.total / ens.n))
+        if done == n_rounds:
+            break
         burst = min(checkpoint_rounds, n_rounds - done)
         for _ in range(burst):
             _run_round(balances, rule, rng)
@@ -399,14 +390,13 @@ def run_simulation(ens: AgentEnsemble, rule: ExchangeRule, steps: int,
             raise ConfigurationError("money conservation violated; this is a bug")
         if np.any(balances < rule.floor):
             raise ConfigurationError("floor violated; this is a bug")
-        checkpoint(done, records)
 
     arr = np.asarray(records, dtype=float)
     return Trajectory(
         steps=arr[:, 0].astype(np.int64),
         entropy=arr[:, 1],
         temperature=arr[:, 2],
-        final_histogram=BinnedHistogram.from_ensemble(ens, bin_width, origin=rule.floor),
+        final_histogram=hist,
         ensemble=ens,
     )
 
@@ -477,68 +467,49 @@ def couple_systems(ens1: AgentEnsemble, ens2: AgentEnsemble,
 
     b1 = ens1.balances.tolist()
     b2 = ens2.balances.tolist()
-    m1, m2 = sum(b1), sum(b2)
-    t1_0, t2_0 = m1 / len(b1), m2 / len(b2)
+    m1_0, m2_0 = sum(b1), sum(b2)
+    t1_0, t2_0 = m1_0 / len(b1), m2_0 / len(b2)
     if t1_0 <= 0 or t2_0 <= 0:
         raise DomainError("both systems need positive money temperatures")
 
+    # s is the source side of a move; sign[s] makes it a flux from 1 to 2
+    systems = (b1, b2)
+    sign = (1, -1)
     d_money = 0
     d_agents = 0
     n_exchanges = 0
     n_migrations = 0
     for _ in range(steps):
         if rng.random() < migration_rate:
-            n1, n2 = len(b1), len(b2)
-            k = int(rng.integers(n1 + n2))
-            t1, t2 = m1 / n1, m2 / n2
-            if k < n1:
-                if n1 < 2:
-                    continue
-                ds = _migration_entropy(t1, t2)
-                if ds >= 0 or rng.random() < math.exp(ds):
-                    m = b1[k]
-                    b1[k] = b1[-1]
-                    b1.pop()
-                    b2.append(m)
-                    m1 -= m
-                    m2 += m
-                    d_agents += 1
-                    d_money += m
-                    n_migrations += 1
-            else:
-                if n2 < 2:
-                    continue
-                idx = k - n1
-                ds = _migration_entropy(t2, t1)
-                if ds >= 0 or rng.random() < math.exp(ds):
-                    m = b2[idx]
-                    b2[idx] = b2[-1]
-                    b2.pop()
-                    b1.append(m)
-                    m2 -= m
-                    m1 += m
-                    d_agents -= 1
-                    d_money -= m
-                    n_migrations += 1
+            k = int(rng.integers(len(b1) + len(b2)))
+            s = int(k >= len(b1))
+            src, dst = systems[s], systems[1 - s]
+            if len(src) < 2:
+                continue
+            # money only ever changes system as flux, so the current
+            # totals are M1 = M1(0) - dM and M2 = M2(0) + dM
+            t = ((m1_0 - d_money) / len(b1), (m2_0 + d_money) / len(b2))
+            ds = _migration_entropy(t[s], t[1 - s])
+            if ds >= 0 or rng.random() < math.exp(ds):
+                i = k - s * len(b1)
+                m = src[i]
+                src[i] = src[-1]
+                src.pop()
+                dst.append(m)
+                d_agents += sign[s]
+                d_money += sign[s] * m
+                n_migrations += 1
         else:
             # ordered cross pair, uniform: payer side is a fair coin
-            if rng.random() < 0.5:
-                src, dst, sign = b1, b2, 1
-            else:
-                src, dst, sign = b2, b1, -1
+            s = 0 if rng.random() < 0.5 else 1
+            src, dst = systems[s], systems[1 - s]
             i = int(rng.integers(len(src)))
             j = int(rng.integers(len(dst)))
             amount = _draw_amount(rule, rng)
             if src[i] - amount >= rule.floor:
                 src[i] -= amount
                 dst[j] += amount
-                if sign == 1:
-                    m1 -= amount
-                    m2 += amount
-                else:
-                    m2 -= amount
-                    m1 += amount
-                d_money += sign * amount
+                d_money += sign[s] * amount
                 n_exchanges += 1
 
     ens1.balances = np.asarray(b1, dtype=np.int64)
@@ -550,8 +521,8 @@ def couple_systems(ens1: AgentEnsemble, ens2: AgentEnsemble,
         delta_entropy_estimate=ds_est,
         t1_initial=t1_0,
         t2_initial=t2_0,
-        t1_final=m1 / len(b1),
-        t2_final=m2 / len(b2),
+        t1_final=(m1_0 - d_money) / len(b1),
+        t2_final=(m2_0 + d_money) / len(b2),
         events=steps,
         exchanges_accepted=n_exchanges,
         migrations_accepted=n_migrations,

@@ -240,6 +240,19 @@ REJECTED = [
                   "--year", "2005"], id="energy-not-utf8"),
     pytest.param(["simulate", "--config", "{latin1}"], id="config-not-utf8"),
     pytest.param(["fp", "--spec-json", "{latin1}"], id="spec-json-not-utf8"),
+    # flags away from their default that the chosen mode would not read;
+    # {config} and {spec} are valid config files
+    pytest.param(["simulate", "--config", "{config}", "--agents", "5", "--steps", "3"],
+                 id="config-with-run-flags"),
+    pytest.param(["simulate", "--agents", "10", "--money", "100", "--steps", "100",
+                  "--seed", "1", "--events", "5", "--migration-rate", "0.5"],
+                 id="coupling-flags-without-second-system"),
+    pytest.param(["simulate", "--agents", "30", "--money", "300", "--agents2", "30",
+                  "--money2", "150", "--steps", "300", "--seed", "5",
+                  "--quantum-value", "2.5", "--checkpoint-every", "7"],
+                 id="coupled-with-single-system-flags"),
+    pytest.param(["fp", "--spec-json", "{spec}", "--kind", "multiplicative", "--a", "5"],
+                 id="spec-json-with-coefficient-flags"),
 ]
 
 
@@ -247,8 +260,13 @@ REJECTED = [
 def test_rejected_with_one_error_line(tmp_path, capsys, argv):
     latin1 = tmp_path / "latin1.csv"
     latin1.write_bytes(b"level_kusd,returns_at_or_above\n0,100\n10,50 caf\xe9\n")
-    argv = [arg.replace("{tmp}", str(tmp_path)).replace("{latin1}", str(latin1))
-            for arg in argv]
+    config = tmp_path / "config.json"
+    config.write_text('{"n_agents": 10, "total_money_quanta": 100, "steps": 1000, '
+                      '"seed": 1}')
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"kind": "additive", "a0": 1, "b0": 40}')
+    paths = {"{tmp}": tmp_path, "{latin1}": latin1, "{config}": config, "{spec}": spec}
+    argv = [str(paths.get(arg, arg)) for arg in argv]
     code = dispatch(argv + ["--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert code == 1

@@ -187,10 +187,12 @@ class TestRefinedPipeline:
         assert report.gini == pytest.approx(0.5, abs=0.01)
         assert report.degenerate_tail
 
+    @pytest.mark.filterwarnings("error")
     def test_runaway_tail_fit_is_degenerate(self):
         # with no tail in the data the refinement runs r0 and alpha far
         # out, where r0^(alpha+1) overflows although the tail prefactor
-        # underflows to zero
+        # underflows to zero, and where the density and the tail mass
+        # overflow without a warning
         report = fit_report(exponential_table(T=33.0, n_levels=20))
         assert report.degenerate_tail
         assert report.r_star is None

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import lattice_ks
 from ineqstats import (AgentEnsemble, BinnedHistogram,
@@ -27,7 +28,7 @@ class TestEnsembleSetup:
 
     def test_equal_start_has_zero_entropy(self):
         ens = init_ensemble(10_000, 1_000_000)
-        hist = BinnedHistogram.from_ensemble(ens, bin_width=1, origin=0)
+        hist = BinnedHistogram.from_ensemble(ens, origin=0)
         assert entropy(hist) == 0.0
 
     def test_rule_validation(self):
@@ -260,6 +261,30 @@ class TestCoupledSystems:
         ens2 = _equilibrated(100, 50, seed=9)
         with pytest.raises(DomainError):
             couple_systems(ens1, ens2, ExchangeRule(RULE_FIXED), 10, 1.5)
+
+    @settings(max_examples=120, deadline=None)
+    @given(n1=st.integers(1, 40), n2=st.integers(1, 40),
+           money1=st.integers(0, 2000), money2=st.integers(0, 2000),
+           kind=st.sampled_from([RULE_FIXED, RULE_UNIFORM]),
+           delta=st.integers(1, 30), floor=st.integers(-20, 0),
+           migration_rate=st.floats(0.0, 1.0), events=st.integers(1, 1500),
+           seed=st.integers(0, 2**32 - 1))
+    def test_bookkeeping_matches_balances(self, n1, n2, money1, money2, kind,
+                                          delta, floor, migration_rate, events, seed):
+        ens1, ens2 = init_ensemble(n1, money1), init_ensemble(n2, money2)
+        try:
+            report = couple_systems(ens1, ens2, ExchangeRule(kind, delta, floor),
+                                    events, migration_rate, seed=seed)
+        except DomainError:
+            return
+        assert ens1.n + ens2.n == n1 + n2
+        assert ens1.total + ens2.total == money1 + money2
+        assert report.delta_money == money1 - ens1.total
+        assert report.delta_agents == n1 - ens1.n
+        assert report.t1_final == ens1.total / ens1.n
+        assert report.t2_final == ens2.total / ens2.n
+        assert ens1.balances.min() >= floor and ens2.balances.min() >= floor
+        assert report.exchanges_accepted + report.migrations_accepted <= events
 
 
 class TestCycle:
