@@ -23,7 +23,11 @@ pairs drawn from a fresh random permutation.  Within a round the pairs
 share no agent, so the round is equivalent to N//2 sequential steps; the
 batching exists purely so that 1e8 attempts vectorise to seconds.
 ``exchange_step`` performs one literal attempt for callers that need
-step-level control.
+step-level control.  ``couple_systems`` runs its events one at a time,
+but draws their random numbers up front, a block of events at a time.
+
+Balances are int64.  Rules and ensembles whose reachable balances would
+not fit are rejected up front, so no balance can wrap.
 """
 
 from __future__ import annotations
@@ -61,6 +65,10 @@ __all__ = [
 RULE_FIXED = "fixed"
 RULE_UNIFORM = "uniform"
 
+_INT64 = np.iinfo(np.int64)
+# numpy refuses arrays of more than intp-max bytes
+_MAX_BINS = np.iinfo(np.intp).max // np.dtype(np.intp).itemsize
+
 
 @dataclass(frozen=True)
 class ExchangeRule:
@@ -79,6 +87,18 @@ class ExchangeRule:
             raise DomainError("delta must be at least one quantum")
         if self.floor > 0:
             raise DomainError("floor must be <= 0")
+        # the payer test computes balance - amount >= floor - delta
+        if self.floor - self.delta < _INT64.min:
+            raise DomainError(f"delta {self.delta} and floor {self.floor} quanta "
+                              "do not fit 64-bit balances")
+
+
+def _check_headroom(total: int, n: int, floor: int) -> None:
+    """Reject money that could wrap a balance: with every other agent at
+    the floor, one agent holds total - (n-1)*floor."""
+    if total - (n - 1) * floor > _INT64.max:
+        raise DomainError(f"total money {total} quanta over {n} agents at floor "
+                          f"{floor} reaches beyond 64-bit balances")
 
 
 class AgentEnsemble:
@@ -112,6 +132,9 @@ def init_ensemble(n_agents: int, total_quanta: int) -> AgentEnsemble:
         raise DomainError("need at least one agent")
     if total_quanta < 0:
         raise DomainError("total money must be non-negative")
+    if total_quanta > _INT64.max:
+        raise DomainError(f"total money {total_quanta} quanta does not fit a "
+                          "64-bit balance")
     base, rem = divmod(total_quanta, n_agents)
     balances = np.full(n_agents, base, dtype=np.int64)
     balances[:rem] += 1
@@ -122,6 +145,13 @@ def _draw_amount(rule: ExchangeRule, rng: np.random.Generator) -> int:
     if rule.kind == RULE_FIXED:
         return rule.delta
     return int(rng.integers(1, rule.delta + 1))
+
+
+def _draw_amounts(rule: ExchangeRule, rng: np.random.Generator,
+                  size: int) -> np.ndarray:
+    if rule.kind == RULE_FIXED:
+        return np.full(size, rule.delta, dtype=np.int64)
+    return rng.integers(1, rule.delta + 1, size=size)
 
 
 def exchange_step(ens: AgentEnsemble, rule: ExchangeRule,
@@ -159,13 +189,11 @@ def _run_round(balances: np.ndarray, rule: ExchangeRule,
     perm = rng.permutation(n)
     payers = perm[:half]
     receivers = perm[half:2 * half]
-    if rule.kind == RULE_FIXED:
-        amounts = np.full(half, rule.delta, dtype=np.int64)
-    else:
-        amounts = rng.integers(1, rule.delta + 1, size=half)
-    ok = balances[payers] - amounts >= rule.floor
-    balances[payers[ok]] -= amounts[ok]
-    balances[receivers[ok]] += amounts[ok]
+    amounts = _draw_amounts(rule, rng, half)
+    paid = balances[payers]
+    amounts *= paid - amounts >= rule.floor   # a rejected transfer moves 0
+    balances[payers] = paid - amounts
+    balances[receivers] += amounts
 
 
 @dataclass
@@ -187,10 +215,13 @@ class BinnedHistogram:
 
     @classmethod
     def from_ensemble(cls, ens: AgentEnsemble, origin: int) -> "BinnedHistogram":
-        idx = ens.balances - origin
-        if np.any(idx < 0):
+        if int(ens.balances.min()) < origin:
             raise DomainError("origin must not exceed the minimum balance")
-        return cls(np.bincount(idx), float(origin))
+        n_bins = int(ens.balances.max()) - origin + 1
+        if n_bins > _MAX_BINS:
+            raise DomainError(f"a histogram of {n_bins} one-quantum bins "
+                              "cannot be allocated")
+        return cls(np.bincount(ens.balances - origin), float(origin))
 
     def bin_lowers(self) -> np.ndarray:
         return self.origin + np.arange(self.counts.size)
@@ -273,6 +304,8 @@ class SimulationConfig:
             raise ConfigurationError(
                 f"checkpoint interval must be at least one attempt; "
                 f"got {self.checkpoint_every}")
+        # before the rule: the uniform rule's default delta grows with the total
+        _check_headroom(self.total_money_quanta, self.n_agents, self.floor)
         self.exchange_rule()   # validates rule/delta/floor
 
     def resolved_delta(self) -> int:
@@ -363,6 +396,7 @@ def run_simulation(ens: AgentEnsemble, rule: ExchangeRule, steps: int,
         raise DomainError("need at least one step")
     if ens.n < 2:
         raise DomainError("need at least two agents to trade")
+    _check_headroom(ens.total, ens.n, rule.floor)
     if rng is None:
         rng = np.random.default_rng(seed)
     per_round = ens.n // 2
@@ -426,6 +460,13 @@ class FluxReport:
         return json.dumps(self.__dict__, sort_keys=True)
 
 
+# Events per block of up-front draws in ``couple_systems``: enough that
+# the numpy calls cost little per event, few enough that the drawn lists
+# (about 130 bytes an event, 2 MB a block) stay small however many
+# events run.
+_BLOCK_EVENTS = 2 ** 14
+
+
 def _migration_entropy(t_src: float, t_dst: float) -> float:
     """ln(T_dst/T_src), the population term of the entropy gradient."""
     if t_src <= 0 or t_dst <= 0:
@@ -453,6 +494,14 @@ def couple_systems(ens1: AgentEnsemble, ens2: AgentEnsemble,
     The money term of the gradient belongs to the exchange channel and is
     deliberately not charged to migrations.
 
+    The random numbers are drawn up front, ``_BLOCK_EVENTS`` events at a
+    time: per event the kind (a migration when a uniform falls below
+    ``migration_rate``), three uniforms u0, u1, u2 and a transfer amount.
+    A migration moves agent int(u0 (n1 + n2)) and is accepted when
+    u1 < exp(dS); an exchange takes the payer side from u0 < 1/2, the
+    payer from u1 and the receiver from u2.  The events themselves still
+    run one at a time.
+
     Flux signs are 1 -> 2 positive.  The entropy estimate is
     (1/T2 - 1/T1) dM + ln(T2/T1) dN at the initial temperatures, the
     differential (linear-response) form; measure while the temperature
@@ -472,45 +521,55 @@ def couple_systems(ens1: AgentEnsemble, ens2: AgentEnsemble,
     if t1_0 <= 0 or t2_0 <= 0:
         raise DomainError("both systems need positive money temperatures")
 
+    _check_headroom(m1_0 + m2_0, len(b1) + len(b2), rule.floor)
+
     # s is the source side of a move; sign[s] makes it a flux from 1 to 2
     systems = (b1, b2)
     sign = (1, -1)
+    n_total = len(b1) + len(b2)
+    floor = rule.floor
     d_money = 0
     d_agents = 0
     n_exchanges = 0
     n_migrations = 0
-    for _ in range(steps):
-        if rng.random() < migration_rate:
-            k = int(rng.integers(len(b1) + len(b2)))
-            s = int(k >= len(b1))
-            src, dst = systems[s], systems[1 - s]
-            if len(src) < 2:
-                continue
-            # money only ever changes system as flux, so the current
-            # totals are M1 = M1(0) - dM and M2 = M2(0) + dM
-            t = ((m1_0 - d_money) / len(b1), (m2_0 + d_money) / len(b2))
-            ds = _migration_entropy(t[s], t[1 - s])
-            if ds >= 0 or rng.random() < math.exp(ds):
-                i = k - s * len(b1)
-                m = src[i]
-                src[i] = src[-1]
-                src.pop()
-                dst.append(m)
-                d_agents += sign[s]
-                d_money += sign[s] * m
-                n_migrations += 1
-        else:
-            # ordered cross pair, uniform: payer side is a fair coin
-            s = 0 if rng.random() < 0.5 else 1
-            src, dst = systems[s], systems[1 - s]
-            i = int(rng.integers(len(src)))
-            j = int(rng.integers(len(dst)))
-            amount = _draw_amount(rule, rng)
-            if src[i] - amount >= rule.floor:
-                src[i] -= amount
-                dst[j] += amount
-                d_money += sign[s] * amount
-                n_exchanges += 1
+    for start in range(0, steps, _BLOCK_EVENTS):
+        size = min(_BLOCK_EVENTS, steps - start)
+        migrates = (rng.random(size) < migration_rate).tolist()
+        u0, u1, u2 = rng.random((3, size)).tolist()
+        amounts = _draw_amounts(rule, rng, size).tolist()
+        for migrate, x0, x1, x2, amount in zip(migrates, u0, u1, u2, amounts):
+            if migrate:
+                k = int(x0 * n_total)
+                s = int(k >= len(b1))
+                src, dst = systems[s], systems[1 - s]
+                if len(src) < 2:
+                    continue
+                # money only ever changes system as flux, so the current
+                # totals are M1 = M1(0) - dM and M2 = M2(0) + dM
+                t = ((m1_0 - d_money) / len(b1), (m2_0 + d_money) / len(b2))
+                ds = _migration_entropy(t[s], t[1 - s])
+                if ds >= 0 or x1 < math.exp(ds):
+                    i = k - s * len(b1)
+                    m = src[i]
+                    src[i] = src[-1]
+                    src.pop()
+                    dst.append(m)
+                    d_agents += sign[s]
+                    d_money += sign[s] * m
+                    n_migrations += 1
+            else:
+                # ordered cross pair, uniform: payer side is a fair coin
+                s = 0 if x0 < 0.5 else 1
+                src, dst = systems[s], systems[1 - s]
+                i = int(x1 * len(src))
+                if src[i] - amount >= floor:
+                    src[i] -= amount
+                    dst[int(x2 * len(dst))] += amount
+                    d_money += sign[s] * amount
+                    n_exchanges += 1
+        # release this block's draws before the next block's exist, so the
+        # extra memory stays one block for any number of events
+        del migrates, u0, u1, u2, amounts
 
     ens1.balances = np.asarray(b1, dtype=np.int64)
     ens2.balances = np.asarray(b2, dtype=np.int64)

@@ -225,6 +225,18 @@ REJECTED = [
                   "--seed", "1"], id="zero-agents"),
     pytest.param(["simulate", "--agents", "10", "--money", "10", "--steps", "10",
                   "--seed", "-1"], id="negative-seed"),
+    # integers beyond 64-bit balances
+    pytest.param(["simulate", "--agents", "3", "--money", "9", "--steps", "5",
+                  "--seed", "1", "--delta", "99999999999999999999999"],
+                 id="delta-beyond-int64"),
+    pytest.param(["simulate", "--agents", "3", "--money", "99999999999999999999999",
+                  "--steps", "5", "--seed", "1"], id="money-beyond-int64"),
+    pytest.param(["simulate", "--agents", "3", "--money", "9", "--steps", "5",
+                  "--seed", "1", "--floor", "-99999999999999999999999"],
+                 id="floor-beyond-int64"),
+    pytest.param(["simulate", "--agents", "4", "--money", "9223372036854775000",
+                  "--steps", "5", "--seed", "1", "--rule", "fixed", "--delta", "3"],
+                 id="histogram-too-big"),
     pytest.param(["fp", "--kind", "additive", "--a0", "1", "--b0", "40",
                   "--points-per-decade", "0"], id="points-per-decade-0"),
     pytest.param(["fp", "--kind", "additive", "--a0", "1", "--b0", "40",

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import lattice_ks
+from ineqstats import kinetic
 from ineqstats import (AgentEnsemble, BinnedHistogram,
                        CycleSpec, DomainError, ExchangeRule, RULE_FIXED,
                        RULE_UNIFORM, couple_systems, cycle_profit_and_rate,
@@ -114,6 +116,71 @@ class TestRunSimulation:
         assert traj.steps[0] == 0
         assert traj.steps[-1] >= 1000
         assert np.all(np.diff(traj.steps) > 0)
+
+
+def _reference_round(balances, rule, rng):
+    """The round as first written, with three boolean compressions and a
+    second gather; ``kinetic._run_round`` must match it draw for draw."""
+    n = balances.size
+    half = n // 2
+    perm = rng.permutation(n)
+    payers = perm[:half]
+    receivers = perm[half:2 * half]
+    if rule.kind == RULE_FIXED:
+        amounts = np.full(half, rule.delta, dtype=np.int64)
+    else:
+        amounts = rng.integers(1, rule.delta + 1, size=half)
+    ok = balances[payers] - amounts >= rule.floor
+    balances[payers[ok]] -= amounts[ok]
+    balances[receivers[ok]] += amounts[ok]
+
+
+class TestRound:
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(2, 300), money_per_agent=st.integers(0, 60),
+           kind=st.sampled_from([RULE_FIXED, RULE_UNIFORM]),
+           delta=st.integers(1, 50), floor=st.integers(-20, 0),
+           rounds=st.integers(1, 50), seed=st.integers(0, 2**32 - 1))
+    def test_matches_reference_round(self, n, money_per_agent, kind, delta,
+                                     floor, rounds, seed):
+        rule = ExchangeRule(kind, delta, floor)
+        balances = init_ensemble(n, n * money_per_agent).balances
+        reference = balances.copy()
+        rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(rounds):
+            kinetic._run_round(balances, rule, rng)
+            _reference_round(reference, rule, reference_rng)
+        assert np.array_equal(balances, reference)
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+
+class TestInt64Limits:
+    def test_rule_beyond_int64_rejected(self):
+        with pytest.raises(DomainError):
+            ExchangeRule(RULE_UNIFORM, delta=10**23)
+        with pytest.raises(DomainError):
+            ExchangeRule(RULE_FIXED, floor=-10**23)
+        with pytest.raises(DomainError):
+            ExchangeRule(RULE_FIXED, delta=2**62 + 1, floor=-2**62)
+        ExchangeRule(RULE_FIXED, delta=2**62, floor=-2**62)   # exactly -2**63
+
+    def test_total_beyond_int64_rejected(self):
+        with pytest.raises(DomainError):
+            init_ensemble(3, 2**63)
+        assert init_ensemble(1, 2**63 - 1).total == 2**63 - 1
+
+    def test_reachable_balance_beyond_int64_rejected(self):
+        ens = init_ensemble(4, 2**62)
+        with pytest.raises(DomainError):
+            run_simulation(ens, ExchangeRule(RULE_FIXED, floor=-2**61), 10, seed=1)
+        with pytest.raises(DomainError):
+            couple_systems(ens, init_ensemble(4, 2**62), ExchangeRule(RULE_FIXED),
+                           10, 0.0, seed=1)
+
+    def test_unallocatable_histogram_rejected(self):
+        ens = AgentEnsemble([0, 2**62])
+        with pytest.raises(DomainError, match="cannot be allocated"):
+            BinnedHistogram.from_ensemble(ens, origin=0)
 
 
 class TestSimulationConfig:
@@ -285,6 +352,52 @@ class TestCoupledSystems:
         assert report.t2_final == ens2.total / ens2.n
         assert ens1.balances.min() >= floor and ens2.balances.min() >= floor
         assert report.exchanges_accepted + report.migrations_accepted <= events
+
+    def test_drawn_index_stays_below_length(self):
+        # an index int(u * n) is drawn from u in [0, 1); the largest u that
+        # Generator.random returns is the double just below 1
+        u = float(np.nextafter(1.0, 0.0))
+        for k in range(1, 41):
+            for n in (2**k - 1, 2**k, 2**k + 1):
+                assert int(u * n) == n - 1
+
+    def test_draw_memory_flat_in_events(self):
+        def peak(events):
+            ens1, ens2 = init_ensemble(2, 20), init_ensemble(2, 20)
+            tracemalloc.start()
+            try:
+                couple_systems(ens1, ens2, ExchangeRule(RULE_UNIFORM, delta=4),
+                               events, 0.0, seed=1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        block = kinetic._BLOCK_EVENTS
+        assert peak(4 * block + 17) <= 1.5 * peak(block)
+
+    def test_exchange_relaxes_pooled_balances_to_exponential(self):
+        # Exchange-only coupling is symmetric in every ordered cross pair,
+        # so the pooled 1000 balances relax to the exponential at the
+        # pooled T = (400*80 + 600*20)/1000 = 44.  The threshold is the
+        # 0.1% tail of the KS distance of 1000 independent draws from that
+        # exponential: over 4 000 such replicas the median was 0.024 and
+        # the 99.9th percentile 0.057 (Kolmogorov's asymptotic value is
+        # 1.95/sqrt(1000) = 0.062).  Over 200 replica seeds of this
+        # protocol the coupled state's distance had median 0.022 and
+        # maximum 0.046, and the two-temperature start's had median 0.104
+        # and minimum 0.072, so the start must fail the same threshold.
+        ks_threshold = 0.06
+        ens1 = _equilibrated(400, 80, seed=11)
+        ens2 = _equilibrated(600, 20, seed=12)
+        pooled = np.concatenate([ens1.balances, ens2.balances])
+        assert lattice_ks(pooled, 44.0) > ks_threshold
+        couple_systems(ens1, ens2, ExchangeRule(RULE_UNIFORM, delta=88),
+                       400_000, 0.0, seed=13)
+        pooled = np.concatenate([ens1.balances, ens2.balances])
+        assert lattice_ks(pooled, 44.0) < ks_threshold
+        # each system settles at the pooled T as well: over 100 replica
+        # seeds system 1 ended at 44.1 +- 1.5 (range 38.0 to 46.9)
+        assert abs(ens1.total / ens1.n - 44.0) < 10.0
 
 
 class TestCycle:
