@@ -7,14 +7,11 @@ density
 
 which decays like exp(-r/T) for r << r0 and like r^-(1+alpha) for
 r >> r0.  The normalisation constant c and the complementary CDF have no
-closed form, so the model carries a quadrature grid: trapezoid sums on a
-log-spaced grid, with the far tail added analytically from the power-law
-asymptote (the arctan prefactor saturates, so the tail integral is exact
-up to O(r0/r_max) corrections).
-
-:class:`LevelQuadrature` is the fitting counterpart: fixed Gauss-Legendre
-nodes built once for a set of income levels, which give the complementary
-CDF at those levels for any (T, alpha, r0) without building a grid.
+closed form; they have one integration rule, :class:`LevelQuadrature`,
+Gauss-Legendre panels in ln r between breakpoints at the requested
+income levels.  The model builds it at its own scales T and r0 (plus the
+requested incomes, for the CDF); fits build it once at a table's levels
+for every (T, alpha, r0) they try.
 
 The module also holds the Lorenz/Gini analytics shared by the fitting and
 energy pipelines.
@@ -29,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, MalformedCurveError, NoIntersectionError
+from .errors import DomainError, FormatError, MalformedCurveError, NoIntersectionError
 from .io import load_json_object
 
 __all__ = [
@@ -49,31 +46,37 @@ def _as_float_array(r):
     return arr, arr.ndim == 0
 
 
-# Resolution of TwoClassModel's log grid: the normalisation and the CDF
-# are accurate to ~1e-7 relative, and the grid is extended until the
-# analytic tail remainder holds less than _TAIL_MASS_BOUND of the mass.
-_POINTS_PER_DECADE = 3000
-_TAIL_MASS_BOUND = 1e-9
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 def _check_parameters(T, alpha, r0) -> None:
-    if not (T > 0 and alpha > 1 and r0 > 0):
+    if not (0 < T < math.inf and 1 < alpha < math.inf and 0 < r0 < math.inf):
         raise DomainError(
-            f"two-class model needs T > 0, alpha > 1, r0 > 0; "
+            f"two-class model needs finite T > 0, alpha > 1, r0 > 0; "
             f"got T={T}, alpha={alpha}, r0={r0}")
 
 
 def _raw_density(r, T, alpha, r0):
-    """The two-class density without its normalisation constant c."""
+    """The two-class density without its normalisation constant c.  Far
+    beyond r0, x, x*x and its power overflow, which callers ignore."""
     x = r / r0
     return np.exp(-(r0 / T) * np.arctan(x)) / (1.0 + x * x) ** ((alpha + 1.0) / 2.0)
 
 
-def _tail_mass(T, alpha, r0, r_max) -> float:
-    """Unnormalised mass beyond r_max from the power-law asymptote."""
-    tail_factor = math.exp(-(r0 / T) * (math.pi / 2.0))
-    return tail_factor * r0 * (r0 / r_max) ** alpha / alpha
+def _tail_mass(T, alpha, r0, R) -> float:
+    """Unnormalised mass beyond R: the power-law asymptote from r0 on,
+    and below r0, where that does not hold, the bound
+    T exp(-(r0/T) arctan(R/r0)).  Summed in logs, so it underflows to 0
+    and never forms 0 * inf."""
+    if R >= r0:
+        log_mass = (-(r0 / T) * (math.pi / 2.0) + math.log(r0)
+                    + alpha * math.log(r0 / R) - math.log(alpha))
+    else:
+        log_mass = math.log(T) - (r0 / T) * math.atan(R / r0)
+    return math.exp(log_mass)
+
+
+_NEWTON_STEPS = 7   # inverse_cdf converges in 5 from its start; 2 spare
 
 
 class TwoClassModel:
@@ -84,98 +87,68 @@ class TwoClassModel:
     normalisation constant, fixed at construction so the density
     integrates to one on [0, inf).
 
-    The model carries a log-spaced grid of 3 000 points per decade,
-    accurate to ~1e-7 relative; to evaluate the CDF at fixed levels for
-    many parameter sets, use :class:`LevelQuadrature` instead.
-
     Parameters
     ----------
     T, alpha, r0 : float
-        Model parameters; require T > 0, alpha > 1, r0 > 0.
+        Model parameters; require finite T > 0, alpha > 1, r0 > 0.
     """
 
     def __init__(self, T: float, alpha: float, r0: float):
         _check_parameters(T, alpha, r0)
-        self.T = float(T)
-        self.alpha = float(alpha)
-        self.r0 = float(r0)
-        self._tail_factor = math.exp(-(self.r0 / self.T) * (math.pi / 2.0))
-
-        # Two-pass grid construction: a coarse pass estimates the total
-        # mass, which fixes r_max so the analytic tail remainder is below
-        # _TAIL_MASS_BOUND of the total.
-        r_lin = min(self.T, self.r0) / 100.0
-        coarse_max = 1e4 * max(self.T, self.r0)
-        coarse = np.concatenate([
-            np.linspace(0.0, r_lin, 64, endpoint=False),
-            np.geomspace(r_lin, coarse_max, 2000),
-        ])
-        mass_est = np.trapezoid(self._raw_pdf(coarse), coarse)
-        r_max = self.r0 * (self._tail_factor * self.r0
-                           / (self.alpha * _TAIL_MASS_BOUND * mass_est)) ** (1.0 / self.alpha)
-        r_max = max(r_max, 100.0 * max(self.T, self.r0))
-
-        n_log = int(np.ceil(np.log10(r_max / r_lin) * _POINTS_PER_DECADE))
-        self._grid = np.concatenate([
-            np.linspace(0.0, r_lin, 512, endpoint=False),
-            np.geomspace(r_lin, r_max, n_log),
-        ])
-        self._raw = self._raw_pdf(self._grid)
-        seg = 0.5 * (self._raw[1:] + self._raw[:-1]) * np.diff(self._grid)
-        self._cum = np.concatenate([[0.0], np.cumsum(seg)])
-        self._tail_mass = _tail_mass(self.T, self.alpha, self.r0, r_max)
-        self.c = 1.0 / (self._cum[-1] + self._tail_mass)
-        self._r_max = r_max
-        # complementary CDF at grid nodes, used for interpolation/sampling
-        self._comp = 1.0 - self.c * self._cum
-
-    # -- internals ---------------------------------------------------------
-
-    def _raw_pdf(self, r):
-        # far beyond r0, x*x and its power overflow; the density is 0 either way
+        self.T, self.alpha, self.r0 = float(T), float(alpha), float(r0)
+        quadrature = LevelQuadrature([self.T, self.r0])
+        nodes = quadrature._nodes
         with np.errstate(over="ignore"):
-            return _raw_density(np.asarray(r, dtype=float), self.T, self.alpha, self.r0)
-
-    # -- public surface ----------------------------------------------------
+            mass = quadrature._masses(self.T, self.alpha, self.r0)
+        self.c = 1.0 / mass.sum()
+        # beyond R = nodes[0] the density is the power law, whose first
+        # moment is R alpha / (alpha - 1) times its mass
+        self._mean = self.c * (nodes[1:] @ mass[1:]
+                               + mass[0] * nodes[0] * self.alpha / (self.alpha - 1.0))
+        comp = self.c * np.cumsum(mass)   # C near each node, for inverse_cdf
+        self._start_nodes, self._start_ln_comp = nodes[comp > 0], np.log(comp[comp > 0])
 
     def pdf(self, r):
         """Probability density P(r); accepts scalars or arrays, r >= 0."""
         arr, scalar = _as_float_array(r)
         if np.any(arr < 0):
             raise DomainError("income must be non-negative")
-        out = self.c * self._raw_pdf(arr)
+        with np.errstate(over="ignore"):
+            out = self.c * _raw_density(arr, self.T, self.alpha, self.r0)
         return float(out) if scalar else out
 
     def cdf(self, r):
         """Complementary CDF C(r) = integral of the pdf over [r, inf)."""
         arr, scalar = _as_float_array(r)
-        if np.any(arr < 0):
+        if not np.all(arr >= 0):
             raise DomainError("income must be non-negative")
-        arr1 = np.atleast_1d(arr)
-        out = np.empty_like(arr1)
-        far = arr1 >= self._r_max
-        if np.any(far):
-            out[far] = (self.c * self._tail_factor * self.r0 ** (self.alpha + 1.0)
-                        * arr1[far] ** (-self.alpha) / self.alpha)
-        near = ~far
-        if np.any(near):
-            rn = arr1[near]
-            idx = np.searchsorted(self._grid, rn, side="right") - 1
-            idx = np.clip(idx, 0, self._grid.size - 2)
-            left = self._grid[idx]
-            # trapezoid correction inside the bracketing grid segment
-            corr = 0.5 * (self._raw[idx] + self._raw_pdf(rn)) * (rn - left)
-            out[near] = 1.0 - self.c * (self._cum[idx] + corr)
-        out = np.clip(out, 0.0, 1.0)
-        return float(out[0]) if scalar else out.reshape(arr.shape)
+        finite = arr < np.inf
+        # T and r0 as breakpoints keep the first, linear panel below the body
+        quadrature = LevelQuadrature(np.append([self.T, self.r0], np.where(finite, arr, 0.0)))
+        comp = quadrature.ccdf(self.T, self.alpha, self.r0)[2:].reshape(arr.shape)
+        out = np.where(finite, comp, 0.0)
+        return float(out) if scalar else out
 
     def inverse_cdf(self, comp_values):
-        """Income r at which the complementary CDF equals the given value."""
+        """Income r at which the complementary CDF equals the given value.
+
+        Starts from r interpolated against ln C over the quadrature nodes,
+        or, below C at the top node, on the power-law tail through it;
+        then takes Newton steps on ``cdf``, which rise monotonically to the
+        root after the first because C is convex on [0, inf).
+        """
         arr, scalar = _as_float_array(comp_values)
-        if np.any((arr <= 0) | (arr > 1)):
+        if not np.all((arr > 0) & (arr <= 1)):
             raise DomainError("complementary CDF values must lie in (0, 1]")
-        out = np.interp(-np.atleast_1d(arr), -self._comp, self._grid)
-        return float(out[0]) if scalar else out.reshape(arr.shape)
+        ln_u, top = np.log(arr), self._start_ln_comp[0]
+        # r stays where the tail start overflows or the density underflows
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            r = (np.interp(ln_u, self._start_ln_comp, self._start_nodes)
+                 * np.exp(np.maximum(top - ln_u, 0.0) / self.alpha))
+            for _ in range(_NEWTON_STEPS):
+                step = (self.cdf(r) - arr) / self.pdf(r)
+                r = np.where(np.isfinite(step), np.maximum(r + step, 0.0), r)
+        return float(r) if scalar else r
 
     @property
     def tail_prefactor(self) -> float:
@@ -189,18 +162,7 @@ class TwoClassModel:
 
     def mean(self) -> float:
         """First moment, with the analytic power-law tail remainder."""
-        seg = 0.5 * (self._grid[1:] * self._raw[1:]
-                     + self._grid[:-1] * self._raw[:-1]) * np.diff(self._grid)
-        tail = (self._tail_factor * self.r0 ** (self.alpha + 1.0)
-                * self._r_max ** (1.0 - self.alpha) / (self.alpha - 1.0))
-        return float(self.c * (np.sum(seg) + tail))
-
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """Draw n incomes by inverse transform on the complementary CDF."""
-        u = rng.random(n)
-        # u == 0 would map beyond the grid; nudge into the open interval
-        u = np.maximum(u, 1e-12)
-        return self.inverse_cdf(u)
+        return float(self._mean)
 
     def to_json(self) -> str:
         return json.dumps({"T": self.T, "alpha": self.alpha, "r0": self.r0, "c": self.c})
@@ -208,7 +170,13 @@ class TwoClassModel:
     @classmethod
     def from_json(cls, text: str) -> "TwoClassModel":
         obj = load_json_object(text, "two-class model")
-        return cls(obj["T"], obj["alpha"], obj["r0"])
+        try:
+            params = float(obj["T"]), float(obj["alpha"]), float(obj["r0"])
+        except KeyError as exc:
+            raise DomainError(f"two-class model missing key {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise FormatError(f"bad two-class model value: {exc}") from exc
+        return cls(*params)
 
     def __repr__(self):
         return f"TwoClassModel(T={self.T:g}, alpha={self.alpha:g}, r0={self.r0:g}, c={self.c:.6g})"
@@ -235,19 +203,17 @@ class LevelQuadrature:
     """Complementary CDF of the two-class model at fixed income levels.
 
     The nodes depend on the levels alone, so one instance serves every
-    (T, alpha, r0) a fit tries, at the cost of ~1 250 density evaluations
-    per call for a 50-level table instead of a :class:`TwoClassModel`
-    grid.  The breakpoints are the positive levels, 1e-3 x the first of
-    them and R = 1e8 x the last; each interval between breakpoints is
-    split into equal panels at most 0.25 wide in ln r, each integrated by
-    8-point Gauss-Legendre in ln r, and one linear panel covers
-    [0, first breakpoint].  The mass beyond R is the analytic power-law
-    tail.  Masses are summed from the top down, so C(L) keeps full
-    relative precision deep in the tail.
+    (T, alpha, r0) a fit tries.  The breakpoints are the positive levels,
+    1e-3 x the first of them and R = 1e8 x the last; each interval
+    between breakpoints is split into equal panels at most 0.25 wide in
+    ln r, each integrated by 8-point Gauss-Legendre in ln r, and one
+    linear panel covers [0, first breakpoint].  The mass beyond R is
+    added analytically.  Masses are summed from the top down, so C(L)
+    keeps full relative precision deep in the tail.
 
     The linear panel resolves the body only while the first positive
-    level is below a few thousand times min(T, r0); income tables start
-    far below that.
+    level is below a few thousand times min(T, r0), as it is in income
+    tables and in :class:`TwoClassModel`, which adds T and r0 as levels.
     """
 
     def __init__(self, levels):
@@ -273,9 +239,8 @@ class LevelQuadrature:
         u = (start + 0.5 * width)[:, None] + (0.5 * width)[:, None] * _GL_NODES
         r = np.exp(u)
         low = 0.5 * breaks[0]
-        # Stored from the top down, after a first slot that ccdf fills with
-        # the analytic mass beyond the last breakpoint, so that cumulative
-        # sums are the masses above each node.
+        # Stored from the top down, after a slot at R for the mass beyond
+        # it, so that cumulative sums are the masses above each node.
         nodes = np.concatenate([low * (1.0 + _GL_NODES), r.ravel(), [breaks[-1]]])
         weights = np.concatenate([low * _GL_WEIGHTS,
                                   ((0.5 * width)[:, None] * _GL_WEIGHTS * r).ravel(),
@@ -288,16 +253,18 @@ class LevelQuadrature:
                          8 * (1 + first_panel[np.searchsorted(breaks, levels)]), 0)
         self._last_above = self._nodes.size - 1 - below
 
+    def _masses(self, T: float, alpha: float, r0: float) -> np.ndarray:
+        """Unnormalised mass of each node, the slot at R included."""
+        mass = _raw_density(self._nodes, T, alpha, r0) * self._weights
+        mass[0] = _tail_mass(T, alpha, r0, self._nodes[0])
+        return mass
+
     def ccdf(self, T: float, alpha: float, r0: float) -> np.ndarray:
-        """C(L) at each level for parameters (T, alpha, r0).  NaN where r0
-        lies so far beyond the top node that the analytic tail mass
-        overflows, as in fits that run away on tables with no tail."""
+        """C(L) at each level for parameters (T, alpha, r0), in [0, 1];
+        NaN only where every density underflows, as in runaway fits."""
         _check_parameters(T, alpha, r0)
-        # nodes far beyond r0 overflow x*x; their density is 0 either way
         with np.errstate(over="ignore", invalid="ignore"):
-            mass = _raw_density(self._nodes, T, alpha, r0) * self._weights
-            mass[0] = _tail_mass(T, alpha, r0, self._nodes[0])
-            above = np.cumsum(mass)
+            above = np.cumsum(self._masses(T, alpha, r0))
             return above[self._last_above] / above[-1]
 
 

@@ -22,7 +22,7 @@ Stage 3, the refinement and the final residual only ever need the model
 CDF at the table's own levels, so each evaluates it through one
 :class:`~ineqstats.distributions.LevelQuadrature`: fixed Gauss-Legendre
 nodes built once from the levels, reused for every (T, alpha, r0) the
-search tries, in place of a full :class:`TwoClassModel` grid per try.
+search tries, in place of a :class:`TwoClassModel` per try.
 """
 
 from __future__ import annotations
@@ -347,7 +347,7 @@ def refine_parameters(table: IncomeBinTable, temperature: float, alpha: float,
         p[-1] = comp[-1]
         p = np.maximum(p, 1e-300)
         value = float(np.sum(weights * np.log(q[pos] / p[pos]) ** 2))
-        # a CCDF that is NaN (see LevelQuadrature.ccdf) rejects the point
+        # a NaN CCDF (0/0 where every density underflows) rejects the point
         return math.inf if math.isnan(value) else value
 
     x0 = [math.log(temperature), math.log(max(alpha - 1.0, 1e-3)), math.log(r0)]
@@ -471,8 +471,9 @@ def sample_income_table(model: TwoClassModel, n_samples: int,
     if n_levels < 3:
         raise DomainError("need at least three levels")
     targets = np.geomspace(1.0, _COMP_MIN, n_levels)
-    levels = np.atleast_1d(model.inverse_cdf(targets))
+    levels = model.inverse_cdf(targets)
     levels[0] = 0.0
-    samples = model.sample(n_samples, rng)
-    counts, _ = np.histogram(samples, bins=np.concatenate([levels, [np.inf]]))
-    return IncomeBinTable(levels, counts, year)
+    # inverse transform puts the income of a uniform u in bin k when
+    # targets[k] >= u > targets[k+1], so the uniforms are binned directly
+    bins = np.searchsorted(-targets, -rng.random(n_samples), side="right") - 1
+    return IncomeBinTable(levels, np.bincount(bins, minlength=n_levels), year)

@@ -6,40 +6,40 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy import integrate
 
-from ineqstats import (DomainError, LevelQuadrature, LorenzCurve,
+from ineqstats import (DomainError, FormatError, LevelQuadrature, LorenzCurve,
                        MalformedCurveError, NoIntersectionError, TwoClassModel,
                        class_boundary, lorenz_exponential, lorenz_two_class,
                        sample_lorenz_curve, tail_fraction)
 
 
-def quad_complementary(model, r):
-    """Independent oracle: adaptive quadrature of the unnormalised pdf."""
+def quad_mass_above(model, r):
+    """Independent oracle: adaptive quadrature of the unnormalised pdf
+    over [r, inf)."""
     def raw(s):
         return (math.exp(-(model.r0 / model.T) * math.atan(s / model.r0))
                 / (1 + (s / model.r0) ** 2) ** ((model.alpha + 1) / 2))
-    total, _ = integrate.quad(raw, 0, np.inf, limit=400)
-    upper, _ = integrate.quad(raw, r, np.inf, limit=400)
-    return upper / total
+    return integrate.quad(raw, r, np.inf, limit=400)[0]
+
+
+def quad_complementary(model, r):
+    return quad_mass_above(model, r) / quad_mass_above(model, 0.0)
 
 
 class TestTwoClassModel:
     @pytest.mark.parametrize("bad", [(0, 2, 100), (40, 1.0, 100), (40, 2, 0),
-                                     (-1, 2, 100), (40, 0.5, 100), (40, 2, -5)])
+                                     (-1, 2, 100), (40, 0.5, 100), (40, 2, -5),
+                                     (math.inf, 2, 100), (40, math.inf, 100),
+                                     (40, 2, math.inf), (math.nan, 2, 100),
+                                     (40, math.nan, 100), (40, 2, math.nan)])
     def test_invalid_parameters_rejected(self, bad):
         with pytest.raises(DomainError):
             TwoClassModel(*bad)
 
     @pytest.mark.parametrize("params", [(48, 1.34, 113), (40, 1.5, 100),
                                         (33, 1.63, 76), (1, 2.0, 0.5)])
-    def test_normalized_on_grid(self, params):
-        model = TwoClassModel(*params)
-        mass = np.trapezoid(model.pdf(model._grid), model._grid) + model.c * model._tail_mass
-        assert mass == pytest.approx(1.0, abs=1e-6)
-
-    @pytest.mark.parametrize("params", [(48, 1.34, 113), (40, 1.5, 100)])
     def test_normalization_against_quadrature_oracle(self, params):
         model = TwoClassModel(*params)
-        assert quad_complementary(model, 0.0) == pytest.approx(1.0, abs=1e-12)
+        assert model.c * quad_mass_above(model, 0.0) == pytest.approx(1.0, rel=1e-10)
         assert model.cdf(0.0) == 1.0
 
     def test_low_r_slope_is_minus_one_over_t(self):
@@ -84,10 +84,24 @@ class TestTwoClassModel:
         assert np.abs(numeric + model.pdf(r)).max() < 1e-6
 
     def test_inverse_cdf_round_trip(self):
-        model = TwoClassModel(48, 1.34, 113)
-        comp = np.geomspace(1e-4, 1.0, 40)
-        r = model.inverse_cdf(comp)
-        assert np.abs(model.cdf(r) - comp).max() < 1e-6
+        comp = np.geomspace(1.0, 1e-12, 60)
+        for params in [(48, 1.34, 113), (40, 1.01, 100), (1, 4.0, 0.5),
+                       (1, 2.0, 1e6), (1, 1.01, 1e3)]:
+            model = TwoClassModel(*params)
+            r = model.inverse_cdf(comp)
+            assert np.all(np.abs(model.cdf(r) / comp - 1.0) <= 1e-12)
+
+    @pytest.mark.filterwarnings("error")
+    def test_cdf_at_and_beyond_the_top_node(self):
+        # the model's own top quadrature node is R = 1e8 x max(T, r0)
+        r = 1e8 * np.geomspace(1.0, 1e9, 40)
+        for params in [(1.0, 2.0, 1e6), (48, 1.34, 113), (1, 1.01, 0.5)]:
+            model = TwoClassModel(*params)
+            far = model.cdf(r * max(model.T, model.r0))
+            assert np.all(np.isfinite(far)) and np.all(np.diff(far) <= 0)
+            assert np.all((far >= 0) & (far <= 1))
+            assert model.cdf(np.inf) == 0.0
+        assert model.cdf(np.array([[0.0, np.inf], [1.0, 2.0]])).shape == (2, 2)
 
     def test_negative_income_rejected(self):
         model = TwoClassModel(40, 1.5, 100)
@@ -102,6 +116,14 @@ class TestTwoClassModel:
         assert set(blob) == {"T", "alpha", "r0", "c"}
         again = TwoClassModel.from_json(model.to_json())
         assert again.c == pytest.approx(model.c, rel=1e-12)
+
+    def test_json_missing_key_and_bad_value_rejected(self):
+        with pytest.raises(DomainError, match="missing key"):
+            TwoClassModel.from_json('{"T": 48, "alpha": 1.34}')
+        with pytest.raises(FormatError):
+            TwoClassModel.from_json('{"T": "x", "alpha": 1.34, "r0": 113}')
+        with pytest.raises(FormatError):
+            TwoClassModel.from_json('{"T": null, "alpha": 1.34, "r0": 113}')
 
     def test_mean_against_quadrature_oracle(self):
         model = TwoClassModel(48, 1.34, 113)
@@ -207,9 +229,11 @@ class TestLevelQuadrature:
         quadrature = LevelQuadrature(levels)
         # r0 far above the top level: the density overflows at the upper nodes
         assert np.all(np.isfinite(quadrature.ccdf(33.0, 1e3, 1e3 * levels[-1])))
-        # r0 far above the top node, 1e8 x the top level: the tail mass
-        # overflows, and the NaN it gives is what the refinement rejects
-        assert np.all(np.isnan(quadrature.ccdf(33.0, 1e3, 1e11 * levels[-1])))
+        # r0 far above the top node, 1e8 x the top level, where the tail
+        # mass used to form 0 * inf
+        for r0 in (1e11 * levels[-1], 1e3, 1.5e13):
+            ccdf = quadrature.ccdf(33.0, 1e3, r0)
+            assert np.all(np.isfinite(ccdf)) and np.all((ccdf >= 0) & (ccdf <= 1))
 
 
 class TestLorenz:

@@ -1,7 +1,9 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, seed, settings, strategies as st
 
 from ineqstats import (DomainError, FormatError, IncomeBinTable,
                        InsufficientDataError, TwoClassModel,
@@ -86,6 +88,27 @@ class TestEmpiricalCdf:
         # all levels inside the 3-sigma binomial band (the deepest level
         # holds ~10 samples, so allow a single excursion)
         assert inside.sum() >= inside.size - 1
+
+    @seed(61)
+    @settings(max_examples=60, deadline=None)
+    @given(T=st.floats(0.1, 1000.0), alpha=st.floats(1.01, 4.0),
+           log_ratio=st.floats(math.log(0.05), math.log(1e4)),
+           n_levels=st.integers(3, 60),
+           u=st.lists(st.floats(0.0, 1.0, exclude_min=True), min_size=1, max_size=100))
+    def test_binning_uniforms_matches_binning_incomes(self, T, alpha, log_ratio,
+                                                      n_levels, u):
+        # sample_income_table bins its uniforms against the targets; that
+        # is binning the incomes inverse_cdf draws from them by the levels
+        model = TwoClassModel(T, alpha, T * math.exp(log_ratio))
+        targets = np.geomspace(1.0, 1e-4, n_levels)
+        u = np.array(u)
+        # within the inverse's rounding of a target either bin is right
+        assume(np.all(np.abs(u[:, None] / targets - 1.0) > 1e-12))
+        levels = model.inverse_cdf(targets)
+        levels[0] = 0.0
+        by_income = np.searchsorted(levels, model.inverse_cdf(u), side="right") - 1
+        by_uniform = np.searchsorted(-targets, -u, side="right") - 1
+        assert np.array_equal(by_income, by_uniform)
 
 
 class TestStagedFits:

@@ -1,8 +1,8 @@
 import types
 
 import ineqstats
-from ineqstats import (GridDistribution, LorenzCurve, WeightedCDF,
-                       distributions, energy)
+from ineqstats import (GridDistribution, LorenzCurve, TwoClassModel,
+                       WeightedCDF, distributions, energy)
 
 
 def test_star_import_binds_no_submodule():
@@ -23,6 +23,7 @@ def test_removed_aliases_are_gone():
         (LorenzCurve, ("points",)),
         (GridDistribution, ("interp",)),
         (WeightedCDF, ("total_weight",)),
+        (TwoClassModel, ("sample",)),
     ]
     left = [f"{owner.__name__}.{name}" for owner, names in removed
             for name in names if hasattr(owner, name)]
