@@ -37,6 +37,19 @@ class TestTwoClassModel:
 
     @pytest.mark.parametrize("params", [(48, 1.34, 113), (40, 1.5, 100),
                                         (33, 1.63, 76), (1, 2.0, 0.5)])
+    def test_normalized_on_grid(self, params):
+        # trapezoid rule on a grid of the test's own, 3 000 points per
+        # decade, plus the power-law tail mass R P(R) / alpha beyond its top
+        model = TwoClassModel(*params)
+        scale = max(model.T, model.r0)
+        grid = np.concatenate([[0.0], np.geomspace(1e-3 * min(model.T, model.r0),
+                                                   1e8 * scale, 3000 * 14 + 1)])
+        tail = grid[-1] * model.pdf(grid[-1]) / model.alpha
+        mass = np.trapezoid(model.pdf(grid), grid) + tail
+        assert mass == pytest.approx(1.0, abs=1e-6)
+
+    @pytest.mark.parametrize("params", [(48, 1.34, 113), (40, 1.5, 100),
+                                        (33, 1.63, 76), (1, 2.0, 0.5)])
     def test_normalization_against_quadrature_oracle(self, params):
         model = TwoClassModel(*params)
         assert model.c * quad_mass_above(model, 0.0) == pytest.approx(1.0, rel=1e-10)
