@@ -77,23 +77,23 @@ class DropReport:
         return len(self.dropped)
 
 
-def _read_country_year_csv(path) -> dict[tuple[str, int], float | None]:
-    """Parse `country,year,value` rows; value None when missing/non-numeric.
-
-    Raises FormatError with the line number on structural problems.
-    """
-    out: dict[tuple[str, int], float | None] = {}
+def _read_country_year_csv(path, year: int) -> dict[str, float | None]:
+    """Values of ``year`` in `country,year,value` rows, keyed by country
+    name; None when missing/non-numeric.  Every row's year is validated,
+    so FormatError names the line of a bad row in any year."""
+    out: dict[str, float | None] = {}
     for lineno, row in read_csv_rows(path, 3, "country,year,value"):
-        name = row[0].strip()
         try:
-            year = int(row[1])
+            row_year = int(row[1])
         except ValueError as exc:
             raise FormatError(f"{path}:{lineno}: bad year {row[1]!r}") from exc
+        if row_year != year:
+            continue
         try:
             value = float(row[2])
         except ValueError:
             value = None
-        out[(name, year)] = value
+        out[row[0].strip()] = value
     return out
 
 
@@ -105,22 +105,20 @@ def _label_for(name: str) -> str:
 def ingest_wri(energy_csv, population_csv, year: int,
                per_capita: bool = False) -> tuple[list[CountryRecord], DropReport]:
     """Inner-join the energy and population files on country name for one
-    year.  Rows with missing or non-numeric values on either side are
-    dropped and reported; an empty join raises."""
-    energy = _read_country_year_csv(energy_csv)
-    population = _read_country_year_csv(population_csv)
+    year, parsing only that year's rows.  Rows with missing or non-numeric
+    values on either side are dropped and reported, sorted by name; an
+    empty join raises."""
+    energy = _read_country_year_csv(energy_csv, year)
+    population = _read_country_year_csv(population_csv, year)
 
     records: list[CountryRecord] = []
     dropped: list[tuple[str, str]] = []
-    energy_names = {name for (name, yr) in energy if yr == year}
-    pop_names = {name for (name, yr) in population if yr == year}
-
-    for name in sorted(energy_names | pop_names):
-        e = energy.get((name, year))
-        p = population.get((name, year))
-        if (name, year) not in energy:
+    for name in sorted(energy.keys() | population.keys()):
+        e = energy.get(name)
+        p = population.get(name)
+        if name not in energy:
             dropped.append((name, "missing from energy file"))
-        elif (name, year) not in population:
+        elif name not in population:
             dropped.append((name, "missing from population file"))
         elif e is None:
             dropped.append((name, "non-numeric energy value"))

@@ -203,6 +203,7 @@ class GridDistribution:
 
 
 _LINEAR_POINTS = 300   # points of the linear stretch below the knee
+MAX_GRID_POINTS = 10 ** 7   # log grid points; denser grids are refused
 
 
 def make_grid(spec: DriftDiffusionSpec, r_max: float | None = None,
@@ -236,6 +237,9 @@ def _log_spaced(lo: float, hi: float, points_per_decade: int) -> np.ndarray:
     """ceil(decades * points_per_decade) log-spaced points from lo to hi."""
     if 0 < lo < hi:
         n = np.ceil(np.log10(hi / lo) * points_per_decade)
+        if MAX_GRID_POINTS < n < np.inf:
+            raise ConfigurationError(f"{n:.0f} log grid points exceed the ceiling "
+                                     f"of {MAX_GRID_POINTS}")
         if n < np.inf:
             return np.geomspace(lo, hi, int(n))
     raise ConfigurationError(

@@ -341,7 +341,10 @@ def refine_parameters(table: IncomeBinTable, temperature: float, alpha: float,
     quadrature = LevelQuadrature(table.levels)
 
     def objective(x):
-        comp = quadrature.ccdf(math.exp(x[0]), 1.0 + math.exp(x[1]), math.exp(x[2]))
+        alpha = 1.0 + math.exp(x[1])
+        if alpha <= 1.0:   # ln(alpha - 1) so low that alpha rounds to 1
+            return math.inf
+        comp = quadrature.ccdf(math.exp(x[0]), alpha, math.exp(x[2]))
         p = np.empty_like(q)
         p[:-1] = comp[:-1] - comp[1:]
         p[-1] = comp[-1]

@@ -68,7 +68,7 @@ def read_csv_rows(path, n_columns: int, expected: str):
     with open(path, newline="", encoding="utf-8") as fh:
         try:
             for lineno, row in enumerate(csv.reader(fh), start=1):
-                if lineno == 1 or not any(cell.strip() for cell in row):
+                if lineno == 1 or not "".join(row).strip():
                     continue
                 if len(row) < n_columns:
                     raise FormatError(f"{path}:{lineno}: expected {expected}")

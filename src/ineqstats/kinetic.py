@@ -66,6 +66,7 @@ RULE_FIXED = "fixed"
 RULE_UNIFORM = "uniform"
 
 _INT64 = np.iinfo(np.int64)
+MAX_AGENTS = 10 ** 8   # 800 MB of balances; larger ensembles are refused
 # numpy refuses arrays of more than intp-max bytes
 _MAX_BINS = np.iinfo(np.intp).max // np.dtype(np.intp).itemsize
 
@@ -130,6 +131,8 @@ def init_ensemble(n_agents: int, total_quanta: int) -> AgentEnsemble:
     remainder goes one quantum each to the first agents."""
     if n_agents < 1:
         raise DomainError("need at least one agent")
+    if n_agents > MAX_AGENTS:
+        raise ConfigurationError(f"{n_agents} agents exceed the ceiling of {MAX_AGENTS}")
     if total_quanta < 0:
         raise DomainError("total money must be non-negative")
     if total_quanta > _INT64.max:

@@ -140,6 +140,22 @@ class TestFitIncome:
         printed = capsys.readouterr().out
         assert "T=" in printed and "G=" in printed
 
+    def test_tail_less_table_keeps_alpha_above_one(self, tmp_path):
+        # a seeded table on which the search in ln(alpha - 1) runs so low
+        # that alpha would round to 1.0
+        rng = np.random.default_rng(27)
+        levels = np.linspace(0.0, 4.75 * 171.0, 42)
+        comp = np.exp(-levels / 171.0)
+        counts = rng.poisson(80624 * np.append(comp[:-1] - comp[1:], comp[-1]))
+        table = tmp_path / "table.csv"
+        write_csv(table, ("level_kusd", "returns_in_bin"),
+                  zip(levels.tolist(), counts.tolist()))
+        out = tmp_path / "fit"
+        code = dispatch(["fit-income", "--input", str(table), "--mode", "in-bin",
+                         "--out", str(out)])
+        assert code == 0
+        assert json.loads((out / "report.json").read_text())["alpha"] > 1.0
+
     def test_missing_file_exit_code(self, tmp_path):
         code = dispatch(["fit-income", "--input", str(tmp_path / "nope.csv"),
                          "--out", str(tmp_path / "o")])
@@ -239,6 +255,12 @@ REJECTED = [
                  id="histogram-too-big"),
     pytest.param(["fp", "--kind", "additive", "--a0", "1", "--b0", "40",
                   "--points-per-decade", "0"], id="points-per-decade-0"),
+    # sizes above the documented ceilings, and far above any host's memory
+    pytest.param(["simulate", "--agents", "1000000000000", "--money", "10", "--steps", "1",
+                  "--seed", "1"], id="agents-above-ceiling"),
+    pytest.param(["fp", "--kind", "additive", "--a0", "1", "--b0", "40",
+                  "--points-per-decade", "1000000000000"],
+                 id="points-per-decade-above-ceiling"),
     pytest.param(["fp", "--kind", "additive", "--a0", "1", "--b0", "40",
                   "--r-max", "1e308"], id="r-max-overflows-grid"),
     pytest.param(["fp", "--kind", "multiplicative", "--a", "1", "--b", "1",
@@ -283,6 +305,33 @@ def test_rejected_with_one_error_line(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error:") and err.count("\n") == 1, err
+
+
+# Sizes just above the documented ceilings.  numpy's allocators for the
+# two guarded arrays are replaced, so a missing ceiling fails the test
+# instead of taking the host's memory.
+@pytest.mark.parametrize("argv", [
+    pytest.param(["simulate", "--agents", "100000001", "--money", "10", "--steps", "1",
+                  "--seed", "1"], id="agents"),
+    pytest.param(["simulate", "--config", "{config}"], id="config-n-agents"),
+    pytest.param(["fp", "--kind", "additive", "--a0", "1", "--b0", "40",
+                  "--points-per-decade", "1666667"], id="points-per-decade"),
+])
+def test_size_ceiling_refused_before_allocating(tmp_path, capsys, monkeypatch, argv):
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("allocated")
+
+    config = tmp_path / "config.json"
+    config.write_text('{"n_agents": 100000001, "total_money_quanta": 100, "steps": 1, '
+                      '"seed": 1}')
+    monkeypatch.setattr(np, "full", no_allocation)
+    monkeypatch.setattr(np, "geomspace", no_allocation)
+    argv = [str(config) if arg == "{config}" else arg for arg in argv]
+    code = dispatch(argv + ["--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert "exceed the ceiling" in err
 
 
 def test_out_of_memory_is_one_error_line(tmp_path, capsys, monkeypatch):

@@ -1,5 +1,8 @@
+import csv
+
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from conftest import requires_wri, wri_data_dir
 from ineqstats import (CountryRecord, DegenerateCurveError, DomainError,
@@ -84,6 +87,114 @@ class TestIngest:
         assert drops.n_dropped == 0
         by_name = {r.name: r for r in records}
         assert per_capita_kw(by_name["United States"]) == 10.4
+
+    def test_bad_year_in_another_years_row_raises(self, tmp_path):
+        e, p = write_pair(tmp_path, ["USA,2005,2340000", "USA,19x0,1", "USA,1990,5"],
+                          ["USA,2005,295500000"])
+        with pytest.raises(FormatError, match=r"energy.csv:3: bad year '19x0'"):
+            ingest_wri(e, p, 2005)
+
+
+def reference_ingest(energy_csv, population_csv, year):
+    """The whole-file join that ``ingest_wri`` must match: parse every row
+    of both files into (name, year) keys, then keep the requested year.
+    Returns ("format", message) or ("join", [(name, energy, population)],
+    dropped)."""
+    def parse(path):
+        out = {}
+        with open(path, newline="", encoding="utf-8") as fh:
+            for lineno, row in enumerate(csv.reader(fh), start=1):
+                if lineno == 1 or not any(cell.strip() for cell in row):
+                    continue
+                if len(row) < 3:
+                    raise FormatError(f"{path}:{lineno}: expected country,year,value")
+                try:
+                    row_year = int(row[1])
+                except ValueError:
+                    raise FormatError(f"{path}:{lineno}: bad year {row[1]!r}") from None
+                try:
+                    value = float(row[2])
+                except ValueError:
+                    value = None
+                out[(row[0].strip(), row_year)] = value
+        return out
+
+    try:
+        energy, population = parse(energy_csv), parse(population_csv)
+    except FormatError as exc:
+        return "format", str(exc)
+    names = {n for n, y in energy if y == year} | {n for n, y in population if y == year}
+    records, dropped = [], []
+    for name in sorted(names):
+        e, p = energy.get((name, year)), population.get((name, year))
+        if (name, year) not in energy:
+            dropped.append((name, "missing from energy file"))
+        elif (name, year) not in population:
+            dropped.append((name, "missing from population file"))
+        elif e is None:
+            dropped.append((name, "non-numeric energy value"))
+        elif p is None:
+            dropped.append((name, "non-numeric population value"))
+        elif p <= 0:
+            dropped.append((name, "non-positive population"))
+        elif e < 0:
+            dropped.append((name, "negative energy"))
+        else:
+            records.append((name, e, p))
+    return "join", records, tuple(dropped)
+
+
+def ingest_outcome(energy_csv, population_csv, year):
+    try:
+        records, drops = ingest_wri(energy_csv, population_csv, year)
+    except EmptyJoinError as exc:
+        return "join", [], exc.drops.dropped
+    except FormatError as exc:
+        return "format", str(exc)
+    assert drops.joined == len(records)
+    assert all(r.year == year for r in records)
+    return "join", [(r.name, r.energy, r.population) for r in records], drops.dropped
+
+
+YEARS = (1990, 2000, 2005)
+_NAMES = st.sampled_from(["A", " A ", "B", "Korea, Rep.", "Côte d'Ivoire"])
+_YEAR_CELLS = st.sampled_from(YEARS).flatmap(
+    lambda y: st.sampled_from([str(y), f" {y} ", f"{y} "]))
+_VALUES = st.sampled_from(["12", "7", " 4.5 ", "1e6", "2.5e-1", "0", "-3", "n/a",
+                           "", "..", " ", "x1"])
+_DATA_ROW = st.tuples(_NAMES, _YEAR_CELLS, _VALUES).map(list)
+_BLANK_ROW = st.lists(st.sampled_from(["", " ", "  ", "\t"]), min_size=0, max_size=4)
+# structural faults, none of them in a row of the requested year
+_FAULT_ROW = st.sampled_from([["C", "1980"], ["C"], ["C", "19x0", "5"],
+                              ["C", "", "5"], ["C", "1980.0", "5"]])
+
+
+@st.composite
+def wri_file_rows(draw):
+    rows = draw(st.lists(st.one_of(_DATA_ROW, _DATA_ROW, _DATA_ROW, _BLANK_ROW),
+                         min_size=4, max_size=16))
+    if draw(st.integers(0, 7)) == 3:
+        rows.insert(draw(st.integers(0, len(rows))), draw(_FAULT_ROW))
+    return rows
+
+
+class TestIngestMatchesWholeFileParse:
+    @seed(20261018)
+    @settings(max_examples=250, deadline=None)
+    @given(energy_rows=wri_file_rows(), population_rows=wri_file_rows(),
+           year=st.sampled_from(YEARS))
+    def test_same_records_drops_and_errors(self, tmp_path_factory, energy_rows,
+                                           population_rows, year):
+        base = tmp_path_factory.mktemp("ingest")
+        paths = []
+        for name, rows in (("energy.csv", energy_rows), ("population.csv", population_rows)):
+            path = base / name
+            with open(path, "w", newline="", encoding="utf-8") as fh:
+                writer = csv.writer(fh, lineterminator="\n")
+                writer.writerow(["country", "year", "value"])
+                writer.writerows(rows)
+            paths.append(path)
+        assert ingest_outcome(*paths, year) == reference_ingest(*paths, year)
 
 
 class TestWeightedCdf:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import loglog_slope
+from ineqstats import fokker_planck
 from ineqstats import (ConfigurationError, DomainError, DriftDiffusionSpec,
                        GridDistribution, SingularDiffusionError, TwoClassModel,
                        alpha_from_coefficients, delta_r2_diagnostic,
@@ -93,6 +94,18 @@ class TestStationary:
         Q = spec.diffusion(grid) * dist.density
         resid = np.gradient(Q, grid) + spec.drift(grid) * dist.density
         assert np.abs(resid[5:-5]).max() < 1e-4
+
+    def test_grid_ceiling_refused_before_allocating(self, monkeypatch):
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("allocated")
+
+        monkeypatch.setattr(np, "geomspace", no_allocation)
+        spec = DriftDiffusionSpec.additive(a0=1.0, b0=1.0)
+        with pytest.raises(ConfigurationError, match="ceiling"):
+            make_grid(spec, points_per_decade=fokker_planck.MAX_GRID_POINTS // 6 + 1)
+        spec = DriftDiffusionSpec.multiplicative(a=1.0, b=2.0)
+        with pytest.raises(ConfigurationError, match="ceiling"):
+            make_grid(spec, r_min=1.0, r_max=1e7, points_per_decade=10 ** 12)
 
     def test_grid_must_cover_the_scale(self):
         spec = DriftDiffusionSpec.additive(a0=1.0, b0=1.0)

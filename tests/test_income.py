@@ -32,6 +32,17 @@ def exponential_table(T=33.0, n_levels=20):
     return IncomeBinTable.from_complementary(levels, comp)
 
 
+def alpha_underflow_table():
+    """Seeded tail-less table (T = 171, Poisson counts) on which the search
+    in ln(alpha - 1) runs so low that 1 + exp(x) rounds to 1.0."""
+    rng = np.random.default_rng(27)
+    T = 171.0
+    levels = np.linspace(0.0, 4.75 * T, 42)
+    comp = np.exp(-levels / T)
+    mass = np.append(comp[:-1] - comp[1:], comp[-1])
+    return IncomeBinTable(levels, rng.poisson(80624 * mass))
+
+
 class TestTable:
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -220,6 +231,13 @@ class TestRefinedPipeline:
         assert report.degenerate_tail
         assert report.r_star is None
         assert report.temperature == pytest.approx(33.0, rel=1e-3)
+
+    @pytest.mark.filterwarnings("error")
+    def test_alpha_never_rounds_to_one(self):
+        report = fit_report(alpha_underflow_table())
+        assert report.alpha > 1.0
+        assert report.degenerate_tail
+        TwoClassModel(171.0, math.nextafter(1.0, 2.0), 1e4).mean()
 
     def test_empirical_lorenz_matches_closed_form_for_exponential(self):
         table = exponential_table(T=33.0, n_levels=60)

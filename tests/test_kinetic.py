@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import lattice_ks
 from ineqstats import kinetic
-from ineqstats import (AgentEnsemble, BinnedHistogram,
+from ineqstats import (AgentEnsemble, BinnedHistogram, ConfigurationError,
                        CycleSpec, DomainError, ExchangeRule, RULE_FIXED,
                        RULE_UNIFORM, couple_systems, cycle_profit_and_rate,
                        entropy, exchange_step, init_ensemble,
@@ -27,6 +27,14 @@ class TestEnsembleSetup:
     def test_zero_agents_rejected(self):
         with pytest.raises(DomainError):
             init_ensemble(0, 10)
+
+    def test_agent_ceiling_refused_before_allocating(self, monkeypatch):
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("allocated")
+
+        monkeypatch.setattr(np, "full", no_allocation)
+        with pytest.raises(ConfigurationError, match="ceiling"):
+            init_ensemble(kinetic.MAX_AGENTS + 1, 10)
 
     def test_equal_start_has_zero_entropy(self):
         ens = init_ensemble(10_000, 1_000_000)
