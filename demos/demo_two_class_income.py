@@ -55,7 +55,7 @@ print(f"  upper-class share   = {report.upper_class_fraction:6.1%} of returns")
 print("\ntable row:")
 print("  " + report.table_row())
 
-curve = table.lorenz(max(report.alpha_staged, 1.0001))
+curve = table.bin_incomes(max(report.alpha_staged, 1.0001)).lorenz()
 write_csv(OUT / "income_lorenz.csv", ("x", "y"),
           zip(curve.x.tolist(), curve.y.tolist()))
 print(f"\nLorenz curve -> {OUT / 'income_lorenz.csv'}")

@@ -188,7 +188,7 @@ def _cmd_fit_income(args) -> int:
                         tail_window=tuple(args.tail_window),
                         refine=not args.no_refine)
     (out / "report.json").write_text(report.to_json() + "\n", encoding="utf-8")
-    curve = table.lorenz(max(report.alpha_staged, 1.0001))
+    curve = table.bin_incomes(max(report.alpha_staged, 1.0001)).lorenz()
     write_csv(out / "lorenz.csv", ("x", "y"),
               zip(curve.x.tolist(), curve.y.tolist()))
     print(report.table_row())
@@ -334,3 +334,7 @@ def dispatch(argv) -> int:
 
 def main() -> None:
     sys.exit(dispatch(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -19,15 +19,13 @@ energy pipelines.
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, FormatError, MalformedCurveError, NoIntersectionError
-from .io import load_json_object
+from .errors import DomainError, MalformedCurveError, NoIntersectionError
 
 __all__ = [
     "TwoClassModel",
@@ -163,20 +161,6 @@ class TwoClassModel:
     def mean(self) -> float:
         """First moment, with the analytic power-law tail remainder."""
         return float(self._mean)
-
-    def to_json(self) -> str:
-        return json.dumps({"T": self.T, "alpha": self.alpha, "r0": self.r0, "c": self.c})
-
-    @classmethod
-    def from_json(cls, text: str) -> "TwoClassModel":
-        obj = load_json_object(text, "two-class model")
-        try:
-            params = float(obj["T"]), float(obj["alpha"]), float(obj["r0"])
-        except KeyError as exc:
-            raise DomainError(f"two-class model missing key {exc}") from exc
-        except (TypeError, ValueError) as exc:
-            raise FormatError(f"bad two-class model value: {exc}") from exc
-        return cls(*params)
 
     def __repr__(self):
         return f"TwoClassModel(T={self.T:g}, alpha={self.alpha:g}, r0={self.r0:g}, c={self.c:.6g})"

@@ -18,13 +18,14 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from numbers import Real
 
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, SingularDiffusionError
-from .io import load_json_object
+from .io import load_config
 
 __all__ = [
     "KIND_ADDITIVE",
@@ -72,7 +73,8 @@ class DriftDiffusionSpec:
                 if value is not None:
                     raise DomainError(
                         f"{self.kind} spec takes no {name}; got {value!r}")
-            elif not (isinstance(value, Real) and 0 < value < math.inf):
+            elif (isinstance(value, bool) or not isinstance(value, Real)
+                  or not 0 < value <= sys.float_info.max):   # larger ints overflow float()
                 raise DomainError(
                     f"{self.kind} spec needs a finite {name} > 0; got {value!r}")
 
@@ -135,9 +137,7 @@ class DriftDiffusionSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "DriftDiffusionSpec":
-        obj = load_json_object(text, "drift/diffusion spec")
-        return cls(kind=obj.get("kind"),
-                   **{k: obj.get(k) for k in ("a0", "a", "b0", "b")})
+        return load_config(cls, text, "drift/diffusion spec")
 
     # -- convenience constructors ------------------------------------------
 

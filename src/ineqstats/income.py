@@ -33,11 +33,10 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .distributions import (LevelQuadrature, LorenzCurve, TwoClassModel,
-                            class_boundary)
+from .distributions import LevelQuadrature, TwoClassModel, class_boundary
 from .errors import (DomainError, FormatError, InsufficientDataError,
                      NoIntersectionError)
-from .io import read_csv_rows
+from .io import read_csv_rows, whole_number
 from .weighted import WeightedCDF
 
 __all__ = [
@@ -112,8 +111,8 @@ class IncomeBinTable:
         for lineno, row in read_csv_rows(path, 2, "two columns"):
             try:
                 levels.append(float(row[0]))
-                counts.append(int(float(row[1])))
-            except (ValueError, OverflowError) as exc:
+                counts.append(whole_number(float(row[1]), "count"))
+            except ValueError as exc:
                 raise FormatError(f"{path}:{lineno}: {exc}") from exc
         if not levels:
             raise FormatError(f"{path}: no data rows")
@@ -123,28 +122,15 @@ class IncomeBinTable:
             return cls(levels, counts, year)
         raise DomainError(f"unknown table mode {mode!r}")
 
-    def mean_income(self, top_bin_alpha: float) -> float:
-        """Average income: bin midpoints, with the open top bin placed at
-        the power-law conditional mean level * alpha/(alpha-1)."""
+    def bin_incomes(self, top_bin_alpha: float) -> WeightedCDF:
+        """Each bin's returns at one income, weighted by count: the bin
+        midpoint, and for the open top bin the power-law conditional mean
+        level * alpha/(alpha-1).  Its mean and Lorenz curve are the table's."""
         if top_bin_alpha <= 1:
             raise DomainError("top-bin exponent must exceed 1 for a finite mean")
-        mid = 0.5 * (self.levels[:-1] + self.levels[1:])
         top = self.levels[-1] * top_bin_alpha / (top_bin_alpha - 1.0)
-        weighted = np.sum(self.counts[:-1] * mid) + self.counts[-1] * top
-        return float(weighted / self.total)
-
-    def lorenz(self, top_bin_alpha: float) -> LorenzCurve:
-        """Empirical Lorenz curve with the same top-bin convention."""
-        mid = np.concatenate([
-            0.5 * (self.levels[:-1] + self.levels[1:]),
-            [self.levels[-1] * top_bin_alpha / (top_bin_alpha - 1.0)],
-        ])
-        x = np.concatenate([[0.0], np.cumsum(self.counts) / self.total])
-        income = mid * self.counts
-        y = np.concatenate([[0.0], np.cumsum(income) / income.sum()])
-        x[-1] = 1.0
-        y[-1] = 1.0
-        return LorenzCurve(x, y)
+        mid = 0.5 * (self.levels[:-1] + self.levels[1:])
+        return WeightedCDF(np.append(mid, top), self.counts)
 
 
 def empirical_cdf_income(table: IncomeBinTable) -> WeightedCDF:
@@ -421,12 +407,12 @@ def fit_report(table: IncomeBinTable,
         temperature, alpha, r0 = refine_parameters(table, temperature,
                                                    max(alpha, 1.01), r0)
 
-    mean_income = table.mean_income(max(pfit.alpha, 1.0001))
-    f = 1.0 - temperature / mean_income
+    incomes = table.bin_incomes(max(pfit.alpha, 1.0001))
+    f = 1.0 - temperature / incomes.mean
     degenerate_tail = f <= 0 or xfit.degenerate
     f = max(f, 0.0)
     gini = (1.0 + f) / 2.0
-    gini_lorenz = table.lorenz(max(pfit.alpha, 1.0001)).gini
+    gini_lorenz = incomes.lorenz().gini
 
     final_model = TwoClassModel(temperature, alpha, r0)
     try:
@@ -455,7 +441,7 @@ def fit_report(table: IncomeBinTable,
         tail_fraction=float(f),
         gini=float(gini),
         gini_lorenz=float(gini_lorenz),
-        mean_income=float(mean_income),
+        mean_income=incomes.mean,
         residual=float(residual),
         temperature_staged=tfit.temperature,
         alpha_staged=pfit.alpha,

@@ -9,13 +9,15 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import inspect
 import json
+from numbers import Real
 from pathlib import Path
 
-from .errors import FormatError
+from .errors import DomainError, FormatError
 
 __all__ = ["format_cell", "write_csv", "write_json", "sha256_file",
-           "read_text", "read_csv_rows", "load_json_object"]
+           "read_text", "read_csv_rows", "load_config", "whole_number"]
 
 
 def format_cell(value) -> str:
@@ -77,14 +79,29 @@ def read_csv_rows(path, n_columns: int, expected: str):
             raise _not_utf8(path, exc) from exc
 
 
-def load_json_object(text: str, what: str) -> dict:
-    """Parse JSON text that must hold an object; ``what`` names the
-    document in the FormatError raised for anything else."""
+def load_config(cls, text: str, what: str):
+    """Build ``cls`` from JSON text holding one object whose keys are the
+    keyword arguments of ``cls``; ``cls`` checks the values.  Text that is
+    not a JSON object raises FormatError, and a missing or unknown key
+    DomainError naming the key; ``what`` names the document."""
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:   # bad syntax, too many digits, too deep
         raise FormatError(f"bad {what} JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise FormatError(f"{what} JSON must be an object, "
                           f"not {type(obj).__name__}")
-    return obj
+    try:
+        inspect.signature(cls).bind(**obj)
+    except TypeError as exc:
+        raise DomainError(f"{what}: {exc}") from exc
+    return cls(**obj)
+
+
+def whole_number(value, what: str) -> int:
+    """``value`` as an int: integers and integral floats such as 1e3
+    pass; bool, str, fractions, inf, NaN and anything else raise
+    FormatError naming ``what``."""
+    if isinstance(value, Real) and not isinstance(value, bool) and value % 1 == 0:
+        return int(value)
+    raise FormatError(f"{what} must be a whole number; got {value!r}")

@@ -34,12 +34,14 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, FormatError
-from .io import load_json_object
+from .io import load_config, whole_number
 
 __all__ = [
     "RULE_FIXED",
@@ -94,12 +96,15 @@ class ExchangeRule:
                               "do not fit 64-bit balances")
 
 
-def _check_headroom(total: int, n: int, floor: int) -> None:
-    """Reject money that could wrap a balance: with every other agent at
-    the floor, one agent holds total - (n-1)*floor."""
-    if total - (n - 1) * floor > _INT64.max:
+def _check_headroom(total: int, n: int, floor: int) -> int:
+    """Reject money that could wrap a balance, and return the largest
+    reachable balance: with every other agent at the floor, one agent
+    holds total - (n-1)*floor."""
+    reach = total - (n - 1) * floor
+    if reach > _INT64.max:
         raise DomainError(f"total money {total} quanta over {n} agents at floor "
                           f"{floor} reaches beyond 64-bit balances")
+    return reach
 
 
 class AgentEnsemble:
@@ -144,16 +149,10 @@ def init_ensemble(n_agents: int, total_quanta: int) -> AgentEnsemble:
     return AgentEnsemble(balances)
 
 
-def _draw_amount(rule: ExchangeRule, rng: np.random.Generator) -> int:
-    if rule.kind == RULE_FIXED:
-        return rule.delta
-    return int(rng.integers(1, rule.delta + 1))
-
-
 def _draw_amounts(rule: ExchangeRule, rng: np.random.Generator,
-                  size: int) -> np.ndarray:
+                  size: int | None = None):
     if rule.kind == RULE_FIXED:
-        return np.full(size, rule.delta, dtype=np.int64)
+        return rule.delta if size is None else np.full(size, rule.delta, dtype=np.int64)
     return rng.integers(1, rule.delta + 1, size=size)
 
 
@@ -176,7 +175,7 @@ def exchange_step(ens: AgentEnsemble, rule: ExchangeRule,
         i, j = pair
         if i == j:
             raise DomainError("payer and receiver must differ")
-    amount = _draw_amount(rule, rng)
+    amount = _draw_amounts(rule, rng)   # one scalar amount
     if ens.balances[i] - amount < rule.floor:
         return False
     ens.balances[i] -= amount
@@ -297,18 +296,29 @@ class SimulationConfig:
     checkpoint_every: int | None = None
 
     def __post_init__(self):
+        for name in ("n_agents", "total_money_quanta", "steps", "seed", "delta",
+                     "floor", "checkpoint_every"):
+            value = getattr(self, name)
+            if value is not None or name not in ("delta", "checkpoint_every"):
+                object.__setattr__(self, name, whole_number(value, name))
+        if isinstance(self.quantum_value, bool) or not isinstance(self.quantum_value, Real):
+            raise FormatError(f"quantum_value must be a number; got {self.quantum_value!r}")
         if self.n_agents < 1:
             raise DomainError("need at least one agent")
         if self.seed < 0:
             raise DomainError(f"seed must be non-negative; got {self.seed}")
-        if not 0 < self.quantum_value < math.inf:
-            raise DomainError("quantum value must be positive and finite")
         if self.checkpoint_every is not None and self.checkpoint_every < 1:
             raise ConfigurationError(
                 f"checkpoint interval must be at least one attempt; "
                 f"got {self.checkpoint_every}")
         # before the rule: the uniform rule's default delta grows with the total
-        _check_headroom(self.total_money_quanta, self.n_agents, self.floor)
+        reach = _check_headroom(self.total_money_quanta, self.n_agents, self.floor)
+        # no scaled output exceeds the reach in quanta times the quantum value;
+        # compared before float(), which a huge JSON integer would overflow
+        if not 0 < self.quantum_value * max(reach, 1) <= sys.float_info.max:
+            raise DomainError(f"quantum value {self.quantum_value!r} must be positive, and "
+                              f"the largest reachable balance, {reach} quanta, finite in money")
+        object.__setattr__(self, "quantum_value", float(self.quantum_value))
         self.exchange_rule()   # validates rule/delta/floor
 
     def resolved_delta(self) -> int:
@@ -337,25 +347,7 @@ class SimulationConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "SimulationConfig":
-        obj = load_json_object(text, "simulation config")
-        try:
-            fields = dict(
-                n_agents=int(obj["n_agents"]),
-                total_money_quanta=int(obj["total_money_quanta"]),
-                steps=int(obj["steps"]),
-                seed=int(obj["seed"]),
-                rule=obj.get("rule", RULE_UNIFORM),
-                delta=None if obj.get("delta") is None else int(obj["delta"]),
-                floor=int(obj.get("floor", 0)),
-                quantum_value=float(obj.get("quantum_value", 1.0)),
-                checkpoint_every=(None if obj.get("checkpoint_every") is None
-                                  else int(obj["checkpoint_every"])),
-            )
-        except KeyError as exc:
-            raise DomainError(f"simulation config missing key {exc}") from exc
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise FormatError(f"bad simulation config value: {exc}") from exc
-        return cls(**fields)
+        return load_config(cls, text, "simulation config")
 
 
 def run_from_config(config: SimulationConfig) -> "Trajectory":

@@ -2,12 +2,18 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, seed, settings, strategies as st
 
-from ineqstats import TwoClassModel, sample_income_table
+import ineqstats
+from ineqstats import (IneqStatsError, SimulationConfig, TwoClassModel,
+                       sample_income_table)
 from ineqstats.cli import dispatch
 from ineqstats.io import write_csv
 from ineqstats.wri_fixture import write_fixture_csvs
@@ -218,6 +224,21 @@ class TestUsage:
     def test_help_exits_zero(self):
         assert dispatch(["--help"]) == 0
 
+    def test_module_entry_runs(self, tmp_path):
+        # `python -m ineqstats.cli` must run main(), as the console script does
+        src = Path(ineqstats.__file__).parents[1]
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+
+        def run(*argv):
+            return subprocess.run([sys.executable, "-m", "ineqstats.cli", *argv], env=env,
+                                  capture_output=True, text=True, timeout=120)
+
+        done = run("fp", "--kind", "additive", "--a0", "1", "--b0", "40", "--out", str(tmp_path))
+        assert done.returncode == 0, done.stderr
+        assert (tmp_path / "solution.csv").exists()
+        assert run("frobnicate").returncode == 2
+
 
 # Bad inputs from the command line; each must end in exit 1 with one
 # `error:` line.
@@ -237,6 +258,9 @@ REJECTED = [
     pytest.param(["simulate", "--agents", "10", "--money", "100", "--steps", "100",
                   "--seed", "1", "--checkpoint-every", "-5"],
                  id="checkpoint-every-negative"),
+    pytest.param(["simulate", "--agents", "10", "--money", "1000", "--steps", "200",
+                  "--seed", "1", "--quantum-value", "1e308"],
+                 id="quantum-value-overflows-outputs"),
     pytest.param(["simulate", "--agents", "0", "--money", "10", "--steps", "10",
                   "--seed", "1"], id="zero-agents"),
     pytest.param(["simulate", "--agents", "10", "--money", "10", "--steps", "10",
@@ -392,6 +416,9 @@ _FP = ("fp", "--spec-json")
 @example((_FP, '{"kind": "additive", "a0": 1, "b0": 40, "a": 5}'))
 @example((_FP, '{"kind": ["additive"], "a0": 1, "b0": 40}'))
 @example((_FP, "{not json"))
+@example((_FP, "[" * 100_000 + "]" * 100_000))
+@example((_FP, '{"kind": "additive", "a0": 1, "b0": 1' + "0" * 400 + "}"))
+@example((_SIM, '{"n_agents": 1' + "0" * 5000 + "}"))
 @settings(max_examples=150, deadline=None)
 def test_config_documents_end_cleanly(tmp_path_factory, job):
     flag_argv, text = job
@@ -402,6 +429,178 @@ def test_config_documents_end_cleanly(tmp_path_factory, job):
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
         code = dispatch([*flag_argv, str(doc), "--out", str(base / "out")])
+    assert code in (0, 1, 2)
+    if code:
+        assert err.getvalue().startswith(("error:", "usage:")), err.getvalue()
+
+
+# A config document is its type's keyword arguments: each of these once
+# ran silently wrong (10.7 agents as 10, "100" and true as numbers, the
+# misspelled key dropped) and is now refused.
+_CONFIG = {"n_agents": 10, "total_money_quanta": 100, "steps": 1000, "seed": 1}
+_SPEC = {"kind": "additive", "a0": 1, "b0": 40}
+
+
+@pytest.mark.parametrize("flag_argv, doc, match", [
+    pytest.param(_SIM, {**_CONFIG, "n_agents": 10.7}, "n_agents", id="fraction"),
+    pytest.param(_SIM, {**_CONFIG, "n_agents": "100"}, "n_agents", id="numeric-string"),
+    pytest.param(_SIM, {**_CONFIG, "seed": True}, "seed", id="bool"),
+    pytest.param(_SIM, {**_CONFIG, "chekpoint_every": 100}, "chekpoint_every",
+                 id="misspelled-key"),
+    pytest.param(_FP, {**_SPEC, "a0": True}, "a0", id="spec-bool"),
+    pytest.param(_FP, {**_SPEC, "B": 2}, "'B'", id="spec-unknown-key"),
+])
+def test_config_document_rejected(tmp_path, capsys, flag_argv, doc, match):
+    if flag_argv == _SIM:
+        with pytest.raises(IneqStatsError, match=match):
+            SimulationConfig.from_json(json.dumps(doc))
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code = dispatch([*flag_argv, str(path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert match in err
+
+
+@pytest.mark.parametrize("doc, written", [
+    pytest.param('{"n_agents": 1e3, "total_money_quanta": 5000, "steps": 2000, "seed": 3}',
+                 '{"n_agents": 1000, "total_money_quanta": 5000, "quantum_value": 1.0, '
+                 '"rule": "uniform", "delta": 10, "floor": 0, "steps": 2000, "seed": 3, '
+                 '"checkpoint_every": null}', id="exponent-form"),
+    pytest.param('{"n_agents": 30, "total_money_quanta": 300, "steps": 600, "seed": 7.0, '
+                 '"checkpoint_every": 200.0}',
+                 '{"n_agents": 30, "total_money_quanta": 300, "quantum_value": 1.0, '
+                 '"rule": "uniform", "delta": 20, "floor": 0, "steps": 600, "seed": 7, '
+                 '"checkpoint_every": 200}', id="integral-floats"),
+    pytest.param('{"n_agents": 30, "total_money_quanta": 300, "steps": 600, "seed": 21, '
+                 '"quantum_value": 2}',
+                 '{"n_agents": 30, "total_money_quanta": 300, "quantum_value": 2.0, '
+                 '"rule": "uniform", "delta": 20, "floor": 0, "steps": 600, "seed": 21, '
+                 '"checkpoint_every": null}', id="integer-quantum-value"),
+])
+def test_integral_config_values_accepted(tmp_path, doc, written):
+    path = tmp_path / "doc.json"
+    path.write_text(doc)
+    assert dispatch(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / "config.json").read_text() == written + "\n"
+
+
+def test_fractional_income_count_names_its_line(tmp_path, capsys, income_csv):
+    lines = income_csv.read_text().splitlines()
+    level, count = lines[4].split(",")
+    lines[4] = f"{level},{count}.9"
+    path = tmp_path / "table.csv"
+    path.write_text("\n".join(lines) + "\n")
+    code = dispatch(["fit-income", "--input", str(path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: {path}:5: count must be a whole number")
+    assert err.count("\n") == 1, err
+
+
+# Command lines for all four subcommands: an optional valid base, then
+# flags drawn with plausible and implausible values (argparse keeps the
+# last value of a repeated flag).  Sizes stay small, and money either
+# small or beyond 64 bits, so that a valid argv is a run of a few hundred
+# exchange attempts, a coarse grid or one fit of the income fixture.
+_NUMBER = ("0", "1", "-1", "2.5", "nan", "inf", "-inf", "1e308", "x", "")
+_FILES = ("{config}", "{bad_config}", "{spec}", "{bad_spec}", "{table}", "{frac_table}",
+          "{energy}", "{population}", "{latin1}", "{missing}", "{dir}")
+_WINDOWS = (("0.1", "0.95"), ("0.001", "0.03"), ("0.95", "0.1"), ("0", "1"),
+            ("nan", "0.5"), ("-1", "2"), ("0.5",))
+_SIZE = ("1", "2", "10", "40", "0", "-1", "2.5", "1000000000000", "x")
+_MONEY = ("0", "100", "1000", "-5", "99999999999999999999999", "x")
+_COUNT = ("1", "200", "0", "-1", "2.5")
+_ARGV_FLAGS = {
+    "simulate": {
+        "--config": _FILES, "--agents": _SIZE, "--money": _MONEY, "--steps": _COUNT,
+        "--rule": ("fixed", "uniform", "bogus"),
+        "--delta": ("1", "3", "0", "-2", "99999999999999999999999"),
+        "--floor": ("0", "-3", "1", "-99999999999999999999999"),
+        "--quantum-value": _NUMBER, "--seed": ("0", "1", "-1", "x"),
+        "--checkpoint-every": ("1", "50", "0", "-5"), "--agents2": _SIZE,
+        "--money2": _MONEY, "--migration-rate": ("0", "0.5", "1", "1.5", "-0.1", "nan"),
+        "--events": _COUNT,
+    },
+    "fp": {
+        "--kind": ("additive", "multiplicative", "combined", "bogus"),
+        "--a0": _NUMBER + ("40",), "--a": _NUMBER, "--b0": _NUMBER + ("40",), "--b": _NUMBER,
+        "--spec-json": _FILES, "--r-max": ("100", "1e6") + _NUMBER,
+        "--r-min": ("0", "1", "1e-3", "-1", "nan", "1e6"),
+        "--points-per-decade": ("1", "50", "0", "-1", "2.5"),
+    },
+    "fit-income": {
+        "--input": _FILES, "--mode": ("at-or-above", "in-bin", "bogus"),
+        "--year": ("2007", "-1", "x"), "--exp-window": _WINDOWS,
+        "--tail-window": _WINDOWS, "--no-refine": ((),),
+    },
+    "energy": {
+        "--energy": _FILES, "--population": _FILES,
+        "--year": ("1990", "2005", "1800", "x"), "--per-capita": ((),),
+    },
+}
+# valid bases, each drawn two times in three; most fits skip the
+# refinement, which is nine tenths of a fit's time
+_ARGV_BASES = {
+    "simulate": [("--agents", "10", "--money", "100", "--steps", "200", "--seed", "1")] * 2,
+    "fp": [("--kind", "additive", "--a0", "1", "--b0", "40", "--points-per-decade", "50")] * 2,
+    "fit-income": [("--input", "{table}", "--no-refine"), ("--input", "{table}")],
+    "energy": [("--energy", "{energy}", "--population", "{population}", "--year", "2005",
+                "--per-capita")] * 2,
+}
+
+
+def _argvs(sub):
+    """[sub, base, flag-value pairs, junk, --out]; every strategy is built
+    once here, which keeps the draws cheap."""
+    options = st.sampled_from([(flag, *v) if isinstance(v, tuple) else (flag, v)
+                               for flag, values in sorted(_ARGV_FLAGS[sub].items())
+                               for v in values])
+    return st.builds(
+        lambda base, chosen, junk, out: [sub, *base, *(t for o in chosen for t in o),
+                                         *junk, *out],
+        st.sampled_from(_ARGV_BASES[sub] + [()]),
+        st.lists(options, max_size=4),
+        st.sampled_from([()] * 8 + [("--bogus",), ("--out",), ("frobnicate",)]),
+        st.sampled_from([("--out", "{out}")] * 8 + [()]))
+
+
+_ARGVS = st.one_of([_argvs(sub) for sub in sorted(_ARGV_FLAGS)])
+
+
+@pytest.fixture(scope="module")
+def argv_files(tmp_path_factory, income_csv):
+    base = tmp_path_factory.mktemp("argv")
+    files = {"{dir}": base, "{missing}": base / "missing.csv", "{out}": base / "out",
+             "{table}": income_csv}
+    for name, text in {
+        "config": json.dumps({"n_agents": 10, "total_money_quanta": 100, "steps": 200,
+                              "seed": 1}),
+        "bad_config": '{"n_agents": 10.7, "total_money_quanta": 100, "steps": 200, '
+                      '"seed": 1}',
+        "spec": '{"kind": "additive", "a0": 1, "b0": 40}',
+        "bad_spec": '{"kind": "additive", "a0": true, "b0": 40}',
+        "frac_table": "level_kusd,returns_at_or_above\n0,100\n10,50.5\n20,10\n",
+    }.items():
+        files["{" + name + "}"] = base / f"{name}.txt"
+        files["{" + name + "}"].write_text(text)
+    files["{latin1}"] = base / "latin1.csv"
+    files["{latin1}"].write_bytes(b"country,year,value\nCura\xe7ao,2005,1\n")
+    files["{energy}"], files["{population}"] = base / "energy.csv", base / "population.csv"
+    write_fixture_csvs(files["{energy}"], files["{population}"])
+    return files
+
+
+@given(_ARGVS)
+@seed(20261018)
+@settings(max_examples=1000, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_any_argv_ends_cleanly(argv_files, argv):
+    argv = [str(argv_files.get(token, token)) for token in argv]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = dispatch(argv)
     assert code in (0, 1, 2)
     if code:
         assert err.getvalue().startswith(("error:", "usage:")), err.getvalue()

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -6,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy import integrate
 
-from ineqstats import (DomainError, FormatError, LevelQuadrature, LorenzCurve,
+from ineqstats import (DomainError, LevelQuadrature, LorenzCurve,
                        MalformedCurveError, NoIntersectionError, TwoClassModel,
                        class_boundary, lorenz_exponential, lorenz_two_class,
                        sample_lorenz_curve, tail_fraction)
@@ -122,21 +121,6 @@ class TestTwoClassModel:
             model.pdf(-1.0)
         with pytest.raises(DomainError):
             model.cdf(np.array([1.0, -2.0]))
-
-    def test_json_round_trip(self):
-        model = TwoClassModel(48, 1.34, 113)
-        blob = json.loads(model.to_json())
-        assert set(blob) == {"T", "alpha", "r0", "c"}
-        again = TwoClassModel.from_json(model.to_json())
-        assert again.c == pytest.approx(model.c, rel=1e-12)
-
-    def test_json_missing_key_and_bad_value_rejected(self):
-        with pytest.raises(DomainError, match="missing key"):
-            TwoClassModel.from_json('{"T": 48, "alpha": 1.34}')
-        with pytest.raises(FormatError):
-            TwoClassModel.from_json('{"T": "x", "alpha": 1.34, "r0": 113}')
-        with pytest.raises(FormatError):
-            TwoClassModel.from_json('{"T": null, "alpha": 1.34, "r0": 113}')
 
     def test_mean_against_quadrature_oracle(self):
         model = TwoClassModel(48, 1.34, 113)

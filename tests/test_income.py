@@ -78,7 +78,7 @@ class TestTable:
         # two bins: [0, 10) with 3 returns, [10, inf) with 1 return at the
         # power-law conditional mean 10 * 2 = 20 for alpha = 2
         table = IncomeBinTable(np.array([0.0, 10.0]), np.array([3, 1]))
-        assert table.mean_income(2.0) == pytest.approx((3 * 5 + 20) / 4)
+        assert table.bin_incomes(2.0).mean == pytest.approx((3 * 5 + 20) / 4)
 
 
 class TestEmpiricalCdf:
@@ -241,7 +241,7 @@ class TestRefinedPipeline:
 
     def test_empirical_lorenz_matches_closed_form_for_exponential(self):
         table = exponential_table(T=33.0, n_levels=60)
-        curve = table.lorenz(top_bin_alpha=5.0)
+        curve = table.bin_incomes(top_bin_alpha=5.0).lorenz()
         closed = np.atleast_1d(lorenz_exponential(curve.x))
         assert np.abs(curve.y - closed).max() < 0.01
 
