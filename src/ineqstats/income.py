@@ -62,6 +62,7 @@ _GOLDEN_ITERATIONS = 40      # golden-section steps of the crossover search
 _SIMPLEX_STEP = 0.12         # initial simplex offsets, in the log parameters
 _SIMPLEX_ITERATIONS = 220    # Nelder-Mead steps of the joint refinement
 _COMP_MIN = 1e-4             # lowest complementary-CDF target of a sampled table
+_INT64 = np.iinfo(np.int64)
 
 
 @dataclass(frozen=True)
@@ -85,7 +86,10 @@ class IncomeBinTable:
             raise DomainError("income levels must be strictly increasing")
         if np.any(counts < 0):
             raise DomainError("counts must be non-negative")
-        if counts.sum() < 1:
+        total = sum(counts.tolist())   # Python ints: an int64 sum would wrap
+        if total > _INT64.max:
+            raise DomainError("table total exceeds 64-bit counts")
+        if total < 1:
             raise DomainError("table holds no returns")
 
     @property
@@ -111,7 +115,10 @@ class IncomeBinTable:
         for lineno, row in read_csv_rows(path, 2, "two columns"):
             try:
                 levels.append(float(row[0]))
-                counts.append(whole_number(float(row[1]), "count"))
+                count = whole_number(float(row[1]), "count")
+                if abs(count) > _INT64.max:
+                    raise ValueError(f"count {row[1]} lies beyond 64-bit counts")
+                counts.append(count)
             except ValueError as exc:
                 raise FormatError(f"{path}:{lineno}: {exc}") from exc
         if not levels:

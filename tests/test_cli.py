@@ -499,6 +499,24 @@ def test_fractional_income_count_names_its_line(tmp_path, capsys, income_csv):
     assert err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("mode, counts, message", [
+    pytest.param("at-or-above", ("1e20", "50", "10"), ":2: count 1e20 lies beyond 64-bit",
+                 id="count-beyond-int64"),
+    pytest.param("in-bin", ("5e18", "5e18", "10"), "table total exceeds 64-bit",
+                 id="in-bin-total-beyond-int64"),
+])
+def test_income_counts_beyond_int64_refused(tmp_path, capsys, mode, counts, message):
+    path = tmp_path / "table.csv"
+    path.write_text("level_kusd,returns\n"
+                    + "".join(f"{level},{count}\n" for level, count in zip((0, 10, 20), counts)))
+    code = dispatch(["fit-income", "--input", str(path), "--mode", mode,
+                     "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert message in err
+
+
 # Command lines for all four subcommands: an optional valid base, then
 # flags drawn with plausible and implausible values (argparse keeps the
 # last value of a repeated flag).  Sizes stay small, and money either

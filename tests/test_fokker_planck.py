@@ -157,6 +157,80 @@ class TestTransient:
         with pytest.raises(ConfigurationError):
             evolve_transient(stat, spec, 10 * dt, 10)
 
+    @pytest.mark.parametrize("dt", [-1e-4, 0.0, float("nan")])
+    def test_non_positive_step_refused(self, additive_setup, dt):
+        spec, grid, stat, _ = additive_setup
+        with pytest.raises(ConfigurationError, match="dt must be positive"):
+            evolve_transient(stat, spec, dt, 1000)
+
+    @pytest.fixture()
+    def drift_dominated(self):
+        # cell Peclet number h * A/B = 2.5, where 0.4 h^2 / B is too long a step
+        spec = DriftDiffusionSpec.additive(a0=10.0, b0=1.0)
+        grid = np.linspace(0.0, 15.0, 61)
+        return spec, grid, stationary_solution(spec, grid)
+
+    def test_unstable_step_refused(self, drift_dominated):
+        spec, grid, stat = drift_dominated
+        dt = 0.4 * (grid[1] - grid[0]) ** 2
+        with pytest.raises(ConfigurationError, match="positivity bound"):
+            evolve_transient(stat, spec, dt, 10)
+
+    def test_largest_accepted_step_keeps_density_non_negative(self, drift_dominated):
+        spec, grid, stat = drift_dominated
+        lo, hi = 0.0, 0.4 * (grid[1] - grid[0]) ** 2
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            try:
+                evolve_transient(stat, spec, mid, 1)
+                lo = mid
+            except ConfigurationError:
+                hi = mid
+        pulse = np.exp(-0.5 * ((grid - 5.0) / 0.5) ** 2)
+        pulse /= np.sum(pulse * cell_widths(grid))
+        for start in (stat, GridDistribution(grid, pulse)):
+            out = evolve_transient(start, spec, lo, 5000)
+            assert np.all(out.density >= 0)
+            assert out.mass == pytest.approx(start.mass, abs=1e-12)
+
+    def test_matches_dense_generator(self):
+        spec = DriftDiffusionSpec.combined(a0=1.0, a=0.5, b0=1.0, b=0.25)
+        grid = 15.0 * np.linspace(0.0, 1.0, 41) ** 1.5
+        w = cell_widths(grid)
+        B = spec.diffusion(grid)
+        s = spec.drift(grid) / B
+        h = np.diff(grid)
+        x = 0.5 * (s[1:] + s[:-1]) * h
+        c = x / np.expm1(x) / h
+        d = x / -np.expm1(-x) / h
+        # flux from cell i+1 into cell i: d_i B_{i+1} m_{i+1}/w_{i+1} - c_i B_i m_i/w_i
+        into_left = d * B[1:] / w[1:]
+        into_right = c * B[:-1] / w[:-1]
+        G = np.zeros((grid.size, grid.size))
+        i = np.arange(grid.size - 1)
+        G[i, i + 1] += into_left
+        G[i + 1, i + 1] -= into_left
+        G[i + 1, i] += into_right
+        G[i, i] -= into_right
+        dt = 0.9 / np.max(-np.diag(G))
+        m0 = np.exp(-0.5 * ((grid - 5.0) / 1.0) ** 2) * w
+        m0 /= m0.sum()
+        out = evolve_transient(GridDistribution(grid, m0 / w), spec, dt, 50)
+        want = np.linalg.matrix_power(np.eye(grid.size) + dt * G, 50) @ m0
+        assert np.abs(out.density * w - want).max() < 1e-13
+
+    def test_relaxation_rate_is_slowest_mode(self, additive_setup):
+        # additive kind on [0, L]: slowest mode a0^2/(4 b0) + b0 (pi/L)^2
+        spec, grid, stat, dt = additive_setup
+        slowest = 0.25 + (np.pi / 15.0) ** 2
+        pulse = np.exp(-0.5 * ((grid - 5.0) / 0.2) ** 2)
+        pulse /= np.sum(pulse * cell_widths(grid))
+        at_40 = evolve_transient(GridDistribution(grid, pulse), spec, dt, round(40.0 / dt))
+        steps = round(4.0 / dt)
+        at_44 = evolve_transient(at_40, spec, dt, steps)
+        rate = np.log(at_40.l1_distance(stat) / at_44.l1_distance(stat)) / (steps * dt)
+        assert rate == pytest.approx(slowest, rel=0.01)
+
 
 class TestDiagnostics:
     def test_additive_sign_change_at_temperature(self):
