@@ -14,9 +14,11 @@ a run can be reproduced and verified exactly.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 import time
+from dataclasses import MISSING, asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -26,23 +28,24 @@ from .energy import ingest_wri, slope_profile, weighted_cdf
 from .errors import IneqStatsError
 from .fokker_planck import DriftDiffusionSpec, make_grid, stationary_solution
 from .income import IncomeBinTable, fit_report
-from .io import read_text, sha256_file, write_csv, write_json
-from .kinetic import (BinnedHistogram, SimulationConfig, couple_systems,
-                      init_ensemble, run_from_config, run_simulation)
+from .io import build_config, json_object, read_text, sha256_file, write_csv, write_json
+from .kinetic import (BinnedHistogram, CoupledConfig, SimulationConfig,
+                      couple_systems, init_ensemble, run_from_config,
+                      run_simulation)
 
 __all__ = ["build_parser", "dispatch", "emit_manifest", "main"]
 
 
 def emit_manifest(out_dir: Path, subcommand: str, config: dict,
                   inputs: list, outputs: list[str]) -> None:
-    """Write manifest.json: config echo, input digests, output list."""
+    """Write manifest.json: config in effect, digests of the inputs given, outputs."""
     manifest = {
         "tool": "ineqstats",
         "version": __version__,
         "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "subcommand": subcommand,
         "config": config,
-        "inputs": {str(p): sha256_file(p) for p in inputs},
+        "inputs": {str(p): sha256_file(p) for p in inputs if p is not None},
         "outputs": sorted(outputs),
     }
     write_json(out_dir / "manifest.json", manifest)
@@ -54,17 +57,36 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _config_echo(args) -> dict:
-    skip = {"func", "flag_default"}
-    return {k: v for k, v in vars(args).items() if k not in skip}
+# run flags named otherwise than the config fields they set
+_OPTIONS = {"n_agents": "--agents", "total_money_quanta": "--money",
+            "n_agents2": "--agents2", "total_money_quanta2": "--money2"}
 
 
-def _reject_unread(args, names, mode: str) -> None:
-    """Fail on a flag in ``names`` set away from its parser default: the
-    chosen ``mode`` never reads it, so running would silently drop it."""
-    for name in names:
-        if getattr(args, name) != args.flag_default(name):
-            raise IneqStatsError(f"--{name.replace('_', '-')} is not read {mode}")
+def _option(field: str) -> str:
+    return _OPTIONS.get(field, "--" + field.replace("_", "-"))
+
+
+def _given(args, document: str) -> dict:
+    """The run flags given, by config field: argparse leaves the others None."""
+    return {name: value for name, value in vars(args).items()
+            if value is not None and name not in ("subcommand", "out", document)}
+
+
+def _refuse(flags, unread, mode: str) -> None:
+    """Exit 1 naming the first flag given in ``unread``: the run would drop it."""
+    for name in flags:
+        if name in unread:
+            raise IneqStatsError(f"{_option(name)} is not read {mode}")
+
+
+def _values(args, document: str, flags: dict, covered, what: str) -> dict:
+    """The values a config is built from: the JSON object in the
+    ``document`` file if it is given, which replaces the flags in
+    ``covered`` (any given is refused), and else those flags."""
+    if getattr(args, document) is None:
+        return {name: value for name, value in flags.items() if name in covered}
+    _refuse(flags, covered, f"with --{document.replace('_', '-')}")
+    return json_object(read_text(getattr(args, document)), what)
 
 
 # ---------------------------------------------------------------------------
@@ -72,80 +94,58 @@ def _reject_unread(args, names, mode: str) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _run_single(out: Path, config: SimulationConfig) -> list[str]:
+    traj = run_from_config(config)
+    qv = config.quantum_value
+    write_csv(out / "trajectory.csv", ("step", "entropy", "temperature"),
+              [(s, e, t * qv) for s, e, t in traj.rows()])
+    hist = traj.final_histogram
+    write_csv(out / "histogram.csv", ("bin_lower", "count"),
+              zip((hist.bin_lowers() * qv).tolist(), hist.counts.tolist()))
+    print(f"simulated {traj.steps[-1]} exchange attempts; "
+          f"final entropy {traj.entropy[-1]:.1f}", file=sys.stderr)
+    return ["trajectory.csv", "histogram.csv"]
+
+
+def _run_coupled(out: Path, config: CoupledConfig) -> list[str]:
+    rule = config.exchange_rule()
+    ens1 = init_ensemble(config.n_agents, config.total_money_quanta)
+    ens2 = init_ensemble(config.n_agents2, config.total_money_quanta2)
+    rng = np.random.default_rng(config.seed)
+    run_simulation(ens1, rule, config.steps, rng=rng)
+    run_simulation(ens2, rule, config.steps, rng=rng)
+    report = couple_systems(ens1, ens2, rule, config.events,
+                            config.migration_rate, rng=rng)
+    (out / "flux.json").write_text(report.to_json() + "\n", encoding="utf-8")
+    for tag, ens in (("1", ens1), ("2", ens2)):
+        hist = BinnedHistogram.from_ensemble(ens, origin=rule.floor)
+        write_csv(out / f"histogram{tag}.csv", ("bin_lower", "count"),
+                  zip(hist.bin_lowers().tolist(), hist.counts.tolist()))
+    print(f"coupled run: dM={report.delta_money} dN={report.delta_agents} "
+          f"dS_est={report.delta_entropy_estimate:.4f}", file=sys.stderr)
+    return ["flux.json", "histogram1.csv", "histogram2.csv"]
+
+
 def _cmd_simulate(args) -> int:
     out = _out_dir(args)
-    outputs = []
-    inputs = []
-
-    coupled = args.agents2 is not None or args.money2 is not None
-    if args.config:
-        if coupled:
-            print("usage: --config covers single-system runs only", file=sys.stderr)
-            return 2
-        _reject_unread(args, ("agents", "money", "steps", "seed", "rule", "delta",
-                              "floor", "quantum_value", "checkpoint_every",
-                              "migration_rate", "events"), "with --config")
-        config = SimulationConfig.from_json(read_text(args.config))
-        inputs.append(args.config)
-    else:
-        missing = [name for name in ("agents", "money", "steps", "seed")
-                   if getattr(args, name) is None]
+    flags = _given(args, "config")
+    values = _values(args, "config", flags, flags, "simulation config")
+    coupled = not values.keys().isdisjoint({"n_agents2", "total_money_quanta2"})
+    cls = CoupledConfig if coupled else SimulationConfig
+    if args.config is None:
+        required = [f.name for f in fields(cls) if f.default is MISSING]
+        missing = [name for name in required if name not in flags]
         if missing:
-            print("usage: simulate needs --config or all of "
-                  "--agents/--money/--steps/--seed "
-                  f"(missing: {', '.join('--' + m for m in missing)})",
-                  file=sys.stderr)
+            print(f"usage: simulate needs --config or all of "
+                  f"{'/'.join(map(_option, required))} "
+                  f"(missing: {', '.join(map(_option, missing))})", file=sys.stderr)
             return 2
-        if coupled:
-            _reject_unread(args, ("quantum_value", "checkpoint_every"),
-                           "in coupled mode")
-        else:
-            _reject_unread(args, ("migration_rate", "events"),
-                           "without --agents2/--money2")
-        config = SimulationConfig(
-            n_agents=args.agents, total_money_quanta=args.money,
-            steps=args.steps, seed=args.seed, rule=args.rule,
-            delta=args.delta, floor=args.floor,
-            quantum_value=args.quantum_value,
-            checkpoint_every=args.checkpoint_every)
-
-    if coupled:
-        if args.agents2 is None or args.money2 is None:
-            raise IneqStatsError("coupled mode needs both --agents2 and --money2")
-        rule = config.exchange_rule()
-        ens1 = init_ensemble(config.n_agents, config.total_money_quanta)
-        ens2 = init_ensemble(args.agents2, args.money2)
-        rng = np.random.default_rng(config.seed)
-        run_simulation(ens1, rule, config.steps, rng=rng)
-        run_simulation(ens2, rule, config.steps, rng=rng)
-        report = couple_systems(ens1, ens2, rule, args.events,
-                                args.migration_rate, rng=rng)
-        (out / "flux.json").write_text(report.to_json() + "\n", encoding="utf-8")
-        outputs.append("flux.json")
-        for tag, ens in (("1", ens1), ("2", ens2)):
-            hist = BinnedHistogram.from_ensemble(ens, origin=rule.floor)
-            name = f"histogram{tag}.csv"
-            write_csv(out / name, ("bin_lower", "count"),
-                      zip(hist.bin_lowers().tolist(), hist.counts.tolist()))
-            outputs.append(name)
-        print(f"coupled run: dM={report.delta_money} dN={report.delta_agents} "
-              f"dS_est={report.delta_entropy_estimate:.4f}", file=sys.stderr)
-        config_echo = _config_echo(args)
-    else:
-        traj = run_from_config(config)
-        qv = config.quantum_value
-        write_csv(out / "trajectory.csv", ("step", "entropy", "temperature"),
-                  [(s, e, t * qv) for s, e, t in traj.rows()])
-        hist = traj.final_histogram
-        write_csv(out / "histogram.csv", ("bin_lower", "count"),
-                  zip((hist.bin_lowers() * qv).tolist(), hist.counts.tolist()))
-        (out / "config.json").write_text(config.to_json() + "\n", encoding="utf-8")
-        outputs += ["trajectory.csv", "histogram.csv", "config.json"]
-        print(f"simulated {traj.steps[-1]} exchange attempts; "
-              f"final entropy {traj.entropy[-1]:.1f}", file=sys.stderr)
-        config_echo = json.loads(config.to_json())
-
-    emit_manifest(out, "simulate", config_echo, inputs, outputs)
+        _refuse(flags, flags.keys() - {f.name for f in fields(cls)},
+                "in coupled mode" if coupled else "without --agents2/--money2")
+    config = build_config(cls, values, "simulation config")
+    outputs = (_run_coupled if coupled else _run_single)(out, config)
+    (out / "config.json").write_text(json.dumps(asdict(config)) + "\n", encoding="utf-8")
+    emit_manifest(out, "simulate", asdict(config), [args.config], outputs + ["config.json"])
     return 0
 
 
@@ -156,20 +156,20 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_fp(args) -> int:
     out = _out_dir(args)
-    inputs = []
-    if args.spec_json:
-        _reject_unread(args, ("kind", "a0", "a", "b0", "b"), "with --spec-json")
-        spec = DriftDiffusionSpec.from_json(read_text(args.spec_json))
-        inputs.append(args.spec_json)
-    else:
-        spec = DriftDiffusionSpec(kind=args.kind, a0=args.a0, a=args.a,
-                                  b0=args.b0, b=args.b)
-    grid = make_grid(spec, r_max=args.r_max, r_min=args.r_min,
-                     points_per_decade=args.points_per_decade)
+    flags = _given(args, "spec_json")
+    spec_fields = {f.name for f in fields(DriftDiffusionSpec)}
+    what = "drift/diffusion spec"
+    spec = build_config(DriftDiffusionSpec,
+                        _values(args, "spec_json", flags, spec_fields, what), what)
+    # the grid flags given, and make_grid's defaults for the others
+    grid_args = inspect.signature(make_grid).bind_partial(
+        **{name: value for name, value in flags.items() if name not in spec_fields})
+    grid_args.apply_defaults()
+    grid = make_grid(spec, **grid_args.arguments)
     dist = stationary_solution(spec, grid)
     write_csv(out / "solution.csv", ("r", "density"), dist.rows())
     (out / "spec.json").write_text(spec.to_json() + "\n", encoding="utf-8")
-    emit_manifest(out, "fp", _config_echo(args), inputs,
+    emit_manifest(out, "fp", {**asdict(spec), **grid_args.arguments}, [args.spec_json],
                   ["solution.csv", "spec.json"])
     print(f"stationary solution on {grid.size} grid points", file=sys.stderr)
     return 0
@@ -192,7 +192,7 @@ def _cmd_fit_income(args) -> int:
     write_csv(out / "lorenz.csv", ("x", "y"),
               zip(curve.x.tolist(), curve.y.tolist()))
     print(report.table_row())
-    emit_manifest(out, "fit-income", _config_echo(args), [args.input],
+    emit_manifest(out, "fit-income", vars(args), [args.input],
                   ["report.json", "lorenz.csv"])
     return 0
 
@@ -223,7 +223,7 @@ def _cmd_energy(args) -> int:
         "gini": curve.gini,
         "kink_x": profile.kink_x,
     })
-    emit_manifest(out, "energy", _config_echo(args),
+    emit_manifest(out, "energy", vars(args),
                   [args.energy, args.population],
                   ["cdf.csv", "lorenz.csv", "summary.json"])
     print(f"{len(records)} countries; world average "
@@ -243,50 +243,43 @@ def build_parser() -> argparse.ArgumentParser:
                     "energy-consumption inequality pipelines.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
+    # run flags default to None, "not given": the config types own the defaults
     sim = sub.add_parser("simulate", help="kinetic money-exchange simulation")
-    sim.add_argument("--config", default=None,
-                     help="JSON run config (keys: n_agents, total_money_quanta, "
-                          "quantum_value, rule, delta, floor, steps, seed, "
-                          "checkpoint_every); replaces the individual flags")
-    sim.add_argument("--agents", type=int, default=None)
-    sim.add_argument("--money", type=int, default=None,
+    sim.add_argument("--config", help="JSON run config whose keys are the fields of "
+                     "SimulationConfig, or of CoupledConfig when it holds n_agents2 or "
+                     "total_money_quanta2; replaces the individual flags")
+    sim.add_argument("--agents", dest="n_agents", type=int)
+    sim.add_argument("--money", dest="total_money_quanta", type=int,
                      help="total money in quanta")
-    sim.add_argument("--steps", type=int, default=None,
-                     help="number of exchange attempts")
-    sim.add_argument("--rule", choices=("fixed", "uniform"), default="uniform")
-    sim.add_argument("--delta", type=int, default=None,
+    sim.add_argument("--steps", type=int, help="number of exchange attempts")
+    sim.add_argument("--rule", choices=("fixed", "uniform"))
+    sim.add_argument("--delta", type=int,
                      help="transfer scale in quanta (default: 1 for fixed, "
                           "2*money/agents for uniform)")
-    sim.add_argument("--floor", type=int, default=0,
-                     help="minimum balance; negative enables debt")
-    sim.add_argument("--quantum-value", type=float, default=1.0,
+    sim.add_argument("--floor", type=int, help="minimum balance; negative enables debt")
+    sim.add_argument("--quantum-value", type=float,
                      help="money value of one quantum, for output scaling")
-    sim.add_argument("--seed", type=int, default=None)
-    sim.add_argument("--checkpoint-every", type=int, default=None)
-    sim.add_argument("--agents2", type=int, default=None,
+    sim.add_argument("--seed", type=int)
+    sim.add_argument("--checkpoint-every", type=int)
+    sim.add_argument("--agents2", dest="n_agents2", type=int,
                      help="second system size (enables coupled mode)")
-    sim.add_argument("--money2", type=int, default=None,
+    sim.add_argument("--money2", dest="total_money_quanta2", type=int,
                      help="second system total money in quanta")
-    sim.add_argument("--migration-rate", type=float, default=0.0)
-    sim.add_argument("--events", type=int, default=1000,
-                     help="coupling events in coupled mode")
+    sim.add_argument("--migration-rate", type=float)
+    sim.add_argument("--events", type=int, help="coupling events in coupled mode")
     sim.add_argument("--out", required=True)
-    sim.set_defaults(func=_cmd_simulate, flag_default=sim.get_default)
 
     fp = sub.add_parser("fp", help="stationary income diffusion solution")
     fp.add_argument("--kind", choices=("additive", "multiplicative", "combined"))
-    fp.add_argument("--a0", type=float, default=None)
-    fp.add_argument("--a", type=float, default=None)
-    fp.add_argument("--b0", type=float, default=None)
-    fp.add_argument("--b", type=float, default=None)
-    fp.add_argument("--spec-json", default=None,
-                    help="read the spec from a JSON file instead of flags")
-    fp.add_argument("--r-max", type=float, default=None)
-    fp.add_argument("--r-min", type=float, default=0.0,
-                    help="grid start (required > 0 for multiplicative)")
-    fp.add_argument("--points-per-decade", type=int, default=2000)
+    fp.add_argument("--a0", type=float)
+    fp.add_argument("--a", type=float)
+    fp.add_argument("--b0", type=float)
+    fp.add_argument("--b", type=float)
+    fp.add_argument("--spec-json", help="read the spec from a JSON file instead of flags")
+    fp.add_argument("--r-max", type=float)
+    fp.add_argument("--r-min", type=float, help="grid start (required > 0 for multiplicative)")
+    fp.add_argument("--points-per-decade", type=int)
     fp.add_argument("--out", required=True)
-    fp.set_defaults(func=_cmd_fp, flag_default=fp.get_default)
 
     fit = sub.add_parser("fit-income", help="two-class income fit")
     fit.add_argument("--input", required=True,
@@ -301,7 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--no-refine", action="store_true",
                      help="skip the joint refinement pass")
     fit.add_argument("--out", required=True)
-    fit.set_defaults(func=_cmd_fit_income)
 
     en = sub.add_parser("energy", help="energy-consumption inequality")
     en.add_argument("--energy", required=True, help="CSV: country,year,value")
@@ -310,9 +302,12 @@ def build_parser() -> argparse.ArgumentParser:
     en.add_argument("--per-capita", action="store_true",
                     help="energy values are already kW per capita")
     en.add_argument("--out", required=True)
-    en.set_defaults(func=_cmd_energy)
 
     return parser
+
+
+_COMMANDS = {"simulate": _cmd_simulate, "fp": _cmd_fp,
+             "fit-income": _cmd_fit_income, "energy": _cmd_energy}
 
 
 def dispatch(argv) -> int:
@@ -322,7 +317,7 @@ def dispatch(argv) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        return _COMMANDS[args.subcommand](args)
     except (IneqStatsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -28,7 +28,6 @@ from numbers import Real
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, SingularDiffusionError
-from .io import load_config
 
 __all__ = [
     "KIND_ADDITIVE",
@@ -40,7 +39,6 @@ __all__ = [
     "stationary_solution",
     "evolve_transient",
     "delta_r2_diagnostic",
-    "alpha_from_coefficients",
 ]
 
 KIND_ADDITIVE = "additive"
@@ -100,7 +98,10 @@ class DriftDiffusionSpec:
 
     @property
     def pareto_exponent(self) -> float:
-        return alpha_from_coefficients(self.a, self.b)
+        """alpha = 1 + a/b, the exponent of the multiplicative stationary tail."""
+        if self.a is None or self.b is None:
+            raise DomainError(f"Pareto exponent undefined for kind {self.kind!r}")
+        return 1.0 + self.a / self.b
 
     def scale(self) -> float:
         """Largest characteristic income of the spec (grid sizing)."""
@@ -137,10 +138,6 @@ class DriftDiffusionSpec:
         for name in _FIELDS_BY_KIND[self.kind]:
             obj[name] = getattr(self, name)
         return json.dumps(obj, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "DriftDiffusionSpec":
-        return load_config(cls, text, "drift/diffusion spec")
 
     # -- convenience constructors ------------------------------------------
 
@@ -338,11 +335,3 @@ def delta_r2_diagnostic(r, spec: DriftDiffusionSpec):
     out = 2.0 * (spec.diffusion(arr) - arr * spec.drift(arr))
     return float(out) if np.ndim(r) == 0 else out
 
-
-def alpha_from_coefficients(a: float, b: float) -> float:
-    """Pareto exponent of the multiplicative stationary tail, 1 + a/b."""
-    if a is None or b is None or b == 0:
-        raise DomainError("need multiplicative rates with b != 0")
-    if a <= 0 or b < 0:
-        raise DomainError("multiplicative rates must be positive")
-    return 1.0 + a / b

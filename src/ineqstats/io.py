@@ -17,7 +17,8 @@ from pathlib import Path
 from .errors import DomainError, FormatError
 
 __all__ = ["format_cell", "write_csv", "write_json", "sha256_file",
-           "read_text", "read_csv_rows", "load_config", "whole_number"]
+           "read_text", "read_csv_rows", "json_object", "build_config", "load_config",
+           "whole_number"]
 
 
 def format_cell(value) -> str:
@@ -79,23 +80,30 @@ def read_csv_rows(path, n_columns: int, expected: str):
             raise _not_utf8(path, exc) from exc
 
 
-def load_config(cls, text: str, what: str):
-    """Build ``cls`` from JSON text holding one object whose keys are the
-    keyword arguments of ``cls``; ``cls`` checks the values.  Text that is
-    not a JSON object raises FormatError, and a missing or unknown key
-    DomainError naming the key; ``what`` names the document."""
+def json_object(text: str, what: str) -> dict:
+    """The JSON object in ``text``; anything else raises FormatError naming ``what``."""
     try:
         obj = json.loads(text)
     except (ValueError, RecursionError) as exc:   # bad syntax, too many digits, too deep
         raise FormatError(f"bad {what} JSON: {exc}") from exc
     if not isinstance(obj, dict):
-        raise FormatError(f"{what} JSON must be an object, "
-                          f"not {type(obj).__name__}")
+        raise FormatError(f"{what} JSON must be an object, not {type(obj).__name__}")
+    return obj
+
+
+def build_config(cls, values: dict, what: str):
+    """``cls(**values)``; ``cls`` checks the values, and a missing or
+    unknown key raises DomainError naming the key and ``what``."""
     try:
-        inspect.signature(cls).bind(**obj)
+        inspect.signature(cls).bind(**values)
     except TypeError as exc:
         raise DomainError(f"{what}: {exc}") from exc
-    return cls(**obj)
+    return cls(**values)
+
+
+def load_config(cls, text: str, what: str):
+    """``build_config`` on the JSON object in ``text``."""
+    return build_config(cls, json_object(text, what), what)
 
 
 def whole_number(value, what: str) -> int:

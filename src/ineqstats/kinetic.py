@@ -35,13 +35,13 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from numbers import Real
 
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, FormatError
-from .io import load_config, whole_number
+from .io import whole_number
 
 __all__ = [
     "RULE_FIXED",
@@ -52,6 +52,7 @@ __all__ = [
     "CycleSpec",
     "FluxReport",
     "SimulationConfig",
+    "CoupledConfig",
     "Trajectory",
     "init_ensemble",
     "run_from_config",
@@ -276,23 +277,24 @@ def temperature_and_potential(ens: AgentEnsemble, m_star: float = 1.0) -> tuple[
     return T, mu
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class SimulationConfig:
-    """Complete, serialisable description of one simulation run.
+    """Complete description of one simulation run; its ``asdict`` is config.json.
 
-    ``delta`` of None resolves to 1 for the fixed rule and to twice the
-    average balance for the uniform rule.  ``quantum_value`` is the money
-    value of one quantum and only scales reported outputs.
+    A ``delta`` of None is resolved on construction: to 1 for the fixed
+    rule and to twice the average balance for the uniform rule.
+    ``quantum_value`` is the money value of one quantum and only scales
+    reported outputs.
     """
 
     n_agents: int
     total_money_quanta: int
-    steps: int
-    seed: int
+    quantum_value: float = 1.0
     rule: str = RULE_UNIFORM
     delta: int | None = None
     floor: int = 0
-    quantum_value: float = 1.0
+    steps: int
+    seed: int
     checkpoint_every: int | None = None
 
     def __post_init__(self):
@@ -319,35 +321,49 @@ class SimulationConfig:
             raise DomainError(f"quantum value {self.quantum_value!r} must be positive, and "
                               f"the largest reachable balance, {reach} quanta, finite in money")
         object.__setattr__(self, "quantum_value", float(self.quantum_value))
+        if self.delta is None:
+            object.__setattr__(self, "delta", 1 if self.rule == RULE_FIXED else
+                               max(1, round(2 * self.total_money_quanta / self.n_agents)))
         self.exchange_rule()   # validates rule/delta/floor
 
-    def resolved_delta(self) -> int:
-        if self.delta is not None:
-            return self.delta
-        if self.rule == RULE_FIXED:
-            return 1
-        return max(1, round(2 * self.total_money_quanta / self.n_agents))
-
     def exchange_rule(self) -> ExchangeRule:
-        return ExchangeRule(self.rule, delta=self.resolved_delta(),
-                            floor=self.floor)
+        return ExchangeRule(self.rule, delta=self.delta, floor=self.floor)
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "n_agents": self.n_agents,
-            "total_money_quanta": self.total_money_quanta,
-            "quantum_value": self.quantum_value,
-            "rule": self.rule,
-            "delta": self.resolved_delta(),
-            "floor": self.floor,
-            "steps": self.steps,
-            "seed": self.seed,
-            "checkpoint_every": self.checkpoint_every,
-        })
 
-    @classmethod
-    def from_json(cls, text: str) -> "SimulationConfig":
-        return load_config(cls, text, "simulation config")
+@dataclass(frozen=True, kw_only=True)
+class CoupledConfig:
+    """Complete, serialisable description of one coupled run: system 1's
+    run fields as in SimulationConfig, the second system, and the
+    ``events`` and ``migration_rate`` of ``couple_systems``.  Both systems
+    relax under system 1's rule before they are coupled.
+    """
+
+    n_agents: int
+    total_money_quanta: int
+    rule: str = RULE_UNIFORM
+    delta: int | None = None
+    floor: int = 0
+    steps: int
+    seed: int
+    n_agents2: int
+    total_money_quanta2: int
+    events: int = 1000
+    migration_rate: float = 0.0
+
+    exchange_rule = SimulationConfig.exchange_rule
+
+    def __post_init__(self):
+        shared = [f.name for f in fields(self)
+                  if f.name in SimulationConfig.__dataclass_fields__]
+        system1 = SimulationConfig(**{name: getattr(self, name) for name in shared})
+        for name in shared:   # whole numbers, and delta resolved
+            object.__setattr__(self, name, getattr(system1, name))
+        for name in ("n_agents2", "total_money_quanta2", "events"):
+            object.__setattr__(self, name, whole_number(getattr(self, name), name))
+        rate = self.migration_rate
+        if isinstance(rate, bool) or not isinstance(rate, Real) or not 0 <= rate <= 1:
+            raise DomainError(f"migration rate must lie in [0, 1]; got {rate!r}")
+        object.__setattr__(self, "migration_rate", float(rate))
 
 
 def run_from_config(config: SimulationConfig) -> "Trajectory":

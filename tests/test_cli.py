@@ -15,7 +15,7 @@ import ineqstats
 from ineqstats import (IneqStatsError, SimulationConfig, TwoClassModel,
                        sample_income_table)
 from ineqstats.cli import dispatch
-from ineqstats.io import write_csv
+from ineqstats.io import load_config, write_csv
 from ineqstats.wri_fixture import write_fixture_csvs
 
 
@@ -84,6 +84,33 @@ class TestSimulate:
         assert (out / "histogram1.csv").exists()
         assert (out / "histogram2.csv").exists()
 
+    def test_coupled_config_file_equivalent_to_flags(self, tmp_path):
+        out1 = tmp_path / "flags"
+        assert dispatch(["simulate", "--agents", "200", "--money", "20000",
+                         "--agents2", "150", "--money2", "6000", "--steps", "20000",
+                         "--rule", "fixed", "--delta", "3", "--floor", "-5",
+                         "--migration-rate", "0.25", "--seed", "8",
+                         "--out", str(out1)]) == 0
+        out2 = tmp_path / "conf"
+        assert dispatch(["simulate", "--config", str(out1 / "config.json"),
+                         "--out", str(out2)]) == 0
+        for name in ("flux.json", "histogram1.csv", "histogram2.csv", "config.json"):
+            assert read(out1 / name) == read(out2 / name)
+
+    def test_coupled_manifest_holds_config_in_effect(self, tmp_path):
+        out = tmp_path / "c"
+        assert dispatch(["simulate", "--agents", "100", "--money", "5000",
+                         "--agents2", "100", "--money2", "2000", "--steps", "5000",
+                         "--seed", "4", "--out", str(out)]) == 0
+        written = json.loads((out / "config.json").read_text())
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"] == written
+        assert written["delta"] == 100   # 2 * M/N of system 1, uniform rule
+        assert written["events"] == 1000 and written["migration_rate"] == 0.0
+        assert not {"quantum_value", "checkpoint_every", "out", "config"} & written.keys()
+        assert set(manifest["outputs"]) == {"flux.json", "histogram1.csv",
+                                            "histogram2.csv", "config.json"}
+
 
 class TestFp:
     def test_additive_solution(self, tmp_path):
@@ -105,6 +132,14 @@ class TestFp:
                          "--out", str(out2)])
         assert code == 0
         assert read(out1 / "solution.csv") == read(out2 / "solution.csv")
+
+    def test_manifest_holds_grid_defaults(self, tmp_path):
+        out = tmp_path / "fp"
+        assert dispatch(["fp", "--kind", "additive", "--a0", "1", "--b0", "40",
+                         "--out", str(out)]) == 0
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert config == {"kind": "additive", "a0": 1.0, "a": None, "b0": 40.0, "b": None,
+                          "r_max": None, "r_min": 0.0, "points_per_decade": 2000}
 
     def test_domain_error_exit_code(self, tmp_path):
         code = dispatch(["fp", "--kind", "additive", "--a0", "-1", "--b0", "40",
@@ -145,6 +180,10 @@ class TestFitIncome:
         assert (out / "lorenz.csv").exists()
         printed = capsys.readouterr().out
         assert "T=" in printed and "G=" in printed
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert config == {"subcommand": "fit-income", "input": str(income_csv),
+                          "mode": "at-or-above", "year": 2007, "exp_window": [0.1, 0.95],
+                          "tail_window": [0.001, 0.03], "no_refine": False, "out": str(out)}
 
     def test_tail_less_table_keeps_alpha_above_one(self, tmp_path):
         # a seeded table on which the search in ln(alpha - 1) runs so low
@@ -203,6 +242,9 @@ class TestEnergy:
         assert str(e) in manifest["inputs"]
         from ineqstats.io import sha256_file
         assert manifest["inputs"][str(e)] == sha256_file(e)
+        assert manifest["config"] == {"subcommand": "energy", "energy": str(e),
+                                      "population": str(p), "year": 1990,
+                                      "per_capita": True, "out": str(out)}
 
     def test_empty_join_exit_code(self, tmp_path):
         e = tmp_path / "e.csv"
@@ -311,6 +353,13 @@ REJECTED = [
                  id="coupled-with-single-system-flags"),
     pytest.param(["fp", "--spec-json", "{spec}", "--kind", "multiplicative", "--a", "5"],
                  id="spec-json-with-coefficient-flags"),
+    # given flags are unread even at their default values
+    pytest.param(["simulate", "--config", "{config}", "--rule", "uniform"],
+                 id="config-with-default-rule"),
+    pytest.param(["simulate", "--agents", "10", "--money", "100", "--steps", "100",
+                  "--seed", "1", "--events", "1000"], id="default-events-without-second-system"),
+    pytest.param(["fp", "--spec-json", "{spec}", "--kind", "additive"],
+                 id="spec-json-with-default-kind"),
 ]
 
 
@@ -399,6 +448,11 @@ _CONFIG_DOCUMENTS = (
                ["n_agents", "total_money_quanta", "steps", "seed"],
                ["rule", "delta", "floor", "quantum_value", "checkpoint_every"],
                st.integers(1, 40))
+    | _documents(("simulate", "--config"),
+                 ["n_agents", "total_money_quanta", "steps", "seed", "n_agents2",
+                  "total_money_quanta2"],
+                 ["rule", "delta", "floor", "events", "migration_rate"],
+                 st.integers(1, 40))
     | _documents(("fp", "--spec-json"), ["kind"], ["a0", "a", "b0", "b"],
                  st.floats(0.5, 50)))
 
@@ -453,7 +507,7 @@ _SPEC = {"kind": "additive", "a0": 1, "b0": 40}
 def test_config_document_rejected(tmp_path, capsys, flag_argv, doc, match):
     if flag_argv == _SIM:
         with pytest.raises(IneqStatsError, match=match):
-            SimulationConfig.from_json(json.dumps(doc))
+            load_config(SimulationConfig, json.dumps(doc), "simulation config")
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
     code = dispatch([*flag_argv, str(path), "--out", str(tmp_path / "out")])

@@ -5,9 +5,10 @@ import pytest
 
 from conftest import loglog_slope
 from ineqstats import fokker_planck
+from ineqstats.io import load_config
 from ineqstats import (ConfigurationError, DomainError, DriftDiffusionSpec,
                        GridDistribution, SingularDiffusionError, TwoClassModel,
-                       alpha_from_coefficients, delta_r2_diagnostic,
+                       delta_r2_diagnostic,
                        evolve_transient, make_grid, stationary_solution)
 
 
@@ -42,7 +43,7 @@ class TestSpec:
 
     def test_json_round_trip(self):
         spec = DriftDiffusionSpec.combined(a0=500.0, a=1.0, b0=2e4, b=2.0)
-        again = DriftDiffusionSpec.from_json(spec.to_json())
+        again = load_config(DriftDiffusionSpec, spec.to_json(), "spec")
         assert again == spec
         blob = json.loads(spec.to_json())
         assert blob["kind"] == "combined"
@@ -252,10 +253,10 @@ class TestDiagnostics:
         assert np.all(delta_r2_diagnostic(r, spec) > 0)
 
     def test_alpha_from_coefficients(self):
-        assert alpha_from_coefficients(1.0, 1.0) == 2.0
-        assert alpha_from_coefficients(0.5, 1.0) == 1.5
+        assert DriftDiffusionSpec.multiplicative(a=1.0, b=1.0).pareto_exponent == 2.0
+        assert DriftDiffusionSpec.multiplicative(a=0.5, b=1.0).pareto_exponent == 1.5
         with pytest.raises(DomainError):
-            alpha_from_coefficients(1.0, 0.0)
+            DriftDiffusionSpec.additive(a0=1.0, b0=40.0).pareto_exponent
 
     def test_alpha_round_trip_with_tail_slope(self):
         a, b = 0.8, 1.0
@@ -263,4 +264,4 @@ class TestDiagnostics:
         grid = np.geomspace(1.0, 1e6, 8000)
         dist = stationary_solution(spec, grid)
         slope = loglog_slope(dist.grid, dist.density, 1e2, 1e5)
-        assert -slope - 1 == pytest.approx(alpha_from_coefficients(a, b), abs=1e-2)
+        assert -slope - 1 == pytest.approx(spec.pareto_exponent, abs=1e-2)

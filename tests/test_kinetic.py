@@ -199,14 +199,31 @@ class TestSimulationConfig:
                                   steps=100000, seed=9, rule="uniform",
                                   floor=-5, quantum_value=2.0,
                                   checkpoint_every=25000)
-        blob = json.loads(config.to_json())
-        assert set(blob) == {"n_agents", "total_money_quanta", "quantum_value",
-                             "rule", "delta", "floor", "steps", "seed",
-                             "checkpoint_every"}
+        from dataclasses import asdict
+        from ineqstats.io import load_config
+        text = json.dumps(asdict(config))
+        blob = json.loads(text)
+        assert list(blob) == ["n_agents", "total_money_quanta", "quantum_value",
+                              "rule", "delta", "floor", "steps", "seed",
+                              "checkpoint_every"]
         assert blob["delta"] == 100   # resolved to 2 * M/N for uniform
-        again = SimulationConfig.from_json(config.to_json())
+        again = load_config(SimulationConfig, text, "simulation config")
         assert again.exchange_rule() == config.exchange_rule()
         assert again.seed == 9 and again.checkpoint_every == 25000
+
+    def test_coupled_config_checks_system1_and_its_own_fields(self):
+        from ineqstats import CoupledConfig, FormatError
+        base = {"n_agents": 10, "total_money_quanta": 100, "steps": 50, "seed": 1,
+                "n_agents2": 10.0, "total_money_quanta2": 50}
+        config = CoupledConfig(**base)
+        assert config.n_agents2 == 10 and type(config.n_agents2) is int
+        assert config.exchange_rule() == ExchangeRule(RULE_UNIFORM, delta=20)
+        assert (config.events, config.migration_rate) == (1000, 0.0)
+        for bad, error in [({"seed": -1}, DomainError), ({"rule": "bogus"}, DomainError),
+                           ({"events": 2.5}, FormatError), ({"migration_rate": 1.5}, DomainError),
+                           ({"migration_rate": True}, DomainError)]:
+            with pytest.raises(error):
+                CoupledConfig(**{**base, **bad})
 
     def test_config_run_matches_direct_run(self):
         from ineqstats import SimulationConfig, run_from_config
@@ -219,10 +236,11 @@ class TestSimulationConfig:
 
     def test_bad_config_rejected(self):
         from ineqstats import SimulationConfig, FormatError
+        from ineqstats.io import load_config
         with pytest.raises(FormatError):
-            SimulationConfig.from_json("{not json")
+            load_config(SimulationConfig, "{not json", "simulation config")
         with pytest.raises(DomainError):
-            SimulationConfig.from_json('{"n_agents": 10}')
+            load_config(SimulationConfig, '{"n_agents": 10}', "simulation config")
 
 
 class TestEntropyAndMultiplicity:

@@ -1,8 +1,9 @@
 import types
 
 import ineqstats
-from ineqstats import (GridDistribution, IncomeBinTable, LorenzCurve,
-                       TwoClassModel, WeightedCDF, distributions, energy)
+from ineqstats import (CoupledConfig, DriftDiffusionSpec, GridDistribution,
+                       IncomeBinTable, LorenzCurve, SimulationConfig, TwoClassModel,
+                       WeightedCDF, cli, distributions, energy, fokker_planck)
 
 
 def test_star_import_binds_no_submodule():
@@ -25,6 +26,12 @@ def test_removed_aliases_are_gone():
         (WeightedCDF, ("total_weight",)),
         (TwoClassModel, ("sample", "to_json", "from_json")),
         (IncomeBinTable, ("mean_income", "lorenz")),
+        (fokker_planck, ("alpha_from_coefficients",)),
+        (ineqstats, ("alpha_from_coefficients",)),
+        (SimulationConfig, ("from_json", "resolved_delta", "to_json")),
+        (CoupledConfig, ("from_json",)),
+        (DriftDiffusionSpec, ("from_json",)),
+        (cli, ("_reject_unread", "_config_echo")),
     ]
     left = [f"{owner.__name__}.{name}" for owner, names in removed
             for name in names if hasattr(owner, name)]
