@@ -66,10 +66,19 @@ def _option(field: str) -> str:
     return _OPTIONS.get(field, "--" + field.replace("_", "-"))
 
 
-def _given(args, document: str) -> dict:
+def _given(args, document: str | None = None) -> dict:
     """The run flags given, by config field: argparse leaves the others None."""
     return {name: value for name, value in vars(args).items()
             if value is not None and name not in ("subcommand", "out", document)}
+
+
+def _bind(func, flags: dict) -> dict:
+    """The flags given that ``func`` takes, and its defaults for the rest."""
+    signature = inspect.signature(func)
+    bound = signature.bind_partial(**{name: value for name, value in flags.items()
+                                      if name in signature.parameters})
+    bound.apply_defaults()
+    return bound.arguments
 
 
 def _refuse(flags, unread, mode: str) -> None:
@@ -161,15 +170,12 @@ def _cmd_fp(args) -> int:
     what = "drift/diffusion spec"
     spec = build_config(DriftDiffusionSpec,
                         _values(args, "spec_json", flags, spec_fields, what), what)
-    # the grid flags given, and make_grid's defaults for the others
-    grid_args = inspect.signature(make_grid).bind_partial(
-        **{name: value for name, value in flags.items() if name not in spec_fields})
-    grid_args.apply_defaults()
-    grid = make_grid(spec, **grid_args.arguments)
+    grid_args = _bind(make_grid, flags)
+    grid = make_grid(spec, **grid_args)
     dist = stationary_solution(spec, grid)
     write_csv(out / "solution.csv", ("r", "density"), dist.rows())
     (out / "spec.json").write_text(spec.to_json() + "\n", encoding="utf-8")
-    emit_manifest(out, "fp", {**asdict(spec), **grid_args.arguments}, [args.spec_json],
+    emit_manifest(out, "fp", {**asdict(spec), **grid_args}, [args.spec_json],
                   ["solution.csv", "spec.json"])
     print(f"stationary solution on {grid.size} grid points", file=sys.stderr)
     return 0
@@ -182,18 +188,19 @@ def _cmd_fp(args) -> int:
 
 def _cmd_fit_income(args) -> int:
     out = _out_dir(args)
-    table = IncomeBinTable.from_csv(args.input, mode=args.mode, year=args.year)
-    report = fit_report(table,
-                        exp_window=tuple(args.exp_window),
-                        tail_window=tuple(args.tail_window),
-                        refine=not args.no_refine)
+    flags = {name: tuple(value) if isinstance(value, list) else value   # windows are tuples
+             for name, value in _given(args, "input").items()}
+    read_args = _bind(IncomeBinTable.from_csv, flags)
+    fit_args = _bind(fit_report, flags)
+    table = IncomeBinTable.from_csv(args.input, **read_args)
+    report = fit_report(table, **fit_args)
     (out / "report.json").write_text(report.to_json() + "\n", encoding="utf-8")
     curve = table.bin_incomes(max(report.alpha_staged, 1.0001)).lorenz()
     write_csv(out / "lorenz.csv", ("x", "y"),
               zip(curve.x.tolist(), curve.y.tolist()))
     print(report.table_row())
-    emit_manifest(out, "fit-income", vars(args), [args.input],
-                  ["report.json", "lorenz.csv"])
+    emit_manifest(out, "fit-income", {"input": args.input, **read_args, **fit_args},
+                  [args.input], ["report.json", "lorenz.csv"])
     return 0
 
 
@@ -223,7 +230,7 @@ def _cmd_energy(args) -> int:
         "gini": curve.gini,
         "kink_x": profile.kink_x,
     })
-    emit_manifest(out, "energy", vars(args),
+    emit_manifest(out, "energy", _given(args),
                   [args.energy, args.population],
                   ["cdf.csv", "lorenz.csv", "summary.json"])
     print(f"{len(records)} countries; world average "
@@ -284,14 +291,11 @@ def build_parser() -> argparse.ArgumentParser:
     fit = sub.add_parser("fit-income", help="two-class income fit")
     fit.add_argument("--input", required=True,
                      help="CSV: level_kusd,returns_at_or_above (or in-bin)")
-    fit.add_argument("--mode", choices=("at-or-above", "in-bin"),
-                     default="at-or-above")
-    fit.add_argument("--year", type=int, default=None)
-    fit.add_argument("--exp-window", type=float, nargs=2, default=(0.1, 0.95),
-                     metavar=("LO", "HI"))
-    fit.add_argument("--tail-window", type=float, nargs=2, default=(0.001, 0.03),
-                     metavar=("LO", "HI"))
-    fit.add_argument("--no-refine", action="store_true",
+    fit.add_argument("--mode", choices=("at-or-above", "in-bin"))
+    fit.add_argument("--year", type=int)
+    fit.add_argument("--exp-window", type=float, nargs=2, metavar=("LO", "HI"))
+    fit.add_argument("--tail-window", type=float, nargs=2, metavar=("LO", "HI"))
+    fit.add_argument("--no-refine", dest="refine", action="store_false", default=None,
                      help="skip the joint refinement pass")
     fit.add_argument("--out", required=True)
 

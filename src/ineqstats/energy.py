@@ -11,13 +11,14 @@ flag.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .distributions import LorenzCurve
 from .errors import DomainError, EmptyJoinError, FormatError
-from .io import read_csv_rows
+from .io import read_csv_rows, usable_row
 from .weighted import WeightedCDF
 
 __all__ = [
@@ -52,6 +53,8 @@ class CountryRecord:
     per_capita: bool = False
 
     def __post_init__(self):
+        if not (math.isfinite(self.energy) and math.isfinite(self.population)):
+            raise DomainError(f"{self.name}: energy and population must be finite")
         if self.population <= 0:
             raise DomainError(f"{self.name}: population must be positive")
         if self.energy < 0:
@@ -79,21 +82,29 @@ class DropReport:
 
 def _read_country_year_csv(path, year: int) -> dict[str, float | None]:
     """Values of ``year`` in `country,year,value` rows, keyed by country
-    name; None when missing/non-numeric.  Every row's year is validated,
-    so FormatError names the line of a bad row in any year."""
+    name; None when missing, non-numeric or not finite.  Every row's year
+    is validated, so FormatError names the line of a bad row in any year.
+    Each distinct year cell is parsed once."""
+    years: dict[str, int] = {}
     out: dict[str, float | None] = {}
-    for lineno, row in read_csv_rows(path, 3, "country,year,value"):
+    for lineno, row in read_csv_rows(path):
         try:
-            row_year = int(row[1])
-        except ValueError as exc:
-            raise FormatError(f"{path}:{lineno}: bad year {row[1]!r}") from exc
+            row_year, cell = years[row[1]], row[2]   # a short row raises in any year
+        except (KeyError, IndexError):
+            if not usable_row(path, lineno, row, 3, "country,year,value"):
+                continue
+            try:
+                row_year = years[row[1]] = int(row[1])
+            except ValueError as exc:
+                raise FormatError(f"{path}:{lineno}: bad year {row[1]!r}") from exc
+            cell = row[2]
         if row_year != year:
             continue
         try:
-            value = float(row[2])
+            value = float(cell)
         except ValueError:
-            value = None
-        out[row[0].strip()] = value
+            value = math.nan
+        out[row[0].strip()] = value if math.isfinite(value) else None
     return out
 
 

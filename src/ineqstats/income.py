@@ -36,7 +36,7 @@ import numpy as np
 from .distributions import LevelQuadrature, TwoClassModel, class_boundary
 from .errors import (DomainError, FormatError, InsufficientDataError,
                      NoIntersectionError)
-from .io import read_csv_rows, whole_number
+from .io import read_csv_rows, usable_row, whole_number
 from .weighted import WeightedCDF
 
 __all__ = [
@@ -82,6 +82,8 @@ class IncomeBinTable:
         object.__setattr__(self, "counts", counts)
         if levels.size == 0 or levels.size != counts.size:
             raise DomainError("need matching, non-empty levels and counts")
+        if not np.all(np.isfinite(levels)):
+            raise DomainError("income levels must be finite")
         if np.any(np.diff(levels) <= 0):
             raise DomainError("income levels must be strictly increasing")
         if np.any(counts < 0):
@@ -112,15 +114,18 @@ class IncomeBinTable:
         """Read `level_kusd,<counts>` rows; ``mode`` says whether the count
         column is per-bin or at-or-above."""
         levels, counts = [], []
-        for lineno, row in read_csv_rows(path, 2, "two columns"):
+        for lineno, row in read_csv_rows(path):
             try:
-                levels.append(float(row[0]))
+                level = float(row[0])
                 count = whole_number(float(row[1]), "count")
                 if abs(count) > _INT64.max:
                     raise ValueError(f"count {row[1]} lies beyond 64-bit counts")
-                counts.append(count)
-            except ValueError as exc:
+            except (ValueError, IndexError) as exc:
+                if not usable_row(path, lineno, row, 2, "two columns"):
+                    continue
                 raise FormatError(f"{path}:{lineno}: {exc}") from exc
+            levels.append(level)
+            counts.append(count)
         if not levels:
             raise FormatError(f"{path}: no data rows")
         if mode == MODE_AT_OR_ABOVE:

@@ -16,8 +16,8 @@ from pathlib import Path
 
 from .errors import DomainError, FormatError
 
-__all__ = ["format_cell", "write_csv", "write_json", "sha256_file",
-           "read_text", "read_csv_rows", "json_object", "build_config", "load_config",
+__all__ = ["format_cell", "write_csv", "write_json", "sha256_file", "read_text",
+           "read_csv_rows", "usable_row", "json_object", "build_config", "load_config",
            "whole_number"]
 
 
@@ -60,24 +60,29 @@ def read_text(path) -> str:
         raise _not_utf8(path, exc) from exc
 
 
-def read_csv_rows(path, n_columns: int, expected: str):
-    """Yield (lineno, row) for each data row of a UTF-8 CSV file.
-
-    The first line is a header and is skipped, as are blank rows.  A row
-    with fewer than ``n_columns`` cells raises
-    ``FormatError("path:line: expected <expected>")``, and bytes that are
-    not UTF-8 raise FormatError too.
-    """
+def read_csv_rows(path):
+    """Yield (lineno, row) for every row of a UTF-8 CSV file after its
+    header line, blank and short rows included; a caller hands a row that
+    fails to parse to ``usable_row``.  Bytes that are not UTF-8 raise
+    FormatError."""
     with open(path, newline="", encoding="utf-8") as fh:
         try:
-            for lineno, row in enumerate(csv.reader(fh), start=1):
-                if lineno == 1 or not "".join(row).strip():
-                    continue
-                if len(row) < n_columns:
-                    raise FormatError(f"{path}:{lineno}: expected {expected}")
-                yield lineno, row
+            reader = csv.reader(fh)
+            next(reader, None)
+            yield from enumerate(reader, start=2)
         except UnicodeDecodeError as exc:
             raise _not_utf8(path, exc) from exc
+
+
+def usable_row(path, lineno: int, row: list[str], n_columns: int, expected: str) -> bool:
+    """Whether a row that failed to parse is an error: False for a blank
+    row, which the caller skips; ``FormatError("path:line: expected
+    <expected>")`` for a row of fewer than ``n_columns`` cells; else True."""
+    if not "".join(row).strip():
+        return False
+    if len(row) < n_columns:
+        raise FormatError(f"{path}:{lineno}: expected {expected}")
+    return True
 
 
 def json_object(text: str, what: str) -> dict:

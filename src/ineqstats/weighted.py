@@ -36,6 +36,8 @@ class WeightedCDF:
         weights = np.asarray(self.weights, dtype=float)
         if values.size == 0 or values.size != weights.size:
             raise DomainError("need matching, non-empty value and weight arrays")
+        if not (np.all(np.isfinite(values)) and np.all(np.isfinite(weights))):
+            raise DomainError("values and weights must be finite")
         if np.any(weights < 0):
             raise DomainError("weights must be non-negative")
         keep = weights > 0

@@ -181,9 +181,10 @@ class TestFitIncome:
         printed = capsys.readouterr().out
         assert "T=" in printed and "G=" in printed
         config = json.loads((out / "manifest.json").read_text())["config"]
-        assert config == {"subcommand": "fit-income", "input": str(income_csv),
-                          "mode": "at-or-above", "year": 2007, "exp_window": [0.1, 0.95],
-                          "tail_window": [0.001, 0.03], "no_refine": False, "out": str(out)}
+        # the config in effect: the flags given, and the library's defaults
+        assert config == {"input": str(income_csv), "mode": "at-or-above", "year": 2007,
+                          "exp_window": [0.1, 0.95], "tail_window": [0.001, 0.03],
+                          "refine": True}
 
     def test_tail_less_table_keeps_alpha_above_one(self, tmp_path):
         # a seeded table on which the search in ln(alpha - 1) runs so low
@@ -242,9 +243,28 @@ class TestEnergy:
         assert str(e) in manifest["inputs"]
         from ineqstats.io import sha256_file
         assert manifest["inputs"][str(e)] == sha256_file(e)
-        assert manifest["config"] == {"subcommand": "energy", "energy": str(e),
-                                      "population": str(p), "year": 1990,
-                                      "per_capita": True, "out": str(out)}
+        assert manifest["config"] == {"energy": str(e), "population": str(p),
+                                      "year": 1990, "per_capita": True}
+
+    def test_non_finite_cells_dropped(self, tmp_path):
+        e, p = tmp_path / "e.csv", tmp_path / "p.csv"
+        e.write_text("country,year,value\nA,2005,1\nB,2005,nan\nC,2005,inf\n"
+                     "D,2005,4\nE,2005,2\nF,2005,3\n")
+        p.write_text("country,year,value\nA,2005,10\nB,2005,10\nC,2005,10\n"
+                     "D,2005,nan\nE,2005,20\nF,2005,30\n")
+        out = tmp_path / "o"
+        code = dispatch(["energy", "--energy", str(e), "--population", str(p),
+                         "--year", "2005", "--per-capita", "--out", str(out)])
+        assert code == 0
+
+        def refuse(constant):
+            raise AssertionError(f"{constant} in summary.json")
+
+        summary = json.loads((out / "summary.json").read_text(), parse_constant=refuse)
+        assert summary["countries"] == 3
+        assert summary["world_avg_kw"] == pytest.approx((10 + 40 + 90) / 60)
+        assert "nan" not in (out / "cdf.csv").read_text()
+        assert "inf" not in (out / "cdf.csv").read_text()
 
     def test_empty_join_exit_code(self, tmp_path):
         e = tmp_path / "e.csv"
@@ -551,6 +571,16 @@ def test_fractional_income_count_names_its_line(tmp_path, capsys, income_csv):
     assert code == 1
     assert err.startswith(f"error: {path}:5: count must be a whole number")
     assert err.count("\n") == 1, err
+
+
+def test_non_finite_income_level_refused(tmp_path, capsys):
+    path = tmp_path / "table.csv"
+    path.write_text("level_kusd,returns_at_or_above\n0,100000\n10,80000\nnan,50000\n"
+                    "40,20000\ninf,100\n")
+    code = dispatch(["fit-income", "--input", str(path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == "error: income levels must be finite\n"
 
 
 @pytest.mark.parametrize("mode, counts, message", [

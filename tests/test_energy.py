@@ -37,6 +37,12 @@ class TestUnits:
         with pytest.raises(DomainError):
             CountryRecord("X", "XXX", 2005, 1.0, 0.0)
 
+    @pytest.mark.parametrize("energy, population", [(np.nan, 1.0), (np.inf, 1.0),
+                                                    (1.0, np.nan), (1.0, np.inf)])
+    def test_non_finite_refused(self, energy, population):
+        with pytest.raises(DomainError, match="must be finite"):
+            CountryRecord("X", "XXX", 2005, energy, population)
+
 
 def write_pair(tmp_path, energy_rows, population_rows):
     e = tmp_path / "energy.csv"
@@ -70,6 +76,16 @@ class TestIngest:
         assert len(records) == 1
         assert drops.n_dropped == 1
         assert drops.dropped[0][0] == "Narnia"
+
+    def test_non_finite_values_dropped_as_non_numeric(self, tmp_path):
+        e, p = write_pair(tmp_path,
+                          ["A,2005,1", "B,2005,nan", "C,2005,inf", "D,2005,4"],
+                          ["A,2005,10", "B,2005,10", "C,2005,10", "D,2005,nan"])
+        records, drops = ingest_wri(e, p, 2005)
+        assert [r.name for r in records] == ["A"]
+        assert drops.dropped == (("B", "non-numeric energy value"),
+                                 ("C", "non-numeric energy value"),
+                                 ("D", "non-numeric population value"))
 
     def test_format_error_carries_line(self, tmp_path):
         e = tmp_path / "energy.csv"
@@ -116,6 +132,8 @@ def reference_ingest(energy_csv, population_csv, year):
                     value = float(row[2])
                 except ValueError:
                     value = None
+                if value is not None and not np.isfinite(value):
+                    value = None
                 out[(row[0].strip(), row_year)] = value
         return out
 
@@ -161,7 +179,7 @@ _NAMES = st.sampled_from(["A", " A ", "B", "Korea, Rep.", "Côte d'Ivoire"])
 _YEAR_CELLS = st.sampled_from(YEARS).flatmap(
     lambda y: st.sampled_from([str(y), f" {y} ", f"{y} "]))
 _VALUES = st.sampled_from(["12", "7", " 4.5 ", "1e6", "2.5e-1", "0", "-3", "n/a",
-                           "", "..", " ", "x1"])
+                           "", "..", " ", "x1", "nan", "inf", "-inf"])
 _DATA_ROW = st.tuples(_NAMES, _YEAR_CELLS, _VALUES).map(list)
 _BLANK_ROW = st.lists(st.sampled_from(["", " ", "  ", "\t"]), min_size=0, max_size=4)
 # structural faults, none of them in a row of the requested year

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -52,6 +53,13 @@ class TestTable:
         with pytest.raises(DomainError):
             IncomeBinTable(np.array([1.0, 2.0]), np.array([1, -1]))
 
+    @pytest.mark.parametrize("levels", [[0.0, 10.0, np.nan, 40.0], [0.0, 10.0, np.inf],
+                                        [-np.inf, 0.0, 10.0]])
+    def test_non_finite_levels_refused(self, levels):
+        # a NaN passes the strictly-increasing test, as every comparison is False
+        with pytest.raises(DomainError, match="income levels must be finite"):
+            IncomeBinTable(np.array(levels), np.ones(len(levels), dtype=np.int64))
+
     def test_from_complementary(self):
         table = IncomeBinTable.from_complementary([0.0, 10.0, 20.0], [100, 40, 15])
         assert table.counts.tolist() == [60, 25, 15]
@@ -79,6 +87,84 @@ class TestTable:
         # power-law conditional mean 10 * 2 = 20 for alpha = 2
         table = IncomeBinTable(np.array([0.0, 10.0]), np.array([3, 1]))
         assert table.bin_incomes(2.0).mean == pytest.approx((3 * 5 + 20) / 4)
+
+
+def reference_from_csv(path, mode):
+    """The whole-file parse that ``IncomeBinTable.from_csv`` must match:
+    all rows read at once, the header and blank rows skipped, a short row
+    refused, then the table built from every level and count."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    levels, counts = [], []
+    for lineno, row in enumerate(rows[1:], start=2):
+        if not any(cell.strip() for cell in row):
+            continue
+        if len(row) < 2:
+            raise FormatError(f"{path}:{lineno}: expected two columns")
+        try:
+            level, count = float(row[0]), float(row[1])
+        except ValueError as exc:
+            raise FormatError(f"{path}:{lineno}: {exc}") from None
+        if count % 1 != 0:          # fractions, inf and NaN
+            raise FormatError(f"{path}:{lineno}: count must be a whole number; got {count!r}")
+        if abs(int(count)) > np.iinfo(np.int64).max:
+            raise FormatError(f"{path}:{lineno}: count {row[1]} lies beyond 64-bit counts")
+        levels.append(level)
+        counts.append(int(count))
+    if not levels:
+        raise FormatError(f"{path}: no data rows")
+    if mode == MODE_IN_BIN:
+        return IncomeBinTable(levels, counts)
+    return IncomeBinTable.from_complementary(levels, counts)
+
+
+def table_outcome(build):
+    try:
+        table = build()
+    except (FormatError, DomainError) as exc:
+        return type(exc).__name__, str(exc)
+    return table.levels.tolist(), table.counts.tolist()
+
+
+_BAD_COUNTS = st.sampled_from(["2.5", "x", "", " ", "1e20", "inf", "nan", "-3"])
+_BAD_LEVELS = st.sampled_from(["ten", "", " "])
+_BLANK_CELLS = st.lists(st.sampled_from(["", " ", "  ", "\t"]), min_size=0, max_size=4)
+_SHORT_ROWS = st.sampled_from([["5"], ["x"], [" 7 "], [""]])
+
+
+@st.composite
+def income_file_rows(draw):
+    """Data rows with rising levels and mostly falling whole counts, mixed
+    with blank rows of any width, short rows and faulty cells."""
+    rows, level, count = [], 0, 1000
+    for kind in draw(st.lists(st.sampled_from("dddddbsf"), min_size=1, max_size=12)):
+        if kind == "b":
+            rows.append(draw(_BLANK_CELLS))
+        elif kind == "s":
+            rows.append(draw(_SHORT_ROWS))
+        else:
+            level += draw(st.integers(1, 20))
+            count -= draw(st.integers(0, 200))
+            cells = [draw(st.sampled_from([str(level), f" {level} ", f"{level}.0"])),
+                     draw(st.sampled_from([str(count), f" {count}", f"{count}e0"]))]
+            if kind == "f":
+                cells[draw(st.integers(0, 1))] = draw(st.one_of(_BAD_LEVELS, _BAD_COUNTS))
+            rows.append(cells + draw(st.sampled_from([[], ["note"], [""]])))
+    return rows
+
+
+class TestFromCsvMatchesWholeFileParse:
+    @seed(20261019)
+    @settings(max_examples=250, deadline=None)
+    @given(rows=income_file_rows(), mode=st.sampled_from([MODE_IN_BIN, MODE_AT_OR_ABOVE]))
+    def test_same_table_or_error(self, tmp_path_factory, rows, mode):
+        path = tmp_path_factory.mktemp("income") / "table.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["level_kusd", "returns"])
+            writer.writerows(rows)
+        assert (table_outcome(lambda: IncomeBinTable.from_csv(path, mode=mode))
+                == table_outcome(lambda: reference_from_csv(path, mode)))
 
 
 class TestEmpiricalCdf:

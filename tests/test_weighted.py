@@ -27,6 +27,13 @@ class TestWeightedCdf:
         with pytest.raises(DomainError):
             WeightedCDF(np.array([1.0, 2.0]), np.array([0.0, 0.0]))
 
+    @pytest.mark.parametrize("values, weights", [([1.0, np.nan], [1.0, 1.0]),
+                                                 ([np.inf], [1.0]), ([1.0], [np.nan]),
+                                                 ([1.0, 2.0], [np.inf, 1.0])])
+    def test_non_finite_refused(self, values, weights):
+        with pytest.raises(DomainError, match="must be finite"):
+            WeightedCDF(np.array(values), np.array(weights))
+
     @given(st.lists(st.tuples(st.floats(min_value=0.0, max_value=1e6),
                               st.floats(min_value=0.1, max_value=1e6)),
                     min_size=1, max_size=50))
