@@ -18,7 +18,7 @@ import numpy as np
 
 from .distributions import LorenzCurve
 from .errors import DomainError, EmptyJoinError, FormatError
-from .io import read_csv_rows, usable_row
+from .io import read_csv_rows, record_line, usable_row
 from .weighted import WeightedCDF
 
 __all__ = [
@@ -87,16 +87,17 @@ def _read_country_year_csv(path, year: int) -> dict[str, float | None]:
     Each distinct year cell is parsed once."""
     years: dict[str, int] = {}
     out: dict[str, float | None] = {}
-    for lineno, row in read_csv_rows(path):
+    for record, row in read_csv_rows(path):
         try:
             row_year, cell = years[row[1]], row[2]   # a short row raises in any year
         except (KeyError, IndexError):
-            if not usable_row(path, lineno, row, 3, "country,year,value"):
+            if not usable_row(path, record, row, 3, "country,year,value"):
                 continue
             try:
                 row_year = years[row[1]] = int(row[1])
             except ValueError as exc:
-                raise FormatError(f"{path}:{lineno}: bad year {row[1]!r}") from exc
+                raise FormatError(f"{path}:{record_line(path, record)}: "
+                                  f"bad year {row[1]!r}") from exc
             cell = row[2]
         if row_year != year:
             continue

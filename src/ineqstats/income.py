@@ -16,7 +16,9 @@ crossover region, the tail window is not yet asymptotic), so
 ``fit_report`` by default follows up with a joint least-squares
 refinement of (T, alpha, r0) on the per-bin masses, weighted by counts.
 Per-bin residuals are close to independent, unlike cumulative-CDF
-residuals, which makes the refinement statistically well behaved.
+residuals, which makes the refinement statistically well behaved.  It is
+a Levenberg-Marquardt search, typically 20-40 CDF evaluations per table;
+``refine_parameters`` gives its step cap and stopping rule.
 
 Stage 3, the refinement and the final residual only ever need the model
 CDF at the table's own levels, so each evaluates it through one
@@ -36,7 +38,7 @@ import numpy as np
 from .distributions import LevelQuadrature, TwoClassModel, class_boundary
 from .errors import (DomainError, FormatError, InsufficientDataError,
                      NoIntersectionError)
-from .io import read_csv_rows, usable_row, whole_number
+from .io import read_csv_rows, record_line, usable_row, whole_number
 from .weighted import WeightedCDF
 
 __all__ = [
@@ -59,8 +61,13 @@ MODE_AT_OR_ABOVE = "at-or-above"
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _GOLDEN_ITERATIONS = 40      # golden-section steps of the crossover search
-_SIMPLEX_STEP = 0.12         # initial simplex offsets, in the log parameters
-_SIMPLEX_ITERATIONS = 220    # Nelder-Mead steps of the joint refinement
+_LM_DAMPING = 1e-3           # initial Levenberg-Marquardt damping
+_LM_DIFF_STEP = 1e-6         # forward-difference step, in the log parameters
+_LM_MAX_STEP = 1.0           # largest move of one log parameter in one step
+_LM_MIN_STEP = 1e-10         # a shorter step ends the refinement
+_LM_RTOL = 1e-12             # so does a relative decrease no larger than this
+_LM_ITERATIONS = 100
+_LN_MAX = 700.0              # math.exp leaves the normal floats beyond +-708
 _COMP_MIN = 1e-4             # lowest complementary-CDF target of a sampled table
 _INT64 = np.iinfo(np.int64)
 
@@ -114,16 +121,16 @@ class IncomeBinTable:
         """Read `level_kusd,<counts>` rows; ``mode`` says whether the count
         column is per-bin or at-or-above."""
         levels, counts = [], []
-        for lineno, row in read_csv_rows(path):
+        for record, row in read_csv_rows(path):
             try:
                 level = float(row[0])
                 count = whole_number(float(row[1]), "count")
                 if abs(count) > _INT64.max:
                     raise ValueError(f"count {row[1]} lies beyond 64-bit counts")
             except (ValueError, IndexError) as exc:
-                if not usable_row(path, lineno, row, 2, "two columns"):
+                if not usable_row(path, record, row, 2, "two columns"):
                     continue
-                raise FormatError(f"{path}:{lineno}: {exc}") from exc
+                raise FormatError(f"{path}:{record_line(path, record)}: {exc}") from exc
             levels.append(level)
             counts.append(count)
         if not levels:
@@ -282,43 +289,51 @@ def fit_crossover(cdf: WeightedCDF, temperature: float,
 # ---------------------------------------------------------------------------
 
 
-def _nelder_mead(func, x0):
-    """Minimal Nelder-Mead simplex for the 3-parameter refinement."""
-    x0 = np.asarray(x0, dtype=float)
-    n = x0.size
-    points = [x0]
-    for i in range(n):
-        p = x0.copy()
-        p[i] += _SIMPLEX_STEP
-        points.append(p)
-    values = [func(p) for p in points]
-    for _ in range(_SIMPLEX_ITERATIONS):
-        order = np.argsort(values)
-        points = [points[i] for i in order]
-        values = [values[i] for i in order]
-        centroid = np.mean(points[:-1], axis=0)
-        reflected = centroid + (centroid - points[-1])
-        f_r = func(reflected)
-        if f_r < values[0]:
-            expanded = centroid + 2.0 * (centroid - points[-1])
-            f_e = func(expanded)
-            if f_e < f_r:
-                points[-1], values[-1] = expanded, f_e
+def _levenberg_marquardt(residuals, x0):
+    """Minimise |residuals(x)|^2 from x0 by damped Gauss-Newton steps.
+
+    ``residuals(x)`` is None where x is undefined (never at x0).  Each
+    step solves (J'J + lam D) dx = -J'r, with J by forward differences
+    (backward where the forward point is undefined) and D the diagonal of
+    J'J floored at 1e-12 of its largest entry, then shrinks dx so that no
+    coordinate moves by more than _LM_MAX_STEP.  A step that does not
+    lower the sum of squares is refused and lam grows tenfold; an
+    accepted one divides lam by ten.
+    """
+    x = np.asarray(x0, dtype=float)
+    r = residuals(x)
+    cost = float(r @ r)
+    lam = _LM_DAMPING
+    for _ in range(_LM_ITERATIONS):
+        jac = np.empty((r.size, x.size))
+        for i, h in enumerate(np.eye(x.size) * _LM_DIFF_STEP):
+            r_h = residuals(x + h)
+            if r_h is not None:
+                jac[:, i] = (r_h - r) / _LM_DIFF_STEP
             else:
-                points[-1], values[-1] = reflected, f_r
-        elif f_r < values[-2]:
-            points[-1], values[-1] = reflected, f_r
-        else:
-            contracted = centroid + 0.5 * (points[-1] - centroid)
-            f_c = func(contracted)
-            if f_c < values[-1]:
-                points[-1], values[-1] = contracted, f_c
-            else:
-                for i in range(1, n + 1):
-                    points[i] = points[0] + 0.5 * (points[i] - points[0])
-                    values[i] = func(points[i])
-    best = int(np.argmin(values))
-    return points[best], values[best]
+                r_h = residuals(x - h)
+                jac[:, i] = 0.0 if r_h is None else (r - r_h) / _LM_DIFF_STEP
+        a = jac.T @ jac
+        g = jac.T @ r
+        d = np.diag(a)
+        if not d.max() > 0:   # the residuals do not move at all
+            break
+        d = np.maximum(d, 1e-12 * d.max())
+        while True:
+            step = np.linalg.solve(a + lam * np.diag(d), -g)
+            step *= min(1.0, _LM_MAX_STEP / np.abs(step).max(initial=1e-300))
+            if np.abs(step).max() < _LM_MIN_STEP:
+                return x
+            r_new = residuals(x + step)
+            cost_new = math.inf if r_new is None else float(r_new @ r_new)
+            if cost_new < cost:
+                break
+            lam *= 10.0
+        lam /= 10.0
+        x, r, decrease, cost = x + step, r_new, cost - cost_new, cost_new
+        if decrease <= _LM_RTOL * (cost + decrease):
+            break
+    return x
 
 
 def refine_parameters(table: IncomeBinTable, temperature: float, alpha: float,
@@ -327,32 +342,38 @@ def refine_parameters(table: IncomeBinTable, temperature: float, alpha: float,
 
     Minimises sum_n w_n ln^2(q_n / p_n) over the observed bin fractions
     q_n, with model bin masses p_n and weights w_n = counts (the inverse
-    variance of ln q_n up to a constant).  The search runs in
-    (ln T, ln(alpha-1), ln r0) with 220 Nelder-Mead steps from a simplex
-    seeded at the staged estimates.
+    variance of ln q_n up to a constant), as the squared length of the
+    residuals sqrt(w_n) ln(q_n / p_n).  The search runs in
+    (ln T, ln(alpha-1), ln r0) from the staged estimates by
+    Levenberg-Marquardt with a forward-difference Jacobian: each step
+    moves no log parameter by more than 1, so the runaway fits of
+    tail-less tables walk out instead of jumping, and the search stops
+    when the sum of squares falls by at most 1e-12 of itself, when the
+    step falls below 1e-10, or after 100 iterations.  A point where alpha
+    rounds to 1, a log parameter lies beyond +-700 (where math.exp
+    overflows or underflows) or the CCDF is NaN is refused.
     """
     counts = table.counts
-    total = table.total
-    q = counts / total
+    q = counts / table.total
     pos = counts > 0
-    weights = counts[pos].astype(float)
+    ln_q = np.log(q[pos])
+    sqrt_w = np.sqrt(counts[pos].astype(float))
     quadrature = LevelQuadrature(table.levels)
 
-    def objective(x):
+    def residuals(x):
+        if np.abs(x).max() > _LN_MAX:
+            return None
         alpha = 1.0 + math.exp(x[1])
         if alpha <= 1.0:   # ln(alpha - 1) so low that alpha rounds to 1
-            return math.inf
+            return None
         comp = quadrature.ccdf(math.exp(x[0]), alpha, math.exp(x[2]))
-        p = np.empty_like(q)
-        p[:-1] = comp[:-1] - comp[1:]
-        p[-1] = comp[-1]
-        p = np.maximum(p, 1e-300)
-        value = float(np.sum(weights * np.log(q[pos] / p[pos]) ** 2))
+        p = np.append(comp[:-1] - comp[1:], comp[-1])
+        res = sqrt_w * (ln_q - np.log(np.maximum(p[pos], 1e-300)))
         # a NaN CCDF (0/0 where every density underflows) rejects the point
-        return math.inf if math.isnan(value) else value
+        return None if math.isnan(res.sum()) else res
 
     x0 = [math.log(temperature), math.log(max(alpha - 1.0, 1e-3)), math.log(r0)]
-    best, _ = _nelder_mead(objective, x0)
+    best = _levenberg_marquardt(residuals, x0)
     return math.exp(best[0]), 1.0 + math.exp(best[1]), math.exp(best[2])
 
 

@@ -17,8 +17,8 @@ from pathlib import Path
 from .errors import DomainError, FormatError
 
 __all__ = ["format_cell", "write_csv", "write_json", "sha256_file", "read_text",
-           "read_csv_rows", "usable_row", "json_object", "build_config", "load_config",
-           "whole_number"]
+           "read_csv_rows", "record_line", "usable_row", "json_object", "build_config",
+           "load_config", "whole_number"]
 
 
 def format_cell(value) -> str:
@@ -61,10 +61,11 @@ def read_text(path) -> str:
 
 
 def read_csv_rows(path):
-    """Yield (lineno, row) for every row of a UTF-8 CSV file after its
-    header line, blank and short rows included; a caller hands a row that
-    fails to parse to ``usable_row``.  Bytes that are not UTF-8 raise
-    FormatError."""
+    """Yield (record, row) for every row of a UTF-8 CSV file after its
+    header, blank and short rows included, numbering records from 2 (the
+    header is record 1); a caller hands a row that fails to parse to
+    ``usable_row`` and names it in an error by ``record_line``.  Bytes
+    that are not UTF-8 raise FormatError."""
     with open(path, newline="", encoding="utf-8") as fh:
         try:
             reader = csv.reader(fh)
@@ -74,14 +75,27 @@ def read_csv_rows(path):
             raise _not_utf8(path, exc) from exc
 
 
-def usable_row(path, lineno: int, row: list[str], n_columns: int, expected: str) -> bool:
+def record_line(path, record: int) -> int:
+    """The file line on which CSV record ``record`` of ``path`` starts,
+    numbered as ``read_csv_rows`` numbers records.  The two differ after
+    a quoted cell that spans lines, so the file is read again up to the
+    record; only an error message pays for that."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        for _ in range(record - 1):
+            next(reader)
+        return reader.line_num + 1
+
+
+def usable_row(path, record: int, row: list[str], n_columns: int, expected: str) -> bool:
     """Whether a row that failed to parse is an error: False for a blank
     row, which the caller skips; ``FormatError("path:line: expected
-    <expected>")`` for a row of fewer than ``n_columns`` cells; else True."""
+    <expected>")`` for a row of fewer than ``n_columns`` cells, naming the
+    file line the record starts on; else True."""
     if not "".join(row).strip():
         return False
     if len(row) < n_columns:
-        raise FormatError(f"{path}:{lineno}: expected {expected}")
+        raise FormatError(f"{path}:{record_line(path, record)}: expected {expected}")
     return True
 
 

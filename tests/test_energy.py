@@ -110,17 +110,29 @@ class TestIngest:
         with pytest.raises(FormatError, match=r"energy.csv:3: bad year '19x0'"):
             ingest_wri(e, p, 2005)
 
+    def test_errors_name_the_file_line_after_a_multi_line_name(self, tmp_path):
+        # record 3 starts on file line 4: the quoted name of record 2 spans two lines
+        e, p = write_pair(tmp_path, ['"A\nB",2005,1', "USA,19x0,1"], ["USA,2005,1"])
+        with pytest.raises(FormatError, match=r"energy\.csv:4: bad year '19x0'"):
+            ingest_wri(e, p, 2005)
+        e, p = write_pair(tmp_path, ['"A\nB",2005,1', "USA,2005"], ["USA,2005,1"])
+        with pytest.raises(FormatError, match=r"energy\.csv:4: expected country,year,value"):
+            ingest_wri(e, p, 2005)
+
 
 def reference_ingest(energy_csv, population_csv, year):
     """The whole-file join that ``ingest_wri`` must match: parse every row
     of both files into (name, year) keys, then keep the requested year.
     Returns ("format", message) or ("join", [(name, energy, population)],
-    dropped)."""
+    dropped).  A row is named by the file line it starts on: each earlier
+    row took one line plus one per line break inside its cells."""
     def parse(path):
         out = {}
         with open(path, newline="", encoding="utf-8") as fh:
-            for lineno, row in enumerate(csv.reader(fh), start=1):
-                if lineno == 1 or not any(cell.strip() for cell in row):
+            rows = list(csv.reader(fh))
+            starts = np.cumsum([1] + [1 + "".join(row).count("\n") for row in rows])
+            for lineno, row in zip(starts[1:], rows[1:]):
+                if not any(cell.strip() for cell in row):
                     continue
                 if len(row) < 3:
                     raise FormatError(f"{path}:{lineno}: expected country,year,value")
@@ -175,7 +187,7 @@ def ingest_outcome(energy_csv, population_csv, year):
 
 
 YEARS = (1990, 2000, 2005)
-_NAMES = st.sampled_from(["A", " A ", "B", "Korea, Rep.", "Côte d'Ivoire"])
+_NAMES = st.sampled_from(["A", " A ", "B", "Korea, Rep.", "Côte d'Ivoire", "Saint\nLucia"])
 _YEAR_CELLS = st.sampled_from(YEARS).flatmap(
     lambda y: st.sampled_from([str(y), f" {y} ", f"{y} "]))
 _VALUES = st.sampled_from(["12", "7", " 4.5 ", "1e6", "2.5e-1", "0", "-3", "n/a",

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import assume, given, seed, settings, strategies as st
+from scipy.optimize import least_squares
 
 from ineqstats import (DomainError, FormatError, IncomeBinTable,
                        InsufficientDataError, TwoClassModel,
@@ -12,6 +13,7 @@ from ineqstats import (DomainError, FormatError, IncomeBinTable,
                        fit_pareto_exponent, fit_report, fit_temperature,
                        lorenz_exponential, refine_parameters,
                        sample_income_table)
+from ineqstats.distributions import LevelQuadrature
 from ineqstats.income import MODE_AT_OR_ABOVE, MODE_IN_BIN
 
 
@@ -42,6 +44,22 @@ def alpha_underflow_table():
     comp = np.exp(-levels / T)
     mass = np.append(comp[:-1] - comp[1:], comp[-1])
     return IncomeBinTable(levels, rng.poisson(80624 * mass))
+
+
+def tailless_tables(count):
+    """The first ``count`` tables of the seeded tail-less fuzz: T ~ U(5, 200),
+    10-60 levels on [0, U(3, 8) T], 10^U(4, 9) returns with exponential
+    complementary counts, Poisson-resampled per bin in odd tables."""
+    rng = np.random.default_rng(300)
+    for i in range(count):
+        T = rng.uniform(5, 200)
+        n_levels = int(rng.integers(10, 61))
+        levels = np.linspace(0.0, rng.uniform(3, 8) * T, n_levels)
+        comp = np.round(10 ** rng.uniform(4, 9) * np.exp(-levels / T)).astype(np.int64)
+        counts = np.append(comp[:-1] - comp[1:], comp[-1])
+        if i % 2:
+            counts = rng.poisson(counts.astype(float))
+        yield levels, counts
 
 
 class TestTable:
@@ -82,6 +100,16 @@ class TestTable:
         with pytest.raises(FormatError, match="bad.csv:3"):
             IncomeBinTable.from_csv(path)
 
+    def test_csv_errors_name_the_file_line_after_a_multi_line_cell(self, tmp_path):
+        # record 3 starts on file line 4: the quoted level of record 2 spans two lines
+        path = tmp_path / "bad.csv"
+        path.write_text('level_kusd,returns_at_or_above\n"0\n",100\nten,50\n')
+        with pytest.raises(FormatError, match=r"bad\.csv:4: could not convert"):
+            IncomeBinTable.from_csv(path)
+        path.write_text('level_kusd,returns_at_or_above\n"0\n",100\n10\n')
+        with pytest.raises(FormatError, match=r"bad\.csv:4: expected two columns"):
+            IncomeBinTable.from_csv(path)
+
     def test_mean_income_top_bin_convention(self):
         # two bins: [0, 10) with 3 returns, [10, inf) with 1 return at the
         # power-law conditional mean 10 * 2 = 20 for alpha = 2
@@ -92,11 +120,14 @@ class TestTable:
 def reference_from_csv(path, mode):
     """The whole-file parse that ``IncomeBinTable.from_csv`` must match:
     all rows read at once, the header and blank rows skipped, a short row
-    refused, then the table built from every level and count."""
+    refused, then the table built from every level and count.  A row is
+    named by the file line it starts on: each earlier row took one line
+    plus one per line break inside its cells."""
     with open(path, newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
+    starts = np.cumsum([1] + [1 + "".join(row).count("\n") for row in rows])
     levels, counts = [], []
-    for lineno, row in enumerate(rows[1:], start=2):
+    for lineno, row in zip(starts[1:], rows[1:]):
         if not any(cell.strip() for cell in row):
             continue
         if len(row) < 2:
@@ -127,7 +158,7 @@ def table_outcome(build):
 
 
 _BAD_COUNTS = st.sampled_from(["2.5", "x", "", " ", "1e20", "inf", "nan", "-3"])
-_BAD_LEVELS = st.sampled_from(["ten", "", " "])
+_BAD_LEVELS = st.sampled_from(["ten", "", " ", "1\n0"])
 _BLANK_CELLS = st.lists(st.sampled_from(["", " ", "  ", "\t"]), min_size=0, max_size=4)
 _SHORT_ROWS = st.sampled_from([["5"], ["x"], [" 7 "], [""]])
 
@@ -135,7 +166,8 @@ _SHORT_ROWS = st.sampled_from([["5"], ["x"], [" 7 "], [""]])
 @st.composite
 def income_file_rows(draw):
     """Data rows with rising levels and mostly falling whole counts, mixed
-    with blank rows of any width, short rows and faulty cells."""
+    with blank rows of any width, short rows and faulty cells; a level
+    cell may span two file lines."""
     rows, level, count = [], 0, 1000
     for kind in draw(st.lists(st.sampled_from("dddddbsf"), min_size=1, max_size=12)):
         if kind == "b":
@@ -145,7 +177,8 @@ def income_file_rows(draw):
         else:
             level += draw(st.integers(1, 20))
             count -= draw(st.integers(0, 200))
-            cells = [draw(st.sampled_from([str(level), f" {level} ", f"{level}.0"])),
+            cells = [draw(st.sampled_from([str(level), f" {level} ", f"{level}.0",
+                                           f"{level}\n"])),
                      draw(st.sampled_from([str(count), f" {count}", f"{count}e0"]))]
             if kind == "f":
                 cells[draw(st.integers(0, 1))] = draw(st.one_of(_BAD_LEVELS, _BAD_COUNTS))
@@ -378,8 +411,80 @@ class TestRefinedPipeline:
         fit_report(table_2007)
         assert len(builds) <= 1
 
+    @pytest.mark.filterwarnings("error")
+    def test_runaway_fits_stay_finite_or_refuse(self):
+        # on tables without a tail alpha and r0 run away; every step moves
+        # a log parameter by at most 1, so they walk out and never overflow
+        outcomes = []
+        for levels, counts in tailless_tables(40):
+            try:
+                report = fit_report(IncomeBinTable(levels, counts))
+            except (InsufficientDataError, DomainError) as exc:
+                outcomes.append(type(exc).__name__)
+                continue
+            assert all(math.isfinite(v) for v in
+                       (report.temperature, report.alpha, report.r0))
+            assert report.alpha > 1.0
+            outcomes.append("fit")
+        # the staged fits refuse five tables; every other one fits
+        assert outcomes.count("fit") == 35
+
     def test_refine_parameters_standalone(self, model_2007, table_2007):
         T, alpha, r0 = refine_parameters(table_2007, 51.0, 1.6, 80.0)
         assert abs(T / 48 - 1) < 0.02
         assert abs(alpha / 1.34 - 1) < 0.05
         assert abs(r0 / 113 - 1) < 0.10
+
+
+def weighted_log_residuals(table, x):
+    """sqrt(n_k) ln(q_k / p_k) over the bins with returns, at the log
+    parameters x = (ln T, ln(alpha - 1), ln r0)."""
+    pos = table.counts > 0
+    comp = LevelQuadrature(table.levels).ccdf(math.exp(x[0]), 1.0 + math.exp(x[1]),
+                                              math.exp(x[2]))
+    p = np.append(comp[:-1] - comp[1:], comp[-1])[pos]
+    return np.sqrt(table.counts[pos]) * np.log(table.counts[pos] / table.total / p)
+
+
+def staged_start(table):
+    staged = fit_report(table, refine=False)
+    return staged.temperature_staged, max(staged.alpha_staged, 1.01), staged.r0_staged
+
+
+def seeded_table(params, rng_seed):
+    return sample_income_table(TwoClassModel(*params), 100_000,
+                               np.random.default_rng(rng_seed), n_levels=50)
+
+
+class TestRefinementReachesTheMinimum:
+    @pytest.mark.parametrize("params, rng_seed", [(None, None),
+                                                  ((40.0, 1.5, 100.0), 90210),
+                                                  ((33.0, 1.63, 76.0), 7),
+                                                  ((60.0, 1.3, 141.0), 11)])
+    def test_matches_least_squares_oracle(self, table_2007, params, rng_seed):
+        table = table_2007 if params is None else seeded_table(params, rng_seed)
+        T, alpha, r0 = staged_start(table)
+        x0 = [math.log(T), math.log(alpha - 1.0), math.log(r0)]
+        oracle = least_squares(lambda x: weighted_log_residuals(table, x), x0,
+                               method="lm", xtol=1e-15, ftol=1e-15, gtol=1e-15)
+        refined = refine_parameters(table, T, alpha, r0)
+        x = [math.log(refined[0]), math.log(refined[1] - 1.0), math.log(refined[2])]
+        objective = float(np.sum(weighted_log_residuals(table, x) ** 2))
+        assert objective == pytest.approx(float(oracle.fun @ oracle.fun), rel=1e-10)
+        expected = np.exp(oracle.x) + [0.0, 1.0, 0.0]
+        assert np.allclose(refined, expected, rtol=1e-5, atol=0.0)
+
+    def test_evaluation_budget(self, table_2007, monkeypatch):
+        # a least-squares step reaches the minimum in about 25 CCDF
+        # evaluations; a 220-step simplex needed over 500
+        start = staged_start(table_2007)
+        calls = []
+        ccdf = LevelQuadrature.ccdf
+
+        def counting(self, *args):
+            calls.append(args)
+            return ccdf(self, *args)
+
+        monkeypatch.setattr(LevelQuadrature, "ccdf", counting)
+        refine_parameters(table_2007, *start)
+        assert 0 < len(calls) <= 60

@@ -1,7 +1,7 @@
 import pytest
 
 from ineqstats import FormatError
-from ineqstats.io import read_csv_rows, usable_row
+from ineqstats.io import read_csv_rows, record_line, usable_row
 
 
 @pytest.mark.parametrize("row", [[], [""], [" ", "\t"], ["", "", "", ""]])
@@ -10,9 +10,22 @@ def test_blank_row_is_skipped(row):
 
 
 @pytest.mark.parametrize("row", [["A"], ["A", "2005"], ["", "2005"]])
-def test_short_row_names_its_line(row):
+def test_short_row_names_its_line(row, tmp_path, monkeypatch):
+    # the line is looked up in the file, where record 4 starts on line 4
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "t.csv").write_text("country,year,value\nA,2005,1\nB,2005,2\nC\n")
     with pytest.raises(FormatError, match=r"^t\.csv:4: expected country,year,value$"):
         usable_row("t.csv", 4, row, 3, "country,year,value")
+
+
+def test_record_line_counts_the_lines_of_quoted_cells(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text('country,year,value\n"A\nB",2005,1\n\n"C\n\nD",2005,2\nE\n')
+    records = [record for record, _ in read_csv_rows(path)]
+    assert records == [2, 3, 4, 5]
+    assert [record_line(path, record) for record in records] == [2, 4, 5, 8]
+    with pytest.raises(FormatError, match=r"t\.csv:8: expected country,year,value$"):
+        usable_row(path, 5, ["E"], 3, "country,year,value")
 
 
 @pytest.mark.parametrize("row", [["A", "x", "1"], ["", "", "1"], ["A", "2005", "1", "z"]])
