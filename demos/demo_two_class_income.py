@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ineqstats import (TwoClassModel, empirical_cdf_income, fit_report,
+from ineqstats import (TwoClassModel, WeightedCDF, fit_report,
                        sample_income_table)
 from ineqstats.io import write_csv
 
@@ -31,7 +31,7 @@ table = sample_income_table(truth, 100_000, rng, n_levels=50, year=2007)
 print(f"\nsynthetic table: {table.total:,} returns over {len(table.levels)} levels "
       f"spanning {table.levels[1]:.1f} .. {table.levels[-1]:.0f} k$")
 
-cdf = empirical_cdf_income(table)
+cdf = WeightedCDF(table.levels, table.counts)
 write_csv(OUT / "income_cdf.csv", ("r", "C"), cdf.rows())
 
 report = fit_report(table)

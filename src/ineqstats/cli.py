@@ -121,10 +121,10 @@ def _run_coupled(out: Path, config: CoupledConfig) -> list[str]:
     ens1 = init_ensemble(config.n_agents, config.total_money_quanta)
     ens2 = init_ensemble(config.n_agents2, config.total_money_quanta2)
     rng = np.random.default_rng(config.seed)
-    run_simulation(ens1, rule, config.steps, rng=rng)
-    run_simulation(ens2, rule, config.steps, rng=rng)
+    run_simulation(ens1, rule, config.steps, seed=rng)
+    run_simulation(ens2, rule, config.steps, seed=rng)
     report = couple_systems(ens1, ens2, rule, config.events,
-                            config.migration_rate, rng=rng)
+                            config.migration_rate, seed=rng)
     (out / "flux.json").write_text(report.to_json() + "\n", encoding="utf-8")
     for tag, ens in (("1", ens1), ("2", ens2)):
         hist = BinnedHistogram.from_ensemble(ens, origin=rule.floor)

@@ -277,6 +277,8 @@ class LorenzCurve:
         object.__setattr__(self, "y", y)
         if x.size < 2 or x.size != y.size:
             raise MalformedCurveError("a Lorenz curve needs at least two (x, y) points")
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+            raise MalformedCurveError("Lorenz coordinates must be finite")
         if abs(x[0]) > _CURVE_TOL or abs(y[0]) > _CURVE_TOL:
             raise MalformedCurveError("Lorenz curve must start at (0, 0)")
         if abs(x[-1] - 1) > _CURVE_TOL or abs(y[-1] - 1) > _CURVE_TOL:
@@ -368,8 +370,8 @@ def class_boundary(T: float, alpha: float, exp_prefactor: float,
     upper_fraction) where upper_fraction = exp(-r*/T) is the implied
     population share of the upper class.
     """
-    if T <= 0 or alpha <= 0 or exp_prefactor <= 0 or pl_prefactor <= 0:
-        raise DomainError("class_boundary needs positive T, alpha and prefactors")
+    if not all(math.isfinite(v) and v > 0 for v in (T, alpha, exp_prefactor, pl_prefactor)):
+        raise DomainError("class_boundary needs finite, positive T, alpha and prefactors")
 
     def gap(r):
         return math.log(exp_prefactor) - r / T - math.log(pl_prefactor) + alpha * math.log(r)

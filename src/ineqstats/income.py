@@ -47,7 +47,6 @@ __all__ = [
     "ParetoFit",
     "CrossoverFit",
     "FitReport",
-    "empirical_cdf_income",
     "fit_temperature",
     "fit_pareto_exponent",
     "fit_crossover",
@@ -150,12 +149,6 @@ class IncomeBinTable:
         top = self.levels[-1] * top_bin_alpha / (top_bin_alpha - 1.0)
         mid = 0.5 * (self.levels[:-1] + self.levels[1:])
         return WeightedCDF(np.append(mid, top), self.counts)
-
-
-def empirical_cdf_income(table: IncomeBinTable) -> WeightedCDF:
-    """Complementary CDF at the table levels: share of returns at or
-    above each level.  Equals 1 at the lowest level by construction."""
-    return WeightedCDF(table.levels, table.counts)
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +423,7 @@ def fit_report(table: IncomeBinTable,
     f = 1 - T/<r> (clamped at 0 for tail-less data), G = (1 + f)/2, and
     the class boundary r* from the intersection of the two staged fits.
     """
-    cdf = empirical_cdf_income(table)
+    cdf = WeightedCDF(table.levels, table.counts)
     tfit = fit_temperature(cdf, exp_window)
     pfit = fit_pareto_exponent(cdf, tail_window)
     xfit = fit_crossover(cdf, tfit.temperature, max(pfit.alpha, 1.01))

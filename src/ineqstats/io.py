@@ -18,7 +18,7 @@ from .errors import DomainError, FormatError
 
 __all__ = ["format_cell", "write_csv", "write_json", "sha256_file", "read_text",
            "read_csv_rows", "record_line", "usable_row", "json_object", "build_config",
-           "load_config", "whole_number"]
+           "whole_number"]
 
 
 def format_cell(value) -> str:
@@ -118,11 +118,6 @@ def build_config(cls, values: dict, what: str):
     except TypeError as exc:
         raise DomainError(f"{what}: {exc}") from exc
     return cls(**values)
-
-
-def load_config(cls, text: str, what: str):
-    """``build_config`` on the JSON object in ``text``."""
-    return build_config(cls, json_object(text, what), what)
 
 
 def whole_number(value, what: str) -> int:

@@ -22,9 +22,10 @@ offered.)
 pairs drawn from a fresh random permutation.  Within a round the pairs
 share no agent, so the round is equivalent to N//2 sequential steps; the
 batching exists purely so that 1e8 attempts vectorise to seconds.
-``exchange_step`` performs one literal attempt for callers that need
-step-level control.  ``couple_systems`` runs its events one at a time,
-but draws their random numbers up front, a block of events at a time.
+``couple_systems`` runs its events one at a time, but draws their random
+numbers up front, a block of events at a time.  Both take ``seed`` as an
+int, None or a ``numpy.random.Generator``; a Generator is used as given,
+so one generator can drive several calls in turn.
 
 Balances are int64.  Rules and ensembles whose reachable balances would
 not fit are rejected up front, so no balance can wrap.
@@ -56,7 +57,6 @@ __all__ = [
     "Trajectory",
     "init_ensemble",
     "run_from_config",
-    "exchange_step",
     "run_simulation",
     "entropy",
     "multiplicity_exact",
@@ -151,37 +151,10 @@ def init_ensemble(n_agents: int, total_quanta: int) -> AgentEnsemble:
 
 
 def _draw_amounts(rule: ExchangeRule, rng: np.random.Generator,
-                  size: int | None = None):
+                  size: int) -> np.ndarray:
     if rule.kind == RULE_FIXED:
-        return rule.delta if size is None else np.full(size, rule.delta, dtype=np.int64)
+        return np.full(size, rule.delta, dtype=np.int64)
     return rng.integers(1, rule.delta + 1, size=size)
-
-
-def exchange_step(ens: AgentEnsemble, rule: ExchangeRule,
-                  rng: np.random.Generator,
-                  pair: tuple[int, int] | None = None) -> bool:
-    """One exchange attempt.  Picks an ordered pair (payer, receiver)
-    uniformly among distinct agents (or uses ``pair``), draws the amount
-    per the rule, and applies it unless the payer would drop below the
-    floor.  Returns True if the transfer was applied."""
-    n = ens.n
-    if pair is None:
-        if n < 2:
-            return False
-        i = int(rng.integers(n))
-        j = int(rng.integers(n - 1))
-        if j >= i:
-            j += 1
-    else:
-        i, j = pair
-        if i == j:
-            raise DomainError("payer and receiver must differ")
-    amount = _draw_amounts(rule, rng)   # one scalar amount
-    if ens.balances[i] - amount < rule.floor:
-        return False
-    ens.balances[i] -= amount
-    ens.balances[j] += amount
-    return True
 
 
 def _run_round(balances: np.ndarray, rule: ExchangeRule,
@@ -277,6 +250,12 @@ def temperature_and_potential(ens: AgentEnsemble, m_star: float = 1.0) -> tuple[
     return T, mu
 
 
+def _check_checkpoint_every(checkpoint_every: int | None) -> None:
+    if checkpoint_every is not None and checkpoint_every < 1:
+        raise ConfigurationError(
+            f"checkpoint interval must be at least one attempt; got {checkpoint_every}")
+
+
 @dataclass(frozen=True, kw_only=True)
 class SimulationConfig:
     """Complete description of one simulation run; its ``asdict`` is config.json.
@@ -309,10 +288,7 @@ class SimulationConfig:
             raise DomainError("need at least one agent")
         if self.seed < 0:
             raise DomainError(f"seed must be non-negative; got {self.seed}")
-        if self.checkpoint_every is not None and self.checkpoint_every < 1:
-            raise ConfigurationError(
-                f"checkpoint interval must be at least one attempt; "
-                f"got {self.checkpoint_every}")
+        _check_checkpoint_every(self.checkpoint_every)
         # before the rule: the uniform rule's default delta grows with the total
         reach = _check_headroom(self.total_money_quanta, self.n_agents, self.floor)
         # no scaled output exceeds the reach in quanta times the quantum value;
@@ -391,8 +367,7 @@ class Trajectory:
 
 def run_simulation(ens: AgentEnsemble, rule: ExchangeRule, steps: int,
                    checkpoint_every: int | None = None, *,
-                   seed: int | None = None,
-                   rng: np.random.Generator | None = None) -> Trajectory:
+                   seed: int | np.random.Generator | None = None) -> Trajectory:
     """Run ``steps`` exchange attempts on the ensemble (mutated in place).
 
     Attempts execute in rounds of N//2 disjoint pairs; checkpoints land on
@@ -402,14 +377,17 @@ def run_simulation(ens: AgentEnsemble, rule: ExchangeRule, steps: int,
     temperature M/N in quanta.  The step counts reported are exact attempt
     counts.  Total money is asserted at every checkpoint.  The last
     checkpoint's histogram is returned as ``final_histogram``.
+
+    ``seed`` is an int or None, from which a fresh generator is built, or
+    a ``numpy.random.Generator``, which is used (and advanced) as given.
     """
     if steps < 1:
         raise DomainError("need at least one step")
     if ens.n < 2:
         raise DomainError("need at least two agents to trade")
     _check_headroom(ens.total, ens.n, rule.floor)
-    if rng is None:
-        rng = np.random.default_rng(seed)
+    _check_checkpoint_every(checkpoint_every)
+    rng = np.random.default_rng(seed)
     per_round = ens.n // 2
     n_rounds = -(-steps // per_round)  # ceil
     if checkpoint_every is None:
@@ -489,8 +467,7 @@ def _migration_entropy(t_src: float, t_dst: float) -> float:
 
 def couple_systems(ens1: AgentEnsemble, ens2: AgentEnsemble,
                    rule: ExchangeRule, steps: int, migration_rate: float,
-                   *, seed: int | None = None,
-                   rng: np.random.Generator | None = None) -> FluxReport:
+                   *, seed: int | np.random.Generator | None = None) -> FluxReport:
     """Couple two ensembles for ``steps`` events and report net fluxes.
 
     Each event is a migration with probability ``migration_rate`` (a
@@ -517,13 +494,14 @@ def couple_systems(ens1: AgentEnsemble, ens2: AgentEnsemble,
     (1/T2 - 1/T1) dM + ln(T2/T1) dN at the initial temperatures, the
     differential (linear-response) form; measure while the temperature
     gap persists, roughly steps of order the system size.
+
+    ``seed`` is taken as by ``run_simulation``.
     """
     if not 0 <= migration_rate <= 1:
         raise DomainError("migration rate must lie in [0, 1]")
     if steps < 1:
         raise DomainError("need at least one event")
-    if rng is None:
-        rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
 
     b1 = ens1.balances.tolist()
     b2 = ens2.balances.tolist()

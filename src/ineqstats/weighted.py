@@ -44,6 +44,11 @@ class WeightedCDF:
         if not np.any(keep):
             raise DomainError("all weights are zero")
         values, weights = values[keep], weights[keep]
+        with np.errstate(over="ignore", invalid="ignore"):
+            totals = (weights.sum(), np.sum(values * weights))
+        if not np.all(np.isfinite(totals)):
+            raise DomainError("the total weight and the weighted total of the values "
+                              "must be finite")
         order = np.argsort(values, kind="stable")
         values, weights = values[order], weights[order]
         object.__setattr__(self, "values", values)

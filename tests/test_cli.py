@@ -15,7 +15,7 @@ import ineqstats
 from ineqstats import (IneqStatsError, SimulationConfig, TwoClassModel,
                        sample_income_table)
 from ineqstats.cli import dispatch
-from ineqstats.io import load_config, write_csv
+from ineqstats.io import build_config, json_object, write_csv
 from ineqstats.wri_fixture import write_fixture_csvs
 
 
@@ -527,7 +527,9 @@ _SPEC = {"kind": "additive", "a0": 1, "b0": 40}
 def test_config_document_rejected(tmp_path, capsys, flag_argv, doc, match):
     if flag_argv == _SIM:
         with pytest.raises(IneqStatsError, match=match):
-            load_config(SimulationConfig, json.dumps(doc), "simulation config")
+            build_config(SimulationConfig,
+                         json_object(json.dumps(doc), "simulation config"),
+                         "simulation config")
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
     code = dispatch([*flag_argv, str(path), "--out", str(tmp_path / "out")])
@@ -581,6 +583,19 @@ def test_non_finite_income_level_refused(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 1
     assert err == "error: income levels must be finite\n"
+
+
+def test_energy_totals_beyond_float_refused(tmp_path, capsys):
+    # every cell is finite, but the population and the consumption sum past float
+    e, p = tmp_path / "e.csv", tmp_path / "p.csv"
+    e.write_text("country,year,value\nA,2005,1e300\nB,2005,2.0\n")
+    p.write_text("country,year,value\nA,2005,1e300\nB,2005,5\n")
+    code = dispatch(["energy", "--energy", str(e), "--population", str(p),
+                     "--year", "2005", "--per-capita", "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert "must be finite" in err
 
 
 @pytest.mark.parametrize("mode, counts, message", [

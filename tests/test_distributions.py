@@ -307,6 +307,13 @@ class TestGini:
             # above the diagonal
             LorenzCurve(np.array([0.0, 0.5, 1.0]), np.array([0.0, 0.9, 1.0]))
 
+    @pytest.mark.parametrize("x, y", [([np.nan, 1.0], [0.0, 1.0]),
+                                      ([0.0, 0.5, 1.0], [0.0, np.nan, 1.0]),
+                                      ([0.0, np.inf, 1.0], [0.0, 0.5, 1.0])])
+    def test_non_finite_coordinates_rejected(self, x, y):
+        with pytest.raises(MalformedCurveError, match="finite"):
+            LorenzCurve(np.array(x), np.array(y))
+
 
 class TestTailFraction:
     def test_equal_mean_gives_zero(self):
@@ -364,3 +371,11 @@ class TestClassBoundary:
             class_boundary(-1.0, 1.5, 1.0, 1.0)
         with pytest.raises(DomainError):
             class_boundary(1.0, 1.5, 0.0, 1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("position", range(4))
+    def test_non_finite_inputs_rejected(self, bad, position):
+        args = [1.0, 1.5, 1.0, 1.0]
+        args[position] = bad
+        with pytest.raises(DomainError, match="finite"):
+            class_boundary(*args)

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import loglog_slope
 from ineqstats import fokker_planck
-from ineqstats.io import load_config
+from ineqstats.io import build_config, json_object
 from ineqstats import (ConfigurationError, DomainError, DriftDiffusionSpec,
                        GridDistribution, SingularDiffusionError, TwoClassModel,
                        delta_r2_diagnostic,
@@ -43,7 +43,8 @@ class TestSpec:
 
     def test_json_round_trip(self):
         spec = DriftDiffusionSpec.combined(a0=500.0, a=1.0, b0=2e4, b=2.0)
-        again = load_config(DriftDiffusionSpec, spec.to_json(), "spec")
+        again = build_config(DriftDiffusionSpec, json_object(spec.to_json(), "spec"),
+                             "spec")
         assert again == spec
         blob = json.loads(spec.to_json())
         assert blob["kind"] == "combined"

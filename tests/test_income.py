@@ -8,10 +8,9 @@ from hypothesis import assume, given, seed, settings, strategies as st
 from scipy.optimize import least_squares
 
 from ineqstats import (DomainError, FormatError, IncomeBinTable,
-                       InsufficientDataError, TwoClassModel,
-                       empirical_cdf_income, fit_crossover,
-                       fit_pareto_exponent, fit_report, fit_temperature,
-                       lorenz_exponential, refine_parameters,
+                       InsufficientDataError, TwoClassModel, WeightedCDF,
+                       fit_crossover, fit_pareto_exponent, fit_report,
+                       fit_temperature, lorenz_exponential, refine_parameters,
                        sample_income_table)
 from ineqstats.distributions import LevelQuadrature
 from ineqstats.income import MODE_AT_OR_ABOVE, MODE_IN_BIN
@@ -202,15 +201,17 @@ class TestFromCsvMatchesWholeFileParse:
 
 class TestEmpiricalCdf:
     def test_single_level(self):
-        cdf = empirical_cdf_income(IncomeBinTable(np.array([5.0]), np.array([10])))
+        table = IncomeBinTable(np.array([5.0]), np.array([10]))
+        cdf = WeightedCDF(table.levels, table.counts)
         assert cdf.complementary.tolist() == [1.0]
 
     def test_two_equal_levels(self):
-        cdf = empirical_cdf_income(IncomeBinTable(np.array([1.0, 2.0]), np.array([5, 5])))
+        table = IncomeBinTable(np.array([1.0, 2.0]), np.array([5, 5]))
+        cdf = WeightedCDF(table.levels, table.counts)
         assert cdf.complementary.tolist() == [1.0, 0.5]
 
     def test_sampling_within_binomial_bands(self, model_2007, table_2007):
-        cdf = empirical_cdf_income(table_2007)
+        cdf = WeightedCDF(table_2007.levels, table_2007.counts)
         n = table_2007.total
         theory = np.atleast_1d(model_2007.cdf(cdf.values))
         sigma = np.sqrt(theory * (1 - theory) / n)
@@ -243,13 +244,15 @@ class TestEmpiricalCdf:
 
 class TestStagedFits:
     def test_exact_exponential_recovers_temperature(self):
-        cdf = empirical_cdf_income(exponential_table(T=33.0))
+        table = exponential_table(T=33.0)
+        cdf = WeightedCDF(table.levels, table.counts)
         fit = fit_temperature(cdf)
         assert fit.temperature == pytest.approx(33.0, rel=1e-6)
         assert fit.residual < 1e-10
 
     def test_window_too_small(self):
-        cdf = empirical_cdf_income(exponential_table(n_levels=20))
+        table = exponential_table(n_levels=20)
+        cdf = WeightedCDF(table.levels, table.counts)
         with pytest.raises(InsufficientDataError):
             fit_temperature(cdf, window=(0.21, 0.22))
 
@@ -257,19 +260,20 @@ class TestStagedFits:
         # the body window reaches into the crossover region, so the staged
         # estimate carries a known upward bias of several percent; the
         # 2 percent recovery is a property of the refined pipeline
-        fit = fit_temperature(empirical_cdf_income(table_2007))
+        fit = fit_temperature(WeightedCDF(table_2007.levels, table_2007.counts))
         assert abs(fit.temperature / 48.0 - 1) < 0.10
 
     def test_exact_power_law_recovers_alpha(self):
         levels = np.geomspace(10.0, 1e4, 30)
         comp = np.round(1e10 * levels ** -1.63).astype(np.int64)
         table = IncomeBinTable.from_complementary(levels, comp)
-        fit = fit_pareto_exponent(empirical_cdf_income(table),
+        fit = fit_pareto_exponent(WeightedCDF(table.levels, table.counts),
                                   window=(0.0, 1.0))
         assert fit.alpha == pytest.approx(1.63, rel=1e-4)
 
     def test_wrong_window_reports_large_residual(self):
-        cdf = empirical_cdf_income(exponential_table(T=33.0, n_levels=40))
+        table = exponential_table(T=33.0, n_levels=40)
+        cdf = WeightedCDF(table.levels, table.counts)
         tail = fit_pareto_exponent(cdf, window=(0.001, 0.03))
         body = fit_pareto_exponent(cdf, window=(0.4, 0.95))
         # fitting a power law across the exponential body misfits far more
@@ -280,7 +284,7 @@ class TestStagedFits:
         model = TwoClassModel(40.0, 1.5, 100.0)
         rng = np.random.default_rng(90210)
         table = sample_income_table(model, 100_000, rng, n_levels=50)
-        fit = fit_crossover(empirical_cdf_income(table), 40.0, 1.5)
+        fit = fit_crossover(WeightedCDF(table.levels, table.counts), 40.0, 1.5)
         assert fit.r0 == pytest.approx(100.0, rel=0.10)
         assert not fit.degenerate
 
@@ -288,7 +292,7 @@ class TestStagedFits:
         model = TwoClassModel(40.0, 1.5, 100.0)
         rng = np.random.default_rng(90210)
         table = sample_income_table(model, 100_000, rng, n_levels=50)
-        cdf = empirical_cdf_income(table)
+        cdf = WeightedCDF(table.levels, table.counts)
         fit = fit_crossover(cdf, 40.0, 1.5)
         mask = cdf.complementary > 0
 
@@ -301,7 +305,8 @@ class TestStagedFits:
         assert objective(fit.r0) <= objective(2 * fit.r0)
 
     def test_crossover_degenerate_on_pure_exponential(self):
-        cdf = empirical_cdf_income(exponential_table(T=33.0, n_levels=40))
+        table = exponential_table(T=33.0, n_levels=40)
+        cdf = WeightedCDF(table.levels, table.counts)
         fit = fit_crossover(cdf, 33.0, 1.5)
         assert fit.degenerate
         assert fit.r0 > 1000.0   # pushed toward the upper bracket
@@ -388,7 +393,7 @@ class TestRefinedPipeline:
         assert report.temperature == report.temperature_staged
 
     def test_report_carries_crossover_method(self, table_2007):
-        cdf = empirical_cdf_income(table_2007)
+        cdf = WeightedCDF(table_2007.levels, table_2007.counts)
         staged = fit_report(table_2007, refine=False)
         xfit = fit_crossover(cdf, staged.temperature_staged,
                              max(staged.alpha_staged, 1.01))

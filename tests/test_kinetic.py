@@ -10,9 +10,8 @@ from ineqstats import kinetic
 from ineqstats import (AgentEnsemble, BinnedHistogram, ConfigurationError,
                        CycleSpec, DomainError, ExchangeRule, RULE_FIXED,
                        RULE_UNIFORM, couple_systems, cycle_profit_and_rate,
-                       entropy, exchange_step, init_ensemble,
-                       multiplicity_exact, run_simulation,
-                       temperature_and_potential)
+                       entropy, init_ensemble, multiplicity_exact,
+                       run_simulation, temperature_and_potential)
 
 
 class TestEnsembleSetup:
@@ -48,37 +47,6 @@ class TestEnsembleSetup:
             ExchangeRule(RULE_FIXED, delta=0)
         with pytest.raises(DomainError):
             ExchangeRule(RULE_FIXED, floor=1)
-
-
-class TestExchangeStep:
-    def test_fixed_transfer_applied(self):
-        ens = AgentEnsemble([5, 0])
-        rng = np.random.default_rng(0)
-        accepted = exchange_step(ens, ExchangeRule(RULE_FIXED, delta=1), rng, pair=(0, 1))
-        assert accepted
-        assert ens.balances.tolist() == [4, 1]
-
-    def test_floor_rejection_leaves_state_unchanged(self):
-        ens = AgentEnsemble([0, 5])
-        rng = np.random.default_rng(0)
-        accepted = exchange_step(ens, ExchangeRule(RULE_FIXED, delta=1), rng, pair=(0, 1))
-        assert not accepted
-        assert ens.balances.tolist() == [0, 5]
-
-    def test_self_pair_rejected(self):
-        ens = AgentEnsemble([5, 5])
-        with pytest.raises(DomainError):
-            exchange_step(ens, ExchangeRule(RULE_FIXED), np.random.default_rng(0), pair=(1, 1))
-
-    def test_million_steps_conserve_exactly(self):
-        ens = init_ensemble(100, 5000)
-        rule = ExchangeRule(RULE_UNIFORM, delta=25)
-        rng = np.random.default_rng(123)
-        total = ens.total
-        for _ in range(1_000_000):
-            exchange_step(ens, rule, rng)
-        assert ens.total == total
-        assert ens.balances.min() >= 0
 
 
 class TestRunSimulation:
@@ -124,6 +92,23 @@ class TestRunSimulation:
         assert traj.steps[0] == 0
         assert traj.steps[-1] >= 1000
         assert np.all(np.diff(traj.steps) > 0)
+
+    @pytest.mark.parametrize("checkpoint_every", [0, -5])
+    def test_checkpoint_interval_below_one_rejected(self, checkpoint_every):
+        ens = init_ensemble(10, 500)
+        with pytest.raises(ConfigurationError, match="at least one attempt"):
+            run_simulation(ens, ExchangeRule(RULE_FIXED), 50,
+                           checkpoint_every=checkpoint_every, seed=1)
+
+    def test_generator_seed_is_used_as_given(self):
+        rule = ExchangeRule(RULE_UNIFORM, delta=100)
+        from_int = run_simulation(init_ensemble(300, 15000), rule, 60000, seed=21)
+        gen = np.random.default_rng(21)
+        first = run_simulation(init_ensemble(300, 15000), rule, 60000, seed=gen)
+        second = run_simulation(init_ensemble(300, 15000), rule, 60000, seed=gen)
+        assert np.array_equal(first.ensemble.balances, from_int.ensemble.balances)
+        # the generator was advanced by the first run, not rebuilt
+        assert not np.array_equal(second.ensemble.balances, first.ensemble.balances)
 
 
 def _reference_round(balances, rule, rng):
@@ -200,14 +185,15 @@ class TestSimulationConfig:
                                   floor=-5, quantum_value=2.0,
                                   checkpoint_every=25000)
         from dataclasses import asdict
-        from ineqstats.io import load_config
+        from ineqstats.io import build_config, json_object
         text = json.dumps(asdict(config))
         blob = json.loads(text)
         assert list(blob) == ["n_agents", "total_money_quanta", "quantum_value",
                               "rule", "delta", "floor", "steps", "seed",
                               "checkpoint_every"]
         assert blob["delta"] == 100   # resolved to 2 * M/N for uniform
-        again = load_config(SimulationConfig, text, "simulation config")
+        again = build_config(SimulationConfig, json_object(text, "simulation config"),
+                             "simulation config")
         assert again.exchange_rule() == config.exchange_rule()
         assert again.seed == 9 and again.checkpoint_every == 25000
 
@@ -236,11 +222,11 @@ class TestSimulationConfig:
 
     def test_bad_config_rejected(self):
         from ineqstats import SimulationConfig, FormatError
-        from ineqstats.io import load_config
+        from ineqstats.io import build_config, json_object
         with pytest.raises(FormatError):
-            load_config(SimulationConfig, "{not json", "simulation config")
+            json_object("{not json", "simulation config")
         with pytest.raises(DomainError):
-            load_config(SimulationConfig, '{"n_agents": 10}', "simulation config")
+            build_config(SimulationConfig, {"n_agents": 10}, "simulation config")
 
 
 class TestEntropyAndMultiplicity:

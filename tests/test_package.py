@@ -1,9 +1,11 @@
+import inspect
 import types
 
 import ineqstats
 from ineqstats import (CoupledConfig, DriftDiffusionSpec, GridDistribution,
                        IncomeBinTable, LorenzCurve, SimulationConfig, TwoClassModel,
-                       WeightedCDF, cli, distributions, energy, fokker_planck)
+                       WeightedCDF, cli, distributions, energy, fokker_planck,
+                       income, io, kinetic)
 
 
 def test_star_import_binds_no_submodule():
@@ -32,7 +34,14 @@ def test_removed_aliases_are_gone():
         (CoupledConfig, ("from_json",)),
         (DriftDiffusionSpec, ("from_json",)),
         (cli, ("_reject_unread", "_config_echo")),
+        (kinetic, ("exchange_step",)),
+        (io, ("load_config",)),
+        (income, ("empirical_cdf_income",)),
+        (ineqstats, ("exchange_step", "empirical_cdf_income")),
     ]
     left = [f"{owner.__name__}.{name}" for owner, names in removed
             for name in names if hasattr(owner, name)]
     assert left == []
+    # ``seed`` takes a Generator too, so ``rng`` would be a second way in
+    for fn in (kinetic.run_simulation, kinetic.couple_systems):
+        assert "rng" not in inspect.signature(fn).parameters

@@ -29,7 +29,10 @@ class TestWeightedCdf:
 
     @pytest.mark.parametrize("values, weights", [([1.0, np.nan], [1.0, 1.0]),
                                                  ([np.inf], [1.0]), ([1.0], [np.nan]),
-                                                 ([1.0, 2.0], [np.inf, 1.0])])
+                                                 ([1.0, 2.0], [np.inf, 1.0]),
+                                                 # finite cells, totals beyond float
+                                                 ([1.0, 2.0], [1e308, 1e308]),
+                                                 ([1e300, 2.0], [1e300, 5.0])])
     def test_non_finite_refused(self, values, weights):
         with pytest.raises(DomainError, match="must be finite"):
             WeightedCDF(np.array(values), np.array(weights))
