@@ -300,7 +300,7 @@ def lorenz_exponential(x):
     limit y -> 1.
     """
     arr, scalar = _as_float_array(x)
-    if np.any((arr < 0) | (arr > 1)):
+    if not np.all((arr >= 0) & (arr <= 1)):
         raise DomainError("population fraction must lie in [0, 1]")
     one_minus = 1.0 - np.atleast_1d(arr)
     out = np.where(one_minus > 0,
@@ -348,8 +348,8 @@ def tail_fraction(T: float, mean_income: float) -> float:
     T is the lower-class temperature and mean_income the average over the
     whole system; T > mean_income signals a non-physical fit.
     """
-    if T <= 0 or mean_income <= 0:
-        raise DomainError("temperature and mean income must be positive")
+    if not (0 < T < math.inf and 0 < mean_income < math.inf):
+        raise DomainError("temperature and mean income must be positive and finite")
     if T > mean_income:
         raise DomainError(
             f"temperature {T:g} exceeds mean income {mean_income:g}: "

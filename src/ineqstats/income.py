@@ -196,7 +196,11 @@ def fit_temperature(cdf: WeightedCDF,
         raise InsufficientDataError(
             f"temperature window C in {window} holds {r.size} points; need 3")
     ln_c = np.log(comp)
-    slope, intercept = np.polyfit(r, ln_c, 1)
+    try:
+        with np.errstate(over="raise"):   # polyfit sums the squared levels
+            slope, intercept = np.polyfit(r, ln_c, 1)
+    except FloatingPointError:
+        raise DomainError(f"body levels up to {r[-1]:g} overflow the temperature fit") from None
     if slope >= 0:
         raise DomainError("body CDF does not decay; cannot assign a temperature")
     residual = float(np.mean((ln_c - (slope * r + intercept)) ** 2))

@@ -19,9 +19,11 @@ visibly non-exponential state, so that variant is deliberately not
 offered.)
 
 ``run_simulation`` executes exchange attempts in rounds of N//2 disjoint
-pairs drawn from a fresh random permutation.  Within a round the pairs
-share no agent, so the round is equivalent to N//2 sequential steps; the
-batching exists purely so that 1e8 attempts vectorise to seconds.
+pairs: a round shuffles the balances in place and position k pays position
+N//2 + k, so agent order after a run is a random relabelling.  Within a
+round the pairs share no agent, so the round is equivalent to N//2
+sequential steps; the batching exists purely so that 1e8 attempts
+vectorise to seconds.  The amounts are drawn a block of rounds at a time.
 ``couple_systems`` runs its events one at a time, but draws their random
 numbers up front, a block of events at a time.  Both take ``seed`` as an
 int, None or a ``numpy.random.Generator``; a Generator is used as given,
@@ -151,25 +153,21 @@ def init_ensemble(n_agents: int, total_quanta: int) -> AgentEnsemble:
 
 
 def _draw_amounts(rule: ExchangeRule, rng: np.random.Generator,
-                  size: int) -> np.ndarray:
+                  size: int | tuple[int, int]) -> np.ndarray:
     if rule.kind == RULE_FIXED:
         return np.full(size, rule.delta, dtype=np.int64)
     return rng.integers(1, rule.delta + 1, size=size)
 
 
-def _run_round(balances: np.ndarray, rule: ExchangeRule,
+def _run_round(balances: np.ndarray, amounts: np.ndarray, floor: int,
                rng: np.random.Generator) -> None:
-    """Apply floor(N/2) disjoint-pair exchange attempts in place."""
-    n = balances.size
-    half = n // 2
-    perm = rng.permutation(n)
-    payers = perm[:half]
-    receivers = perm[half:2 * half]
-    amounts = _draw_amounts(rule, rng, half)
-    paid = balances[payers]
-    amounts *= paid - amounts >= rule.floor   # a rejected transfer moves 0
-    balances[payers] = paid - amounts
-    balances[receivers] += amounts
+    """Shuffle the balances, then position k pays amounts[k] (overwritten) to N//2 + k."""
+    rng.shuffle(balances)
+    half = amounts.size
+    paid = balances[:half]
+    amounts *= paid - amounts >= floor   # a rejected transfer moves 0
+    paid -= amounts
+    balances[half:2 * half] += amounts
 
 
 @dataclass
@@ -241,8 +239,8 @@ def temperature_and_potential(ens: AgentEnsemble, m_star: float = 1.0) -> tuple[
     ``m_star`` is the money value of one quantum (the width of a
     histogram bin); T and mu come back in the same money units.
     """
-    if m_star <= 0:
-        raise DomainError("quantum size must be positive")
+    if not 0 < m_star < math.inf:
+        raise DomainError("quantum size must be positive and finite")
     if ens.total <= 0:
         raise DomainError("chemical potential undefined for non-positive total money")
     T = ens.total / ens.n * m_star
@@ -365,12 +363,18 @@ class Trajectory:
                         self.temperature.tolist()))
 
 
+_BLOCK_AMOUNTS = 2 ** 14   # most attempts per block of drawn amounts (128 KB)
+
+
 def run_simulation(ens: AgentEnsemble, rule: ExchangeRule, steps: int,
                    checkpoint_every: int | None = None, *,
                    seed: int | np.random.Generator | None = None) -> Trajectory:
     """Run ``steps`` exchange attempts on the ensemble (mutated in place).
 
-    Attempts execute in rounds of N//2 disjoint pairs; checkpoints land on
+    Attempts execute in rounds of N//2 disjoint pairs, each of which shuffles
+    the balances in place, so agent order after a run is a random
+    relabelling.  The amounts are drawn in blocks of whole rounds, at most
+    ``_BLOCK_AMOUNTS`` attempts unless one round is more.  Checkpoints land on
     the first round boundary at or past each multiple of
     ``checkpoint_every`` and record the entropy of the balance histogram
     (bins one quantum wide, anchored at the rule floor) and the
@@ -395,6 +399,7 @@ def run_simulation(ens: AgentEnsemble, rule: ExchangeRule, steps: int,
     else:
         checkpoint_rounds = max(1, checkpoint_every // per_round)
 
+    block_rounds = max(1, _BLOCK_AMOUNTS // per_round)
     total_before = ens.total
     balances = ens.balances
 
@@ -406,8 +411,11 @@ def run_simulation(ens: AgentEnsemble, rule: ExchangeRule, steps: int,
         if done == n_rounds:
             break
         burst = min(checkpoint_rounds, n_rounds - done)
-        for _ in range(burst):
-            _run_round(balances, rule, rng)
+        for start in range(0, burst, block_rounds):
+            rounds = min(block_rounds, burst - start)
+            for amounts in _draw_amounts(rule, rng, (rounds, per_round)):
+                _run_round(balances, amounts, rule.floor, rng)
+            del amounts   # the last row holds the block; free it before the next
         done += burst
         if ens.total != total_before:
             raise ConfigurationError("money conservation violated; this is a bug")
@@ -595,11 +603,11 @@ class CycleSpec:
     t2: float
 
     def __post_init__(self):
-        if self.p2 <= 0 or self.p1 <= self.p2:
+        if not self.p1 > self.p2 > 0:
             raise DomainError("need prices p1 > p2 > 0")
-        if self.v1 < 0 or self.v2 <= self.v1:
+        if not self.v2 > self.v1 >= 0:
             raise DomainError("need volumes v2 > v1 >= 0")
-        if self.t2 <= 0 or self.t1 < self.t2:
+        if not self.t1 >= self.t2 > 0:
             raise DomainError("need temperatures t1 >= t2 > 0")
 
 

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -583,6 +584,20 @@ def test_non_finite_income_level_refused(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 1
     assert err == "error: income levels must be finite\n"
+
+
+def test_income_level_overflowing_the_body_fit_is_one_error_line(tmp_path, capsys):
+    # numpy's polyfit squares the levels: 1e300 overflows inside it
+    path = tmp_path / "table.csv"
+    path.write_text("level_kusd,returns_at_or_above\n0,1000\n1,800\n2,600\n3,400\n"
+                    "4,200\n1e300,100\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = dispatch(["fit-income", "--input", str(path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert "overflow the temperature fit" in err
 
 
 def test_energy_totals_beyond_float_refused(tmp_path, capsys):

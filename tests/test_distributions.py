@@ -255,6 +255,11 @@ class TestLorenz:
         with pytest.raises(DomainError):
             lorenz_exponential(1.1)
 
+    @pytest.mark.parametrize("x", [math.nan, [0.2, math.nan]])
+    def test_exponential_nan_rejected(self, x):
+        with pytest.raises(DomainError):
+            lorenz_exponential(x)
+
     def test_two_class_reduces_to_exponential_at_f_zero(self):
         x = np.linspace(0, 1, 101)
         assert np.array_equal(lorenz_two_class(x, 0.0), np.atleast_1d(lorenz_exponential(x)))
@@ -332,6 +337,12 @@ class TestTailFraction:
             tail_fraction(70.0, 61.15)
         with pytest.raises(DomainError):
             tail_fraction(-1.0, 10.0)
+
+    @pytest.mark.parametrize("T, mean_income", [(math.nan, 61.15), (48.0, math.nan),
+                                                (48.0, math.inf), (math.inf, math.inf)])
+    def test_non_finite_rejected(self, T, mean_income):
+        with pytest.raises(DomainError):
+            tail_fraction(T, mean_income)
 
 
 class TestClassBoundary:

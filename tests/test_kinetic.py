@@ -100,6 +100,22 @@ class TestRunSimulation:
             run_simulation(ens, ExchangeRule(RULE_FIXED), 50,
                            checkpoint_every=checkpoint_every, seed=1)
 
+    def test_amount_memory_flat_in_steps(self):
+        # one checkpoint burst: drawing its amounts in one call would take
+        # 16 MB at 8 000 rounds of 250 pairs
+        def peak(rounds):
+            ens = init_ensemble(500, 25_000)
+            tracemalloc.start()
+            try:
+                run_simulation(ens, ExchangeRule(RULE_UNIFORM, delta=100),
+                               rounds * 250, seed=1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(800)   # first-call allocations
+        assert peak(8000) <= 1.5 * peak(800)
+
     def test_generator_seed_is_used_as_given(self):
         rule = ExchangeRule(RULE_UNIFORM, delta=100)
         from_int = run_simulation(init_ensemble(300, 15000), rule, 60000, seed=21)
@@ -111,21 +127,18 @@ class TestRunSimulation:
         assert not np.array_equal(second.ensemble.balances, first.ensemble.balances)
 
 
-def _reference_round(balances, rule, rng):
-    """The round as first written, with three boolean compressions and a
-    second gather; ``kinetic._run_round`` must match it draw for draw."""
+def _reference_round(balances, amounts, floor, rng):
+    """The round as first written, with an index permutation, three boolean
+    compressions and a second gather.  Returns the permutation drawn."""
     n = balances.size
     half = n // 2
     perm = rng.permutation(n)
     payers = perm[:half]
     receivers = perm[half:2 * half]
-    if rule.kind == RULE_FIXED:
-        amounts = np.full(half, rule.delta, dtype=np.int64)
-    else:
-        amounts = rng.integers(1, rule.delta + 1, size=half)
-    ok = balances[payers] - amounts >= rule.floor
+    ok = balances[payers] - amounts >= floor
     balances[payers[ok]] -= amounts[ok]
     balances[receivers[ok]] += amounts[ok]
+    return perm
 
 
 class TestRound:
@@ -136,15 +149,20 @@ class TestRound:
            rounds=st.integers(1, 50), seed=st.integers(0, 2**32 - 1))
     def test_matches_reference_round(self, n, money_per_agent, kind, delta,
                                      floor, rounds, seed):
+        # Generator.shuffle draws what Generator.permutation draws and
+        # leaves balances[perm], so the shuffled round equals the reference
+        # round with the same amounts, read through its permutation.
         rule = ExchangeRule(kind, delta, floor)
         balances = init_ensemble(n, n * money_per_agent).balances
-        reference = balances.copy()
         rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        amount_rng = np.random.default_rng([seed, 1])
         for _ in range(rounds):
-            kinetic._run_round(balances, rule, rng)
-            _reference_round(reference, rule, reference_rng)
-        assert np.array_equal(balances, reference)
-        assert rng.bit_generator.state == reference_rng.bit_generator.state
+            amounts = kinetic._draw_amounts(rule, amount_rng, n // 2)
+            reference = balances.copy()
+            perm = _reference_round(reference, amounts, floor, reference_rng)
+            kinetic._run_round(balances, amounts.copy(), floor, rng)
+            assert np.array_equal(balances, reference[perm])
+            assert rng.bit_generator.state == reference_rng.bit_generator.state
 
 
 class TestInt64Limits:
@@ -294,6 +312,11 @@ class TestTemperatureAndPotential:
         with pytest.raises(DomainError):
             temperature_and_potential(AgentEnsemble([0, 0]))
 
+    @pytest.mark.parametrize("m_star", [math.nan, math.inf])
+    def test_non_finite_quantum_rejected(self, m_star):
+        with pytest.raises(DomainError):
+            temperature_and_potential(AgentEnsemble([10, 10]), m_star)
+
 
 def _equilibrated(n, t_quanta, seed):
     ens = init_ensemble(n, n * t_quanta)
@@ -435,5 +458,12 @@ class TestCycle:
         dict(p1=2, p2=1, v1=-1, v2=5, t1=3, t2=2),    # v1 non-negative
     ])
     def test_invalid_cycles_rejected(self, kwargs):
+        with pytest.raises(DomainError):
+            CycleSpec(**kwargs)
+
+    @pytest.mark.parametrize("field", ["p1", "p2", "v1", "v2", "t1", "t2"])
+    def test_nan_rejected(self, field):
+        kwargs = dict(p1=2, p2=1, v1=0, v2=5, t1=3, t2=2)
+        kwargs[field] = math.nan
         with pytest.raises(DomainError):
             CycleSpec(**kwargs)
