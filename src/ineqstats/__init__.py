@@ -23,15 +23,13 @@ from .fokker_planck import (DriftDiffusionSpec, GridDistribution, make_grid,
                             stationary_solution, evolve_transient,
                             delta_r2_diagnostic)
 from .income import (IncomeBinTable, FitReport, TemperatureFit, ParetoFit,
-                     CrossoverFit, fit_temperature, fit_pareto_exponent,
-                     fit_crossover, refine_parameters, fit_report,
-                     sample_income_table)
+                     fit_temperature, fit_pareto_exponent, refine_parameters,
+                     fit_report, sample_income_table)
 from .kinetic import (AgentEnsemble, ExchangeRule, BinnedHistogram, CycleSpec,
                       FluxReport, SimulationConfig, CoupledConfig, Trajectory,
                       init_ensemble, run_simulation, run_from_config, entropy,
-                      multiplicity_exact, temperature_and_potential,
-                      couple_systems, cycle_profit_and_rate, RULE_FIXED,
-                      RULE_UNIFORM)
+                      temperature_and_potential, couple_systems,
+                      cycle_profit_and_rate, RULE_FIXED, RULE_UNIFORM)
 from .weighted import WeightedCDF
 
 # Importing the submodules binds them here too (``io`` among them, which a

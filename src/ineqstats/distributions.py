@@ -44,6 +44,13 @@ def _as_float_array(r):
     return arr, arr.ndim == 0
 
 
+def _incomes(r):   # r >= 0 takes inf and refuses NaN
+    arr, scalar = _as_float_array(r)
+    if not np.all(arr >= 0):
+        raise DomainError("income must be non-negative")
+    return arr, scalar
+
+
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
@@ -108,18 +115,14 @@ class TwoClassModel:
 
     def pdf(self, r):
         """Probability density P(r); accepts scalars or arrays, r >= 0."""
-        arr, scalar = _as_float_array(r)
-        if np.any(arr < 0):
-            raise DomainError("income must be non-negative")
+        arr, scalar = _incomes(r)
         with np.errstate(over="ignore"):
             out = self.c * _raw_density(arr, self.T, self.alpha, self.r0)
         return float(out) if scalar else out
 
     def cdf(self, r):
         """Complementary CDF C(r) = integral of the pdf over [r, inf)."""
-        arr, scalar = _as_float_array(r)
-        if not np.all(arr >= 0):
-            raise DomainError("income must be non-negative")
+        arr, scalar = _incomes(r)
         finite = arr < np.inf
         # T and r0 as breakpoints keep the first, linear panel below the body
         quadrature = LevelQuadrature(np.append([self.T, self.r0], np.where(finite, arr, 0.0)))

@@ -28,6 +28,7 @@ from numbers import Real
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, SingularDiffusionError
+from .io import whole_number
 
 __all__ = [
     "KIND_ADDITIVE",
@@ -287,6 +288,7 @@ def evolve_transient(p0: GridDistribution, spec: DriftDiffusionSpec,
     error.  Requires the positivity bound dt <= 1 / (largest rate at which
     a cell's mass flows out), about 0.5 h^2 / B where diffusion dominates.
     """
+    steps = whole_number(steps, "steps")
     if steps < 1:
         raise DomainError("need at least one step")
     if not dt > 0:
@@ -332,6 +334,8 @@ def delta_r2_diagnostic(r, spec: DriftDiffusionSpec):
     criterion equivalent to alpha = 2.
     """
     arr = np.asarray(r, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise DomainError("income must be finite")
     out = 2.0 * (spec.diffusion(arr) - arr * spec.drift(arr))
     return float(out) if np.ndim(r) == 0 else out
 

@@ -7,8 +7,8 @@ fitted in stages, following the procedure used for annual tax data:
    (temperature T),
 2. power-law regression of ln C vs ln r over the tail window
    (Pareto exponent alpha),
-3. golden-section search for the crossover income r0 minimising the
-   log mean-square deviation between the model CDF and the data.
+3. golden-section search on ln r0 over [T/10, 100 T] for the crossover
+   income r0 minimising the log mean-square deviation of the model CDF.
 
 The staged estimates inherit a visible finite-window bias on data drawn
 from the interpolating model itself (the body window reaches into the
@@ -21,10 +21,10 @@ a Levenberg-Marquardt search, typically 20-40 CDF evaluations per table;
 ``refine_parameters`` gives its step cap and stopping rule.
 
 Stage 3, the refinement and the final residual only ever need the model
-CDF at the table's own levels, so each evaluates it through one
-:class:`~ineqstats.distributions.LevelQuadrature`: fixed Gauss-Legendre
-nodes built once from the levels, reused for every (T, alpha, r0) the
-search tries, in place of a :class:`TwoClassModel` per try.
+CDF at the table's own levels, so they evaluate it through a
+:class:`~ineqstats.distributions.LevelQuadrature` (stage 3 and the residual
+share one): fixed Gauss-Legendre nodes built once from the levels, reused
+for every (T, alpha, r0) a search tries, in place of a model per try.
 """
 
 from __future__ import annotations
@@ -45,11 +45,9 @@ __all__ = [
     "IncomeBinTable",
     "TemperatureFit",
     "ParetoFit",
-    "CrossoverFit",
     "FitReport",
     "fit_temperature",
     "fit_pareto_exponent",
-    "fit_crossover",
     "refine_parameters",
     "fit_report",
     "sample_income_table",
@@ -174,14 +172,6 @@ class ParetoFit:
     window: tuple[float, float]
 
 
-@dataclass(frozen=True)
-class CrossoverFit:
-    r0: float
-    residual: float        # objective value at the minimum
-    degenerate: bool       # argmin pinned at a bracket edge
-    method: str            # "golden" or "grid"
-
-
 def _window_points(cdf: WeightedCDF, window: tuple[float, float]):
     lo, hi = window
     mask = (cdf.complementary >= lo) & (cdf.complementary <= hi)
@@ -228,44 +218,24 @@ def _log_mse(theory: np.ndarray, comp: np.ndarray) -> float:
     return float(np.sum(np.log(theory / comp) ** 2))
 
 
-def fit_crossover(cdf: WeightedCDF, temperature: float,
-                  alpha: float) -> CrossoverFit:
+def _fit_crossover(quadrature: LevelQuadrature, comp: np.ndarray, temperature: float,
+                   alpha: float) -> tuple[float, bool]:
     """Golden-section search (on ln r0) for the crossover income.
 
-    Minimises sum_n ln^2[C_t(r_n) / C_e(r_n)] over every level with data,
-    T and alpha held fixed, in 40 steps over r0 in [T/10, 100 T].  If the
-    initial probes reveal a non-unimodal shape (both ends below the
-    interior), fall back to a 1000-point log-spaced grid scan and return
-    its global minimum.  An argmin pinned at a bracket edge is degenerate
-    (typical for data with no tail, where r0 runs away upward).
+    Minimises sum_n ln^2[C_t(r_n) / C_e(r_n)] over the levels of
+    ``quadrature``, whose empirical complementary CDF is ``comp``, with T
+    and alpha held fixed, in 40 steps over r0 in [T/10, 100 T].  Returns r0
+    and whether it lies within 5% of a bracket edge (degenerate: typical
+    for data with no tail, where r0 runs away upward).
     """
-    if temperature <= 0 or alpha <= 1:
-        raise DomainError("need temperature > 0 and alpha > 1")
-    bracket = (temperature / 10.0, 100.0 * temperature)
-    if len(cdf) < 3:
-        raise InsufficientDataError("need at least three levels with data")
-
-    quadrature = LevelQuadrature(cdf.values)
-
     def objective(ln_r0: float) -> float:
-        return _log_mse(quadrature.ccdf(temperature, alpha, math.exp(ln_r0)),
-                        cdf.complementary)
+        return _log_mse(quadrature.ccdf(temperature, alpha, math.exp(ln_r0)), comp)
 
-    lo, hi = math.log(bracket[0]), math.log(bracket[1])
-    x1 = hi - _GOLDEN * (hi - lo)
-    x2 = lo + _GOLDEN * (hi - lo)
+    edges = (temperature / 10.0, 100.0 * temperature)
+    a, b = math.log(edges[0]), math.log(edges[1])
+    x1 = b - _GOLDEN * (b - a)
+    x2 = a + _GOLDEN * (b - a)
     f1, f2 = objective(x1), objective(x2)
-
-    if objective(lo) < f1 and objective(hi) < f2:
-        # non-unimodal: dense grid scan
-        grid = np.linspace(lo, hi, 1000)
-        vals = [objective(g) for g in grid]
-        best = int(np.argmin(vals))
-        r0 = math.exp(grid[best])
-        degenerate = best in (0, len(grid) - 1)
-        return CrossoverFit(r0, vals[best], degenerate, "grid")
-
-    a, b = lo, hi
     for _ in range(_GOLDEN_ITERATIONS):
         if f1 < f2:
             b, x2, f2 = x2, x1, f1
@@ -275,10 +245,8 @@ def fit_crossover(cdf: WeightedCDF, temperature: float,
             a, x1, f1 = x1, x2, f2
             x2 = a + _GOLDEN * (b - a)
             f2 = objective(x2)
-    ln_best = 0.5 * (a + b)
-    r0 = math.exp(ln_best)
-    degenerate = (r0 <= bracket[0] * 1.05) or (r0 >= bracket[1] / 1.05)
-    return CrossoverFit(r0, objective(ln_best), degenerate, "golden")
+    r0 = math.exp(0.5 * (a + b))
+    return r0, r0 <= edges[0] * 1.05 or r0 >= edges[1] / 1.05
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +367,6 @@ class FitReport:
     r0_staged: float
     refined: bool
     degenerate_tail: bool
-    crossover_method: str       # "golden" or "grid", from fit_crossover
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
@@ -425,21 +392,23 @@ def fit_report(table: IncomeBinTable,
     open top bin at the conditional mean implied by the staged tail fit
     (the regression actually performed on the observed tail).  Derived:
     f = 1 - T/<r> (clamped at 0 for tail-less data), G = (1 + f)/2, and
-    the class boundary r* from the intersection of the two staged fits.
+    the class boundary r* where exp(-r/T) meets the model's exact tail asymptote.
     """
     cdf = WeightedCDF(table.levels, table.counts)
     tfit = fit_temperature(cdf, exp_window)
     pfit = fit_pareto_exponent(cdf, tail_window)
-    xfit = fit_crossover(cdf, tfit.temperature, max(pfit.alpha, 1.01))
+    quadrature = LevelQuadrature(cdf.values)
+    r0_staged, degenerate_crossover = _fit_crossover(
+        quadrature, cdf.complementary, tfit.temperature, max(pfit.alpha, 1.01))
 
-    temperature, alpha, r0 = tfit.temperature, pfit.alpha, xfit.r0
+    temperature, alpha, r0 = tfit.temperature, pfit.alpha, r0_staged
     if refine:
         temperature, alpha, r0 = refine_parameters(table, temperature,
                                                    max(alpha, 1.01), r0)
 
     incomes = table.bin_incomes(max(pfit.alpha, 1.0001))
     f = 1.0 - temperature / incomes.mean
-    degenerate_tail = f <= 0 or xfit.degenerate
+    degenerate_tail = f <= 0 or degenerate_crossover
     f = max(f, 0.0)
     gini = (1.0 + f) / 2.0
     gini_lorenz = incomes.lorenz().gini
@@ -458,7 +427,7 @@ def fit_report(table: IncomeBinTable,
         r_star, upper_fraction = None, None
         degenerate_tail = True
 
-    theory = LevelQuadrature(cdf.values).ccdf(temperature, alpha, r0)
+    theory = quadrature.ccdf(temperature, alpha, r0)
     residual = _log_mse(theory, cdf.complementary) / len(cdf)
 
     return FitReport(
@@ -475,10 +444,9 @@ def fit_report(table: IncomeBinTable,
         residual=float(residual),
         temperature_staged=tfit.temperature,
         alpha_staged=pfit.alpha,
-        r0_staged=float(xfit.r0),
+        r0_staged=r0_staged,
         refined=bool(refine),
         degenerate_tail=bool(degenerate_tail),
-        crossover_method=xfit.method,
     )
 
 
@@ -487,6 +455,10 @@ def sample_income_table(model: TwoClassModel, n_samples: int,
                         year: int | None = None) -> IncomeBinTable:
     """Draw incomes from the model and bin them at levels placed at
     log-spaced complementary-CDF targets spanning [1e-4, 1]."""
+    n_samples = whole_number(n_samples, "n_samples")
+    n_levels = whole_number(n_levels, "n_levels")
+    if n_samples < 1:
+        raise DomainError("need at least one sample")
     if n_levels < 3:
         raise DomainError("need at least three levels")
     targets = np.geomspace(1.0, _COMP_MIN, n_levels)

@@ -61,7 +61,6 @@ __all__ = [
     "run_from_config",
     "run_simulation",
     "entropy",
-    "multiplicity_exact",
     "temperature_and_potential",
     "couple_systems",
     "cycle_profit_and_rate",
@@ -79,14 +78,16 @@ _MAX_BINS = np.iinfo(np.intp).max // np.dtype(np.intp).itemsize
 @dataclass(frozen=True)
 class ExchangeRule:
     """Transfer rule: kind in {fixed, uniform}, amount scale ``delta``
-    (exact amount for fixed, upper bound for uniform) and the minimum
-    allowed balance ``floor`` (0, or negative in debt mode)."""
+    (exact amount for fixed, upper bound for uniform) and the minimum allowed
+    balance ``floor`` (0, or negative in debt mode), both whole numbers."""
 
     kind: str
     delta: int = 1
     floor: int = 0
 
     def __post_init__(self):
+        for name in ("delta", "floor"):
+            object.__setattr__(self, name, whole_number(getattr(self, name), name))
         if self.kind not in (RULE_FIXED, RULE_UNIFORM):
             raise DomainError(f"unknown exchange rule {self.kind!r}")
         if self.delta < 1:
@@ -137,6 +138,8 @@ class AgentEnsemble:
 def init_ensemble(n_agents: int, total_quanta: int) -> AgentEnsemble:
     """Equal division start: each agent gets total//n quanta and the
     remainder goes one quantum each to the first agents."""
+    n_agents = whole_number(n_agents, "n_agents")
+    total_quanta = whole_number(total_quanta, "total_quanta")
     if n_agents < 1:
         raise DomainError("need at least one agent")
     if n_agents > MAX_AGENTS:
@@ -210,29 +213,6 @@ def entropy(hist: BinnedHistogram) -> float:
     return float(-(nz * np.log(nz / n)).sum()) + 0.0   # avoid -0.0
 
 
-_EXACT_LIMIT = 20
-
-
-def multiplicity_exact(occupations) -> tuple[int, float]:
-    """Exact multiplicity N!/(N_1! N_2! ...) and its log, for small N.
-
-    Restricted to sum(occupations) <= 20 where exact factorials are the
-    point; use :func:`entropy` (the Stirling form) beyond that.
-    """
-    occ = [int(v) for v in occupations]
-    if any(v < 0 for v in occ):
-        raise DomainError("occupation numbers must be non-negative")
-    n = sum(occ)
-    if n < 1:
-        raise DomainError("need at least one agent")
-    if n > _EXACT_LIMIT:
-        raise DomainError(f"exact multiplicity limited to N <= {_EXACT_LIMIT}; got N={n}")
-    omega = math.factorial(n)
-    for v in occ:
-        omega //= math.factorial(v)
-    return omega, math.log(omega)
-
-
 def temperature_and_potential(ens: AgentEnsemble, m_star: float = 1.0) -> tuple[float, float]:
     """Money temperature T = M/N and chemical potential mu = -T ln(T/m*).
 
@@ -275,10 +255,9 @@ class SimulationConfig:
     checkpoint_every: int | None = None
 
     def __post_init__(self):
-        for name in ("n_agents", "total_money_quanta", "steps", "seed", "delta",
-                     "floor", "checkpoint_every"):
+        for name in ("n_agents", "total_money_quanta", "steps", "seed", "checkpoint_every"):
             value = getattr(self, name)
-            if value is not None or name not in ("delta", "checkpoint_every"):
+            if value is not None or name != "checkpoint_every":
                 object.__setattr__(self, name, whole_number(value, name))
         if isinstance(self.quantum_value, bool) or not isinstance(self.quantum_value, Real):
             raise FormatError(f"quantum_value must be a number; got {self.quantum_value!r}")
@@ -287,18 +266,21 @@ class SimulationConfig:
         if self.seed < 0:
             raise DomainError(f"seed must be non-negative; got {self.seed}")
         _check_checkpoint_every(self.checkpoint_every)
-        # before the rule: the uniform rule's default delta grows with the total
-        reach = _check_headroom(self.total_money_quanta, self.n_agents, self.floor)
+        # the rule checks rule, delta and floor; a missing delta is 1 until the
+        # headroom check bounds the total that the uniform default grows with
+        rule = ExchangeRule(self.rule, 1 if self.delta is None else self.delta, self.floor)
+        reach = _check_headroom(self.total_money_quanta, self.n_agents, rule.floor)
         # no scaled output exceeds the reach in quanta times the quantum value;
         # compared before float(), which a huge JSON integer would overflow
         if not 0 < self.quantum_value * max(reach, 1) <= sys.float_info.max:
             raise DomainError(f"quantum value {self.quantum_value!r} must be positive, and "
                               f"the largest reachable balance, {reach} quanta, finite in money")
         object.__setattr__(self, "quantum_value", float(self.quantum_value))
-        if self.delta is None:
-            object.__setattr__(self, "delta", 1 if self.rule == RULE_FIXED else
-                               max(1, round(2 * self.total_money_quanta / self.n_agents)))
-        self.exchange_rule()   # validates rule/delta/floor
+        if self.delta is None and self.rule == RULE_UNIFORM:
+            rule = ExchangeRule(self.rule, max(1, round(2 * self.total_money_quanta
+                                                         / self.n_agents)), rule.floor)
+        object.__setattr__(self, "delta", rule.delta)
+        object.__setattr__(self, "floor", rule.floor)
 
     def exchange_rule(self) -> ExchangeRule:
         return ExchangeRule(self.rule, delta=self.delta, floor=self.floor)
@@ -385,6 +367,7 @@ def run_simulation(ens: AgentEnsemble, rule: ExchangeRule, steps: int,
     ``seed`` is an int or None, from which a fresh generator is built, or
     a ``numpy.random.Generator``, which is used (and advanced) as given.
     """
+    steps = whole_number(steps, "steps")
     if steps < 1:
         raise DomainError("need at least one step")
     if ens.n < 2:
@@ -507,6 +490,7 @@ def couple_systems(ens1: AgentEnsemble, ens2: AgentEnsemble,
     """
     if not 0 <= migration_rate <= 1:
         raise DomainError("migration rate must lie in [0, 1]")
+    steps = whole_number(steps, "steps")
     if steps < 1:
         raise DomainError("need at least one event")
     rng = np.random.default_rng(seed)

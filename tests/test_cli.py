@@ -520,6 +520,8 @@ _SPEC = {"kind": "additive", "a0": 1, "b0": 40}
     pytest.param(_SIM, {**_CONFIG, "n_agents": 10.7}, "n_agents", id="fraction"),
     pytest.param(_SIM, {**_CONFIG, "n_agents": "100"}, "n_agents", id="numeric-string"),
     pytest.param(_SIM, {**_CONFIG, "seed": True}, "seed", id="bool"),
+    pytest.param(_SIM, {**_CONFIG, "delta": 2.5}, "delta", id="rule-fraction"),
+    pytest.param(_SIM, {**_CONFIG, "floor": "-3"}, "floor", id="rule-string"),
     pytest.param(_SIM, {**_CONFIG, "chekpoint_every": 100}, "chekpoint_every",
                  id="misspelled-key"),
     pytest.param(_FP, {**_SPEC, "a0": True}, "a0", id="spec-bool"),

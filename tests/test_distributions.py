@@ -121,6 +121,11 @@ class TestTwoClassModel:
             model.pdf(-1.0)
         with pytest.raises(DomainError):
             model.cdf(np.array([1.0, -2.0]))
+        # and NaN, which pdf once returned where cdf refused it
+        for method in (model.pdf, model.cdf):
+            for r in (math.nan, [1.0, math.nan]):
+                with pytest.raises(DomainError, match="income must be non-negative"):
+                    method(r)
 
     def test_mean_against_quadrature_oracle(self):
         model = TwoClassModel(48, 1.34, 113)

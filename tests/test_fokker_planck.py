@@ -7,7 +7,7 @@ from conftest import loglog_slope
 from ineqstats import fokker_planck
 from ineqstats.io import build_config, json_object
 from ineqstats import (ConfigurationError, DomainError, DriftDiffusionSpec,
-                       GridDistribution, SingularDiffusionError, TwoClassModel,
+                       FormatError, GridDistribution, SingularDiffusionError, TwoClassModel,
                        delta_r2_diagnostic,
                        evolve_transient, make_grid, stationary_solution)
 
@@ -165,6 +165,13 @@ class TestTransient:
         with pytest.raises(ConfigurationError, match="dt must be positive"):
             evolve_transient(stat, spec, dt, 1000)
 
+    @pytest.mark.parametrize("steps", [2.5, float("nan"), True])
+    def test_step_count_is_a_whole_number(self, additive_setup, steps):
+        spec, grid, stat, dt = additive_setup
+        with pytest.raises(FormatError, match="steps must be a whole number"):
+            evolve_transient(stat, spec, dt, steps)
+        assert evolve_transient(stat, spec, dt, 2.0).l1_distance(stat) < 1e-6
+
     @pytest.fixture()
     def drift_dominated(self):
         # cell Peclet number h * A/B = 2.5, where 0.4 h^2 / B is too long a step
@@ -245,6 +252,12 @@ class TestDiagnostics:
         spec = DriftDiffusionSpec.multiplicative(a=0.7, b=0.7)
         r = np.linspace(0.0, 1e6, 1001)
         assert np.all(delta_r2_diagnostic(r, spec) == 0.0)
+
+    @pytest.mark.parametrize("r", [float("nan"), float("inf"), [1.0, float("-inf")]])
+    def test_non_finite_income_refused(self, r):
+        # a NaN once came back as the rate
+        with pytest.raises(DomainError, match="income must be finite"):
+            delta_r2_diagnostic(r, DriftDiffusionSpec.additive(a0=2.0, b0=80.0))
 
     def test_subcritical_drift_grows_quadratically(self):
         a, b = 0.5, 2.0

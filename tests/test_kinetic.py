@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 from conftest import lattice_ks
 from ineqstats import kinetic
 from ineqstats import (AgentEnsemble, BinnedHistogram, ConfigurationError,
-                       CycleSpec, DomainError, ExchangeRule, RULE_FIXED,
-                       RULE_UNIFORM, couple_systems, cycle_profit_and_rate,
-                       entropy, init_ensemble, multiplicity_exact,
+                       CycleSpec, DomainError, ExchangeRule, FormatError,
+                       RULE_FIXED, RULE_UNIFORM, couple_systems,
+                       cycle_profit_and_rate, entropy, init_ensemble,
                        run_simulation, temperature_and_potential)
 
 
@@ -47,6 +47,35 @@ class TestEnsembleSetup:
             ExchangeRule(RULE_FIXED, delta=0)
         with pytest.raises(DomainError):
             ExchangeRule(RULE_FIXED, floor=1)
+
+    @pytest.mark.parametrize("field, value", [("delta", 2.5), ("delta", True),
+                                              ("delta", math.nan), ("floor", -1.5),
+                                              ("floor", False), ("floor", "0")])
+    def test_rule_amounts_are_whole_numbers(self, field, value):
+        # a uniform delta of 2.5 once ran, drawing amounts in 1..2
+        with pytest.raises(FormatError, match=f"{field} must be a whole number"):
+            ExchangeRule(RULE_UNIFORM, **{field: value})
+        rule = ExchangeRule(RULE_UNIFORM, delta=3.0, floor=np.int64(-2))
+        assert (rule.delta, rule.floor) == (3, -2)
+        assert type(rule.delta) is int and type(rule.floor) is int
+
+    @pytest.mark.parametrize("n_agents, total", [(2.5, 10), (10, 2.5), (10, math.nan),
+                                                 (True, 10)])
+    @pytest.mark.filterwarnings("error")
+    def test_ensemble_sizes_are_whole_numbers(self, n_agents, total):
+        # a NaN total once warned "invalid value encountered in cast"
+        with pytest.raises(FormatError, match="must be a whole number"):
+            init_ensemble(n_agents, total)
+        assert init_ensemble(4.0, 1e2).balances.tolist() == [25] * 4
+
+    @pytest.mark.parametrize("steps", [2.5, math.nan, True])
+    def test_step_counts_are_whole_numbers(self, steps):
+        rule = ExchangeRule(RULE_FIXED)
+        with pytest.raises(FormatError, match="steps must be a whole number"):
+            run_simulation(init_ensemble(10, 100), rule, steps, seed=1)
+        with pytest.raises(FormatError, match="steps must be a whole number"):
+            couple_systems(init_ensemble(10, 100), init_ensemble(10, 50), rule, steps,
+                           0.0, seed=1)
 
 
 class TestRunSimulation:
@@ -264,25 +293,20 @@ class TestEntropyAndMultiplicity:
         with pytest.raises(DomainError):
             entropy(BinnedHistogram(np.array([0, 0])))
 
-    def test_multiplicity_small_case(self):
-        omega, log_omega = multiplicity_exact([2, 1, 1])
-        assert omega == 12
-        assert log_omega == pytest.approx(math.log(12), abs=1e-12)
-
-    def test_multiplicity_single_bin(self):
-        omega, log_omega = multiplicity_exact([9])
-        assert omega == 1
-        assert log_omega == 0.0
-
-    def test_multiplicity_range_limit(self):
-        with pytest.raises(DomainError):
-            multiplicity_exact([21])
-
     def test_stirling_bound_and_shrinking_gap(self):
+        def log_multiplicity(occupations):
+            """ln W = ln(N! / prod N_k!), exactly."""
+            omega = math.factorial(sum(occupations))
+            for n_k in occupations:
+                omega //= math.factorial(n_k)
+            return math.log(omega)
+
+        assert log_multiplicity([2, 1, 1]) == pytest.approx(math.log(12), abs=1e-12)
+        assert log_multiplicity([9]) == 0.0
         gaps = []
         for n in (8, 12, 16):
             occ = [n // 4] * 4
-            _, log_omega = multiplicity_exact(occ)
+            log_omega = log_multiplicity(occ)
             s = entropy(BinnedHistogram(np.array(occ)))
             assert log_omega <= s
             gaps.append((s - log_omega) / n)

@@ -36,8 +36,10 @@ def test_removed_aliases_are_gone():
         (cli, ("_reject_unread", "_config_echo")),
         (kinetic, ("exchange_step",)),
         (io, ("load_config",)),
-        (income, ("empirical_cdf_income",)),
-        (ineqstats, ("exchange_step", "empirical_cdf_income")),
+        (income, ("empirical_cdf_income", "fit_crossover", "CrossoverFit")),
+        (kinetic, ("multiplicity_exact",)),
+        (ineqstats, ("exchange_step", "empirical_cdf_income", "fit_crossover",
+                     "CrossoverFit", "multiplicity_exact")),
     ]
     left = [f"{owner.__name__}.{name}" for owner, names in removed
             for name in names if hasattr(owner, name)]
