@@ -276,6 +276,14 @@ class TestSimulationConfig:
             build_config(SimulationConfig, {"n_agents": 10}, "simulation config")
 
 
+def _multiplicity(occupations):
+    """Exact W = N! / prod N_k! and ln W, the reference for the Stirling entropy."""
+    omega = math.factorial(sum(occupations))
+    for n_k in occupations:
+        omega //= math.factorial(n_k)
+    return omega, math.log(omega)
+
+
 class TestEntropyAndMultiplicity:
     def test_single_bin_entropy_zero(self):
         assert entropy(BinnedHistogram(np.array([7]))) == 0.0
@@ -293,20 +301,21 @@ class TestEntropyAndMultiplicity:
         with pytest.raises(DomainError):
             entropy(BinnedHistogram(np.array([0, 0])))
 
-    def test_stirling_bound_and_shrinking_gap(self):
-        def log_multiplicity(occupations):
-            """ln W = ln(N! / prod N_k!), exactly."""
-            omega = math.factorial(sum(occupations))
-            for n_k in occupations:
-                omega //= math.factorial(n_k)
-            return math.log(omega)
+    def test_multiplicity_small_case(self):
+        omega, log_omega = _multiplicity([2, 1, 1])
+        assert omega == 12
+        assert log_omega == pytest.approx(math.log(12), abs=1e-12)
 
-        assert log_multiplicity([2, 1, 1]) == pytest.approx(math.log(12), abs=1e-12)
-        assert log_multiplicity([9]) == 0.0
+    def test_multiplicity_single_bin(self):
+        omega, log_omega = _multiplicity([9])
+        assert omega == 1
+        assert log_omega == 0.0
+
+    def test_stirling_bound_and_shrinking_gap(self):
         gaps = []
         for n in (8, 12, 16):
             occ = [n // 4] * 4
-            log_omega = log_multiplicity(occ)
+            _, log_omega = _multiplicity(occ)
             s = entropy(BinnedHistogram(np.array(occ)))
             assert log_omega <= s
             gaps.append((s - log_omega) / n)
