@@ -38,7 +38,7 @@ report = fit_report(table)
 print("\nstaged fits (the tax-data procedure):")
 print(f"  body exponential  -> T  = {report.temperature_staged:6.2f} k$")
 print(f"  tail power law    -> a  = {report.alpha_staged:6.3f}")
-print(f"  crossover search  -> r0 = {report.r0_staged:6.1f} k$")
+print(f"  crossover scan    -> r0 = {report.r0_staged:6.1f} k$")
 print("refined (joint per-bin least squares):")
 print(f"  T = {report.temperature:.2f} k$   alpha = {report.alpha:.3f}   "
       f"r0 = {report.r0:.1f} k$")

@@ -7,8 +7,9 @@ fitted in stages, following the procedure used for annual tax data:
    (temperature T),
 2. power-law regression of ln C vs ln r over the tail window
    (Pareto exponent alpha),
-3. golden-section search on ln r0 over [T/10, 100 T] for the crossover
-   income r0 minimising the log mean-square deviation of the model CDF.
+3. a 7-point scan of ln r0 over [T/10, 100 T], refined by a parabola
+   through the best point and its neighbours, for the crossover income
+   r0 minimising the log mean-square deviation of the model CDF.
 
 The staged estimates inherit a visible finite-window bias on data drawn
 from the interpolating model itself (the body window reaches into the
@@ -56,8 +57,6 @@ __all__ = [
 MODE_IN_BIN = "in-bin"
 MODE_AT_OR_ABOVE = "at-or-above"
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-_GOLDEN_ITERATIONS = 40      # golden-section steps of the crossover search
 _LM_DAMPING = 1e-3           # initial Levenberg-Marquardt damping
 _LM_DIFF_STEP = 1e-6         # forward-difference step, in the log parameters
 _LM_MAX_STEP = 1.0           # largest move of one log parameter in one step
@@ -220,33 +219,24 @@ def _log_mse(theory: np.ndarray, comp: np.ndarray) -> float:
 
 def _fit_crossover(quadrature: LevelQuadrature, comp: np.ndarray, temperature: float,
                    alpha: float) -> tuple[float, bool]:
-    """Golden-section search (on ln r0) for the crossover income.
+    """Seven-point scan (on ln r0) for the crossover income.
 
-    Minimises sum_n ln^2[C_t(r_n) / C_e(r_n)] over the levels of
+    Evaluates sum_n ln^2[C_t(r_n) / C_e(r_n)] over the levels of
     ``quadrature``, whose empirical complementary CDF is ``comp``, with T
-    and alpha held fixed, in 40 steps over r0 in [T/10, 100 T].  Returns r0
-    and whether it lies within 5% of a bracket edge (degenerate: typical
-    for data with no tail, where r0 runs away upward).
+    and alpha fixed, at r0 = T/10 .. 100 T in steps of a factor sqrt(10).
+    Returns the vertex of the parabola in ln r0 through the best point and
+    its neighbours, or a best end point flagged degenerate (typical for
+    data with no tail, where r0 runs away upward).
     """
-    def objective(ln_r0: float) -> float:
-        return _log_mse(quadrature.ccdf(temperature, alpha, math.exp(ln_r0)), comp)
-
-    edges = (temperature / 10.0, 100.0 * temperature)
-    a, b = math.log(edges[0]), math.log(edges[1])
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = objective(x1), objective(x2)
-    for _ in range(_GOLDEN_ITERATIONS):
-        if f1 < f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = objective(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = objective(x2)
-    r0 = math.exp(0.5 * (a + b))
-    return r0, r0 <= edges[0] * 1.05 or r0 >= edges[1] / 1.05
+    ln_r0 = np.linspace(math.log(temperature / 10.0), math.log(100.0 * temperature), 7)
+    cost = [_log_mse(quadrature.ccdf(temperature, alpha, math.exp(x)), comp) for x in ln_r0]
+    i = int(np.argmin(cost))
+    if i in (0, len(cost) - 1):
+        return math.exp(ln_r0[i]), True
+    # argmin's first minimum has left > best <= right: the parabola opens upward
+    left, best, right = cost[i - 1:i + 2]
+    shift = 0.5 * (left - right) / (left - 2.0 * best + right)
+    return math.exp(ln_r0[i] + shift * (ln_r0[1] - ln_r0[0])), False
 
 
 # ---------------------------------------------------------------------------
@@ -257,8 +247,8 @@ def _fit_crossover(quadrature: LevelQuadrature, comp: np.ndarray, temperature: f
 def _levenberg_marquardt(residuals, x0):
     """Minimise |residuals(x)|^2 from x0 by damped Gauss-Newton steps.
 
-    ``residuals(x)`` is None where x is undefined (never at x0).  Each
-    step solves (J'J + lam D) dx = -J'r, with J by forward differences
+    ``residuals(x)`` is None where x is undefined (a DomainError at x0).
+    Each step solves (J'J + lam D) dx = -J'r, with J by forward differences
     (backward where the forward point is undefined) and D the diagonal of
     J'J floored at 1e-12 of its largest entry, then shrinks dx so that no
     coordinate moves by more than _LM_MAX_STEP.  A step that does not
@@ -267,6 +257,8 @@ def _levenberg_marquardt(residuals, x0):
     """
     x = np.asarray(x0, dtype=float)
     r = residuals(x)
+    if r is None:
+        raise DomainError("the refinement start lies where the model CDF is undefined")
     cost = float(r @ r)
     lam = _LM_DAMPING
     for _ in range(_LM_ITERATIONS):
@@ -316,8 +308,11 @@ def refine_parameters(table: IncomeBinTable, temperature: float, alpha: float,
     when the sum of squares falls by at most 1e-12 of itself, when the
     step falls below 1e-10, or after 100 iterations.  A point where alpha
     rounds to 1, a log parameter lies beyond +-700 (where math.exp
-    overflows or underflows) or the CCDF is NaN is refused.
+    overflows or underflows) or the CCDF is NaN is refused, and so is a
+    start with T or r0 not finite and positive, or alpha not finite.
     """
+    if not (0 < temperature < math.inf and 0 < r0 < math.inf and math.isfinite(alpha)):
+        raise DomainError(f"cannot refine from T={temperature!r}, alpha={alpha!r}, r0={r0!r}")
     counts = table.counts
     q = counts / table.total
     pos = counts > 0

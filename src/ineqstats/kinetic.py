@@ -228,10 +228,14 @@ def temperature_and_potential(ens: AgentEnsemble, m_star: float = 1.0) -> tuple[
     return T, mu
 
 
-def _check_checkpoint_every(checkpoint_every: int | None) -> None:
-    if checkpoint_every is not None and checkpoint_every < 1:
+def _check_checkpoint_every(checkpoint_every) -> int | None:
+    if checkpoint_every is None:
+        return None
+    checkpoint_every = whole_number(checkpoint_every, "checkpoint_every")
+    if checkpoint_every < 1:
         raise ConfigurationError(
             f"checkpoint interval must be at least one attempt; got {checkpoint_every}")
+    return checkpoint_every
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -255,17 +259,16 @@ class SimulationConfig:
     checkpoint_every: int | None = None
 
     def __post_init__(self):
-        for name in ("n_agents", "total_money_quanta", "steps", "seed", "checkpoint_every"):
-            value = getattr(self, name)
-            if value is not None or name != "checkpoint_every":
-                object.__setattr__(self, name, whole_number(value, name))
+        for name in ("n_agents", "total_money_quanta", "steps", "seed"):
+            object.__setattr__(self, name, whole_number(getattr(self, name), name))
         if isinstance(self.quantum_value, bool) or not isinstance(self.quantum_value, Real):
             raise FormatError(f"quantum_value must be a number; got {self.quantum_value!r}")
         if self.n_agents < 1:
             raise DomainError("need at least one agent")
         if self.seed < 0:
             raise DomainError(f"seed must be non-negative; got {self.seed}")
-        _check_checkpoint_every(self.checkpoint_every)
+        object.__setattr__(self, "checkpoint_every",
+                           _check_checkpoint_every(self.checkpoint_every))
         # the rule checks rule, delta and floor; a missing delta is 1 until the
         # headroom check bounds the total that the uniform default grows with
         rule = ExchangeRule(self.rule, 1 if self.delta is None else self.delta, self.floor)
@@ -373,7 +376,7 @@ def run_simulation(ens: AgentEnsemble, rule: ExchangeRule, steps: int,
     if ens.n < 2:
         raise DomainError("need at least two agents to trade")
     _check_headroom(ens.total, ens.n, rule.floor)
-    _check_checkpoint_every(checkpoint_every)
+    checkpoint_every = _check_checkpoint_every(checkpoint_every)
     rng = np.random.default_rng(seed)
     per_round = ens.n // 2
     n_rounds = -(-steps // per_round)  # ceil

@@ -299,12 +299,34 @@ class TestStagedFits:
         assert body.residual > 10 * tail.residual
 
     def test_crossover_round_trip_with_true_parameters(self):
+        # the scan places r0 within one step (a factor sqrt(10)) of the
+        # truth, at an objective no higher than at any of its 7 points
         model = TwoClassModel(40.0, 1.5, 100.0)
         rng = np.random.default_rng(90210)
         table = sample_income_table(model, 100_000, rng, n_levels=50)
-        r0, degenerate = fit_crossover(WeightedCDF(table.levels, table.counts), 40.0, 1.5)
-        assert r0 == pytest.approx(100.0, rel=0.10)
+        cdf = WeightedCDF(table.levels, table.counts)
+        r0, degenerate = fit_crossover(cdf, 40.0, 1.5)
         assert not degenerate
+        assert abs(math.log(r0 / 100.0)) < 0.5 * math.log(10.0)
+        quadrature = LevelQuadrature(cdf.values)
+
+        def objective(r0):
+            return income._log_mse(quadrature.ccdf(40.0, 1.5, r0), cdf.complementary)
+
+        scan = np.geomspace(4.0, 4000.0, 7)
+        assert objective(r0) <= min(objective(x) for x in scan)
+
+    def test_crossover_scan_makes_seven_evaluations(self, table_2007, monkeypatch):
+        calls = []
+        ccdf = LevelQuadrature.ccdf
+
+        def counting(self, *args):
+            calls.append(args)
+            return ccdf(self, *args)
+
+        monkeypatch.setattr(LevelQuadrature, "ccdf", counting)
+        fit_crossover(WeightedCDF(table_2007.levels, table_2007.counts), 48.0, 1.34)
+        assert len(calls) == 7
 
     def test_crossover_local_minimum_certificate(self):
         model = TwoClassModel(40.0, 1.5, 100.0)
@@ -449,6 +471,16 @@ class TestRefinedPipeline:
         assert abs(alpha / 1.34 - 1) < 0.05
         assert abs(r0 / 113 - 1) < 0.10
 
+    @pytest.mark.parametrize("start", [(-1.0, 1.6, 80.0), (0.0, 1.6, 80.0),
+                                       (51.0, 1.6, 0.0), (51.0, 1.6, -80.0),
+                                       (math.inf, 1.6, 80.0), (51.0, math.inf, 80.0),
+                                       (51.0, 1.6, math.inf), (math.nan, 1.6, 80.0),
+                                       (51.0, math.nan, 80.0), (51.0, 1.6, math.nan),
+                                       (51.0, 1e300, 80.0), (1e-300, 1.6, 80.0)])
+    def test_refine_parameters_refuses_a_bad_start(self, table_2007, start):
+        with pytest.raises(DomainError):
+            refine_parameters(table_2007, *start)
+
 
 def weighted_log_residuals(table, x):
     """sqrt(n_k) ln(q_k / p_k) over the bins with returns, at the log
@@ -487,6 +519,20 @@ class TestRefinementReachesTheMinimum:
         assert objective == pytest.approx(float(oracle.fun @ oracle.fun), rel=1e-10)
         expected = np.exp(oracle.x) + [0.0, 1.0, 0.0]
         assert np.allclose(refined, expected, rtol=1e-5, atol=0.0)
+
+    @pytest.mark.parametrize("params, rng_seed", [(None, None),
+                                                  ((40.0, 1.5, 100.0), 90210),
+                                                  ((33.0, 1.63, 76.0), 7),
+                                                  ((60.0, 1.3, 141.0), 11)])
+    def test_staged_start_reaches_the_minimum_of_the_true_start(self, table_2007,
+                                                                params, rng_seed):
+        # the crossover scan is coarse, but the refinement it starts ends
+        # where a refinement started at the true parameters does
+        table = table_2007 if params is None else seeded_table(params, rng_seed)
+        report = fit_report(table)
+        from_truth = refine_parameters(table, *(params or (48.0, 1.34, 113.0)))
+        assert np.allclose([report.temperature, report.alpha, report.r0], from_truth,
+                           rtol=1e-6, atol=0.0)
 
     def test_evaluation_budget(self, table_2007, monkeypatch):
         # a least-squares step reaches the minimum in about 25 CCDF

@@ -129,6 +129,16 @@ class TestRunSimulation:
             run_simulation(ens, ExchangeRule(RULE_FIXED), 50,
                            checkpoint_every=checkpoint_every, seed=1)
 
+    @pytest.mark.parametrize("checkpoint_every", [math.nan, 2.5, True])
+    @pytest.mark.filterwarnings("error")
+    def test_checkpoint_interval_is_a_whole_number(self, checkpoint_every):
+        with pytest.raises(FormatError, match="checkpoint_every must be a whole number"):
+            run_simulation(init_ensemble(10, 100), ExchangeRule(RULE_FIXED), 20,
+                           checkpoint_every=checkpoint_every, seed=1)
+        traj = run_simulation(init_ensemble(10, 100), ExchangeRule(RULE_FIXED), 20,
+                              checkpoint_every=10.0, seed=1)
+        assert traj.steps.tolist() == [0, 10, 20]
+
     def test_amount_memory_flat_in_steps(self):
         # one checkpoint burst: drawing its amounts in one call would take
         # 16 MB at 8 000 rounds of 250 pairs
