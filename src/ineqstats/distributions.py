@@ -364,20 +364,19 @@ _BOUNDARY_BRACKET = (1.0, 100.0)   # search range for r*, in units of T
 _BOUNDARY_TOL = 1e-12              # bisection stops below this width, in units of T
 
 
-def class_boundary(T: float, alpha: float, exp_prefactor: float,
-                   pl_prefactor: float) -> tuple[float, float]:
-    """Intersection r* of the fitted exponential and power-law CDFs.
+def class_boundary(T: float, alpha: float, pl_prefactor: float) -> tuple[float, float]:
+    """Intersection r* of the exponential CDF exp(-r/T) and a power-law CDF.
 
-    Solves exp_prefactor * exp(-r/T) = pl_prefactor * r^-alpha by
-    bisection on r in [T, 100 T] to a width of 1e-12 T.  Returns (r_star,
-    upper_fraction) where upper_fraction = exp(-r*/T) is the implied
-    population share of the upper class.
+    Solves exp(-r/T) = pl_prefactor * r^-alpha by bisection on r in
+    [T, 100 T] to a width of 1e-12 T.  Returns (r_star, upper_fraction)
+    where upper_fraction = exp(-r*/T) is the implied population share of
+    the upper class.
     """
-    if not all(math.isfinite(v) and v > 0 for v in (T, alpha, exp_prefactor, pl_prefactor)):
-        raise DomainError("class_boundary needs finite, positive T, alpha and prefactors")
+    if not all(math.isfinite(v) and v > 0 for v in (T, alpha, pl_prefactor)):
+        raise DomainError("class_boundary needs finite, positive T, alpha and prefactor")
 
     def gap(r):
-        return math.log(exp_prefactor) - r / T - math.log(pl_prefactor) + alpha * math.log(r)
+        return -r / T - math.log(pl_prefactor) + alpha * math.log(r)
 
     lo, hi = _BOUNDARY_BRACKET[0] * T, _BOUNDARY_BRACKET[1] * T
     g_lo, g_hi = gap(lo), gap(hi)

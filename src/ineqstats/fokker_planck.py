@@ -212,8 +212,10 @@ def make_grid(spec: DriftDiffusionSpec, r_max: float | None = None,
     """Default solver grid: 300 linear points below scale/100, log above.
 
     For the multiplicative kind (B(0) = 0) pass r_min > 0 and the grid is
-    purely log-spaced.
+    purely log-spaced; the other kinds start at r = 0 and refuse any other
+    r_min.
     """
+    points_per_decade = whole_number(points_per_decade, "points_per_decade")
     if points_per_decade < 1:
         raise ConfigurationError(
             f"points_per_decade must be at least 1; got {points_per_decade}")
@@ -227,6 +229,9 @@ def make_grid(spec: DriftDiffusionSpec, r_max: float | None = None,
             raise SingularDiffusionError(
                 "multiplicative diffusion vanishes at r = 0; start the grid at r_min > 0")
         return _log_spaced(r_min, r_max, points_per_decade)
+    if r_min != 0:
+        raise ConfigurationError(
+            f"the {spec.kind} grid starts at r = 0; r_min is for the multiplicative kind")
     knee = scale / 100.0
     return np.concatenate([
         np.linspace(0.0, knee, _LINEAR_POINTS, endpoint=False),
@@ -248,6 +253,19 @@ def _log_spaced(lo: float, hi: float, points_per_decade: int) -> np.ndarray:
         f"at {points_per_decade} points per decade")
 
 
+def _interface_drift(spec: DriftDiffusionSpec, grid: np.ndarray):
+    """B on the grid, and on each interval x = h (s[i] + s[i+1])/2 with
+    s = A/B: the trapezoid drift integral, which makes the stationary
+    solution an exact fixed point of the stepper."""
+    B = spec.diffusion(grid)
+    if np.any(B <= 0):
+        raise SingularDiffusionError(
+            "diffusion coefficient vanishes on the grid; "
+            "for the multiplicative kind use a grid starting at r > 0")
+    s = spec.drift(grid) / B
+    return B, 0.5 * (s[1:] + s[:-1]) * np.diff(grid)
+
+
 def stationary_solution(spec: DriftDiffusionSpec,
                         grid: np.ndarray | None = None) -> GridDistribution:
     """P_s = (c / B) exp(-int_0^r A/B dr'), normalised to unit mass on the
@@ -255,14 +273,7 @@ def stationary_solution(spec: DriftDiffusionSpec,
     if grid is None:
         grid = make_grid(spec)
     grid = np.asarray(grid, dtype=float)
-    B = spec.diffusion(grid)
-    if np.any(B <= 0):
-        raise SingularDiffusionError(
-            "diffusion coefficient vanishes on the grid; "
-            "for the multiplicative kind use a grid starting at r > 0")
-    A = spec.drift(grid)
-    s = A / B
-    seg = 0.5 * (s[1:] + s[:-1]) * np.diff(grid)
+    B, seg = _interface_drift(spec, grid)
     drift_integral = np.concatenate([[0.0], np.cumsum(seg)])
     with np.errstate(under="ignore"):
         psi = np.exp(-drift_integral) / B
@@ -294,12 +305,8 @@ def evolve_transient(p0: GridDistribution, spec: DriftDiffusionSpec,
     if not dt > 0:
         raise ConfigurationError(f"dt must be positive; got {dt!r}")
     grid = p0.grid
-    B = spec.diffusion(grid)
-    if np.any(B <= 0):
-        raise SingularDiffusionError("diffusion coefficient vanishes on the grid")
-    s = spec.drift(grid) / B
+    B, x = _interface_drift(spec, grid)
     h = np.diff(grid)
-    x = 0.5 * (s[1:] + s[:-1]) * h
     w = _cell_widths(grid)
     # per-step fractions of a cell's mass that cross to the left and right
     left = dt * _bernoulli(-x) / h * B[1:] / w[1:]

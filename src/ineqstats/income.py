@@ -36,10 +36,10 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .distributions import LevelQuadrature, TwoClassModel, class_boundary
+from .distributions import LevelQuadrature, TwoClassModel, class_boundary, tail_fraction
 from .errors import (DomainError, FormatError, InsufficientDataError,
                      NoIntersectionError)
-from .io import read_csv_rows, record_line, usable_row, whole_number
+from .io import read_csv_rows, record_line, usable_row, whole_number, whole_numbers
 from .weighted import WeightedCDF
 
 __all__ = [
@@ -80,7 +80,7 @@ class IncomeBinTable:
 
     def __post_init__(self):
         levels = np.asarray(self.levels, dtype=float)
-        counts = np.asarray(self.counts, dtype=np.int64)
+        counts = whole_numbers(self.counts, "counts")
         object.__setattr__(self, "levels", levels)
         object.__setattr__(self, "counts", counts)
         if levels.size == 0 or levels.size != counts.size:
@@ -105,7 +105,7 @@ class IncomeBinTable:
     def from_complementary(cls, levels, counts_at_or_above,
                            year: int | None = None) -> "IncomeBinTable":
         """Build from complementary counts (returns at or above each level)."""
-        comp = np.asarray(counts_at_or_above, dtype=np.int64)
+        comp = whole_numbers(counts_at_or_above, "complementary counts")
         if np.any(np.diff(comp) > 0):
             raise DomainError("complementary counts must be non-increasing")
         counts = np.concatenate([-np.diff(comp), comp[-1:]])
@@ -156,61 +156,50 @@ class IncomeBinTable:
 @dataclass(frozen=True)
 class TemperatureFit:
     temperature: float
-    prefactor: float       # c1 in c1 * exp(-r/T)
     residual: float        # mean squared residual of ln C
-    n_points: int
-    window: tuple[float, float]
 
 
 @dataclass(frozen=True)
 class ParetoFit:
     alpha: float
-    prefactor: float       # c2 in c2 * r^-alpha
     residual: float
-    n_points: int
-    window: tuple[float, float]
 
 
-def _window_points(cdf: WeightedCDF, window: tuple[float, float]):
+def _window_line(cdf: WeightedCDF, window: tuple[float, float],
+                 log_r: bool) -> tuple[float, float]:
+    """Slope of the least-squares line of ln C against r (against ln r when
+    ``log_r``) over the levels whose C lies in ``window``, and the mean
+    squared residual of ln C about it.  The slope must be negative."""
+    part, fit = ("tail", "Pareto exponent") if log_r else ("body", "temperature")
     lo, hi = window
     mask = (cdf.complementary >= lo) & (cdf.complementary <= hi)
-    return cdf.values[mask], cdf.complementary[mask]
+    r, comp = cdf.values[mask], cdf.complementary[mask]
+    if r.size < 3 or (log_r and np.any(r <= 0)):
+        raise InsufficientDataError(
+            f"{part} window C in {window} holds {r.size} usable points; need 3")
+    x, ln_c = (np.log(r) if log_r else r), np.log(comp)
+    try:
+        with np.errstate(over="raise"):   # polyfit sums the squared levels
+            slope, intercept = np.polyfit(x, ln_c, 1)
+    except FloatingPointError:
+        raise DomainError(f"{part} levels up to {r[-1]:g} overflow the {fit} fit") from None
+    if slope >= 0:
+        raise DomainError(f"{part} CDF does not decay; cannot assign a {fit}")
+    return float(slope), float(np.mean((ln_c - (slope * x + intercept)) ** 2))
 
 
 def fit_temperature(cdf: WeightedCDF,
                     window: tuple[float, float] = (0.1, 0.95)) -> TemperatureFit:
     """Exponential fit of the body: slope of ln C vs r gives -1/T."""
-    r, comp = _window_points(cdf, window)
-    if r.size < 3:
-        raise InsufficientDataError(
-            f"temperature window C in {window} holds {r.size} points; need 3")
-    ln_c = np.log(comp)
-    try:
-        with np.errstate(over="raise"):   # polyfit sums the squared levels
-            slope, intercept = np.polyfit(r, ln_c, 1)
-    except FloatingPointError:
-        raise DomainError(f"body levels up to {r[-1]:g} overflow the temperature fit") from None
-    if slope >= 0:
-        raise DomainError("body CDF does not decay; cannot assign a temperature")
-    residual = float(np.mean((ln_c - (slope * r + intercept)) ** 2))
-    return TemperatureFit(float(-1.0 / slope), math.exp(float(intercept)),
-                          residual, r.size, window)
+    slope, residual = _window_line(cdf, window, log_r=False)
+    return TemperatureFit(-1.0 / slope, residual)
 
 
 def fit_pareto_exponent(cdf: WeightedCDF,
                         window: tuple[float, float] = (0.001, 0.03)) -> ParetoFit:
     """Power-law fit of the tail: slope of ln C vs ln r gives -alpha."""
-    r, comp = _window_points(cdf, window)
-    if r.size < 3 or np.any(r <= 0):
-        raise InsufficientDataError(
-            f"tail window C in {window} holds {r.size} usable points; need 3")
-    ln_r, ln_c = np.log(r), np.log(comp)
-    slope, intercept = np.polyfit(ln_r, ln_c, 1)
-    if slope >= 0:
-        raise DomainError("tail CDF does not decay; cannot assign an exponent")
-    residual = float(np.mean((ln_c - (slope * ln_r + intercept)) ** 2))
-    return ParetoFit(float(-slope), math.exp(float(intercept)), residual,
-                     r.size, window)
+    slope, residual = _window_line(cdf, window, log_r=True)
+    return ParetoFit(-slope, residual)
 
 
 def _log_mse(theory: np.ndarray, comp: np.ndarray) -> float:
@@ -402,9 +391,8 @@ def fit_report(table: IncomeBinTable,
                                                    max(alpha, 1.01), r0)
 
     incomes = table.bin_incomes(max(pfit.alpha, 1.0001))
-    f = 1.0 - temperature / incomes.mean
-    degenerate_tail = f <= 0 or degenerate_crossover
-    f = max(f, 0.0)
+    degenerate_tail = temperature >= incomes.mean or degenerate_crossover
+    f = tail_fraction(min(temperature, incomes.mean), incomes.mean)
     gini = (1.0 + f) / 2.0
     gini_lorenz = incomes.lorenz().gini
 
@@ -417,7 +405,7 @@ def fit_report(table: IncomeBinTable,
         prefactor = final_model.tail_prefactor
         if not 0 < prefactor < math.inf:
             raise NoIntersectionError("tail prefactor outside the float range")
-        r_star, upper_fraction = class_boundary(temperature, alpha, 1.0, prefactor)
+        r_star, upper_fraction = class_boundary(temperature, alpha, prefactor)
     except NoIntersectionError:
         r_star, upper_fraction = None, None
         degenerate_tail = True

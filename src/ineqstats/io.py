@@ -14,11 +14,13 @@ import json
 from numbers import Real
 from pathlib import Path
 
+import numpy as np
+
 from .errors import DomainError, FormatError
 
 __all__ = ["format_cell", "write_csv", "write_json", "sha256_file", "read_text",
            "read_csv_rows", "record_line", "usable_row", "json_object", "build_config",
-           "whole_number"]
+           "whole_number", "whole_numbers"]
 
 
 def format_cell(value) -> str:
@@ -127,3 +129,19 @@ def whole_number(value, what: str) -> int:
     if isinstance(value, Real) and not isinstance(value, bool) and value % 1 == 0:
         return int(value)
     raise FormatError(f"{what} must be a whole number; got {value!r}")
+
+
+def whole_numbers(values, what: str) -> np.ndarray:
+    """``values`` as an int64 array, the array form of ``whole_number``:
+    integers that int64 holds pass (an int64 array without a copy), and so
+    do integral floats within int64; bools, fractions, inf, NaN and
+    anything else raise FormatError naming ``what``."""
+    arr = np.asarray(values)
+    if arr.dtype.kind in "iu":
+        ints = arr.astype(np.int64, copy=False)
+        if np.can_cast(arr.dtype, np.int64) or np.all(ints >= 0):   # uint64 past int64 wraps
+            return ints
+    if arr.dtype.kind == "f" and np.all(
+            (np.floor(arr) == arr) & (-2.0 ** 63 <= arr) & (arr < 2.0 ** 63)):
+        return arr.astype(np.int64)
+    raise FormatError(f"{what} must be whole numbers that fit 64-bit integers")

@@ -44,7 +44,7 @@ from numbers import Real
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, FormatError
-from .io import whole_number
+from .io import whole_number, whole_numbers
 
 __all__ = [
     "RULE_FIXED",
@@ -115,7 +115,7 @@ class AgentEnsemble:
     """Mutable collection of per-agent balances in integer quanta."""
 
     def __init__(self, balances):
-        arr = np.asarray(balances, dtype=np.int64)
+        arr = whole_numbers(balances, "balances")
         if arr.ndim != 1 or arr.size == 0:
             raise DomainError("balances must be a non-empty 1-d sequence")
         self.balances = arr
@@ -182,7 +182,7 @@ class BinnedHistogram:
     origin: float = 0.0
 
     def __post_init__(self):
-        self.counts = np.asarray(self.counts, dtype=np.int64)
+        self.counts = whole_numbers(self.counts, "bin counts")
         if np.any(self.counts < 0):
             raise DomainError("bin counts must be non-negative")
 
@@ -226,6 +226,21 @@ def temperature_and_potential(ens: AgentEnsemble, m_star: float = 1.0) -> tuple[
     T = ens.total / ens.n * m_star
     mu = -T * math.log(T / m_star)
     return T, mu
+
+
+def _migration_rate(rate) -> float:
+    if isinstance(rate, bool) or not isinstance(rate, Real) or not 0 <= rate <= 1:
+        raise DomainError(f"migration rate must lie in [0, 1]; got {rate!r}")
+    return float(rate)
+
+
+def _generator(seed) -> np.random.Generator:
+    """A Generator as given, or a fresh one from None or a whole-number seed >= 0."""
+    if seed is not None and not isinstance(seed, np.random.Generator):
+        seed = whole_number(seed, "seed")
+        if seed < 0:
+            raise DomainError(f"seed must be non-negative; got {seed}")
+    return np.random.default_rng(seed)
 
 
 def _check_checkpoint_every(checkpoint_every) -> int | None:
@@ -319,10 +334,7 @@ class CoupledConfig:
             object.__setattr__(self, name, getattr(system1, name))
         for name in ("n_agents2", "total_money_quanta2", "events"):
             object.__setattr__(self, name, whole_number(getattr(self, name), name))
-        rate = self.migration_rate
-        if isinstance(rate, bool) or not isinstance(rate, Real) or not 0 <= rate <= 1:
-            raise DomainError(f"migration rate must lie in [0, 1]; got {rate!r}")
-        object.__setattr__(self, "migration_rate", float(rate))
+        object.__setattr__(self, "migration_rate", _migration_rate(self.migration_rate))
 
 
 def run_from_config(config: SimulationConfig) -> "Trajectory":
@@ -359,16 +371,20 @@ def run_simulation(ens: AgentEnsemble, rule: ExchangeRule, steps: int,
     Attempts execute in rounds of N//2 disjoint pairs, each of which shuffles
     the balances in place, so agent order after a run is a random
     relabelling.  The amounts are drawn in blocks of whole rounds, at most
-    ``_BLOCK_AMOUNTS`` attempts unless one round is more.  Checkpoints land on
-    the first round boundary at or past each multiple of
-    ``checkpoint_every`` and record the entropy of the balance histogram
-    (bins one quantum wide, anchored at the rule floor) and the
-    temperature M/N in quanta.  The step counts reported are exact attempt
-    counts.  Total money is asserted at every checkpoint.  The last
-    checkpoint's histogram is returned as ``final_histogram``.
+    ``_BLOCK_AMOUNTS`` attempts unless one round is more.  Checkpoints land at
+    the start, every max(1, checkpoint_every // (N//2)) rounds, and at the
+    end of the run: the whole rounds that fit in ``checkpoint_every``
+    attempts, or one round when none fits (N = 10, ``checkpoint_every=7``
+    and 30 steps checkpoint at 0, 5, 10, ..., 30).  Each records the
+    entropy of the balance histogram (bins one quantum wide, anchored at
+    the rule floor) and the temperature M/N in quanta.  The step counts
+    reported are exact attempt counts.  Total money is asserted at every
+    checkpoint.  The last checkpoint's histogram is returned as
+    ``final_histogram``.
 
-    ``seed`` is an int or None, from which a fresh generator is built, or
-    a ``numpy.random.Generator``, which is used (and advanced) as given.
+    ``seed`` is a whole number >= 0 or None, from which a fresh generator
+    is built, or a ``numpy.random.Generator``, which is used (and
+    advanced) as given.
     """
     steps = whole_number(steps, "steps")
     if steps < 1:
@@ -377,7 +393,7 @@ def run_simulation(ens: AgentEnsemble, rule: ExchangeRule, steps: int,
         raise DomainError("need at least two agents to trade")
     _check_headroom(ens.total, ens.n, rule.floor)
     checkpoint_every = _check_checkpoint_every(checkpoint_every)
-    rng = np.random.default_rng(seed)
+    rng = _generator(seed)
     per_round = ens.n // 2
     n_rounds = -(-steps // per_round)  # ceil
     if checkpoint_every is None:
@@ -491,12 +507,11 @@ def couple_systems(ens1: AgentEnsemble, ens2: AgentEnsemble,
 
     ``seed`` is taken as by ``run_simulation``.
     """
-    if not 0 <= migration_rate <= 1:
-        raise DomainError("migration rate must lie in [0, 1]")
+    migration_rate = _migration_rate(migration_rate)
     steps = whole_number(steps, "steps")
     if steps < 1:
         raise DomainError("need at least one event")
-    rng = np.random.default_rng(seed)
+    rng = _generator(seed)
 
     b1 = ens1.balances.tolist()
     b2 = ens2.balances.tolist()

@@ -164,7 +164,7 @@ def test_criterion_06_fit_round_trip():
 def test_criterion_07_class_boundary():
     T, alpha = 48.0, 1.5
     pl_prefactor = math.exp(-3.5) * (3.5 * T) ** alpha
-    r_star, fraction = class_boundary(T, alpha, 1.0, pl_prefactor)
+    r_star, fraction = class_boundary(T, alpha, pl_prefactor)
     ok = abs(r_star - 3.5 * T) < 1e-6 and abs(fraction - 0.030) <= 0.001
     report(7, ok, f"r*={r_star:.3f} (=3.5T), upper-class fraction "
                   f"{100 * fraction:.2f}% (3.0+-0.1%)")

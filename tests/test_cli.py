@@ -354,6 +354,8 @@ REJECTED = [
                   "--r-min", "1e6", "--r-max", "100"], id="r-min-above-r-max"),
     pytest.param(["fp", "--kind", "additive", "--a0", "1", "--b0", "40",
                   "--a", "5"], id="coefficient-outside-kind"),
+    pytest.param(["fp", "--kind", "additive", "--a0", "1", "--b0", "40",
+                  "--r-min", "5"], id="r-min-outside-multiplicative"),
     pytest.param(["fit-income", "--input", "{tmp}"], id="input-is-a-directory"),
     # {latin1} is a file holding the byte 0xE9, which is not UTF-8
     pytest.param(["fit-income", "--input", "{latin1}"], id="fit-income-not-utf8"),

@@ -355,7 +355,7 @@ class TestClassBoundary:
         T, alpha = 48.0, 1.5
         r_target = 3.5 * T
         c2 = math.exp(-3.5) * r_target ** alpha
-        r_star, frac = class_boundary(T, alpha, 1.0, c2)
+        r_star, frac = class_boundary(T, alpha, c2)
         assert r_star == pytest.approx(r_target, rel=1e-9)
         assert frac == pytest.approx(math.exp(-3.5), rel=1e-9)
         assert frac == pytest.approx(0.030, abs=0.001)
@@ -368,7 +368,7 @@ class TestClassBoundary:
         c2 = math.exp(-5.0) * (5 * T) ** alpha
         results = []
         for scale in (1.0, math.e):
-            r_star, _ = class_boundary(T, alpha, 1.0, scale * c2)
+            r_star, _ = class_boundary(T, alpha, scale * c2)
             grid = np.linspace(T, 100 * T, 100000)
             gap = np.abs(-grid / T - np.log(scale * c2) + alpha * np.log(grid))
             r_oracle = grid[np.argmin(gap)]
@@ -380,18 +380,18 @@ class TestClassBoundary:
     def test_no_intersection_raises(self):
         # exponential branch above the power law through the whole bracket
         with pytest.raises(NoIntersectionError):
-            class_boundary(1.0, 1.0, 1.0, 1e-60)
+            class_boundary(1.0, 1.0, 1e-60)
 
     def test_invalid_inputs(self):
         with pytest.raises(DomainError):
-            class_boundary(-1.0, 1.5, 1.0, 1.0)
+            class_boundary(-1.0, 1.5, 1.0)
         with pytest.raises(DomainError):
-            class_boundary(1.0, 1.5, 0.0, 1.0)
+            class_boundary(1.0, 1.5, 0.0)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    @pytest.mark.parametrize("position", range(4))
+    @pytest.mark.parametrize("position", range(3))
     def test_non_finite_inputs_rejected(self, bad, position):
-        args = [1.0, 1.5, 1.0, 1.0]
+        args = [1.0, 1.5, 1.0]
         args[position] = bad
         with pytest.raises(DomainError, match="finite"):
             class_boundary(*args)

@@ -109,6 +109,22 @@ class TestStationary:
         with pytest.raises(ConfigurationError, match="ceiling"):
             make_grid(spec, r_min=1.0, r_max=1e7, points_per_decade=10 ** 12)
 
+    @pytest.mark.parametrize("spec", [DriftDiffusionSpec.additive(a0=1.0, b0=40.0),
+                                      DriftDiffusionSpec.combined(1.0, 0.5, 40.0, 0.01)])
+    def test_r_min_only_for_the_multiplicative_kind(self, spec):
+        # the grid of these kinds starts at 0, so an r_min was once dropped
+        with pytest.raises(ConfigurationError, match="r_min"):
+            make_grid(spec, r_min=5.0)
+        assert np.array_equal(make_grid(spec, r_min=0), make_grid(spec))
+
+    @pytest.mark.parametrize("points", [2.5, True, "2000", np.nan])
+    def test_points_per_decade_is_a_whole_number(self, points):
+        spec = DriftDiffusionSpec.additive(a0=1.0, b0=1.0)
+        with pytest.raises(FormatError, match="points_per_decade must be a whole number"):
+            make_grid(spec, points_per_decade=points)
+        assert np.array_equal(make_grid(spec, points_per_decade=100.0),
+                              make_grid(spec, points_per_decade=100))
+
     def test_grid_must_cover_the_scale(self):
         spec = DriftDiffusionSpec.additive(a0=1.0, b0=1.0)
         with pytest.raises(ConfigurationError):

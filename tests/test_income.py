@@ -81,6 +81,19 @@ class TestTable:
         with pytest.raises(DomainError, match="income levels must be finite"):
             IncomeBinTable(np.array(levels), np.ones(len(levels), dtype=np.int64))
 
+    @pytest.mark.parametrize("counts", [[1.5, 2.7, 1], [1, np.nan, 1], [1, np.inf, 1],
+                                        [True, False, True]])
+    @pytest.mark.filterwarnings("error")
+    def test_counts_are_whole_numbers(self, counts):
+        # [1.5, 2.7, 1] was once truncated to [1, 2, 1], and a NaN raised
+        # numpy's bare ValueError
+        with pytest.raises(FormatError, match="counts must be whole numbers"):
+            IncomeBinTable([0.0, 1.0, 2.0], counts)
+        with pytest.raises(FormatError, match="counts must be whole numbers"):
+            IncomeBinTable.from_complementary([0.0, 1.0, 2.0], counts[::-1])
+        table = IncomeBinTable([0.0, 1.0, 2.0], [2.0, 1e3, 0.0])
+        assert table.counts.tolist() == [2, 1000, 0]
+
     def test_from_complementary(self):
         table = IncomeBinTable.from_complementary([0.0, 10.0, 20.0], [100, 40, 15])
         assert table.counts.tolist() == [60, 25, 15]

@@ -40,6 +40,22 @@ class TestEnsembleSetup:
         hist = BinnedHistogram.from_ensemble(ens, origin=0)
         assert entropy(hist) == 0.0
 
+    @pytest.mark.parametrize("balances", [[1.5, 2.5], [1, math.nan], [True, False],
+                                          [2.0 ** 63, 0.0], ["1", "2"]])
+    @pytest.mark.filterwarnings("error")
+    def test_balances_and_bin_counts_are_whole_numbers(self, balances):
+        # [1.5, 2.5] was once truncated to [1, 2]
+        with pytest.raises(FormatError, match="balances must be whole numbers"):
+            AgentEnsemble(balances)
+        with pytest.raises(FormatError, match="bin counts must be whole numbers"):
+            BinnedHistogram(balances)
+
+    def test_whole_number_balances_are_kept(self):
+        balances = np.array([3, 0, 7], dtype=np.int64)
+        assert AgentEnsemble(balances).balances is balances   # no copy
+        assert AgentEnsemble([3.0, 0.0, -2.0]).balances.tolist() == [3, 0, -2]
+        assert BinnedHistogram(np.array([2, 1], dtype=np.int32)).counts.dtype == np.int64
+
     def test_rule_validation(self):
         with pytest.raises(DomainError):
             ExchangeRule("other")
@@ -139,6 +155,16 @@ class TestRunSimulation:
                               checkpoint_every=10.0, seed=1)
         assert traj.steps.tolist() == [0, 10, 20]
 
+    def test_checkpoints_every_whole_rounds_within_the_interval(self):
+        # N//2 = 5 attempts a round: 7 attempts hold one whole round, so the
+        # checkpoints fall every round, not past each multiple of 7
+        traj = run_simulation(init_ensemble(10, 100), ExchangeRule(RULE_FIXED), 30,
+                              checkpoint_every=7, seed=1)
+        assert traj.steps.tolist() == [0, 5, 10, 15, 20, 25, 30]
+        traj = run_simulation(init_ensemble(10, 100), ExchangeRule(RULE_FIXED), 30,
+                              checkpoint_every=12, seed=1)
+        assert traj.steps.tolist() == [0, 10, 20, 30]
+
     def test_amount_memory_flat_in_steps(self):
         # one checkpoint burst: drawing its amounts in one call would take
         # 16 MB at 8 000 rounds of 250 pairs
@@ -164,6 +190,22 @@ class TestRunSimulation:
         assert np.array_equal(first.ensemble.balances, from_int.ensemble.balances)
         # the generator was advanced by the first run, not rebuilt
         assert not np.array_equal(second.ensemble.balances, first.ensemble.balances)
+
+    @pytest.mark.parametrize("seed, error", [(-1, DomainError), (1.5, FormatError),
+                                             (True, FormatError), ("1", FormatError),
+                                             (math.nan, FormatError)])
+    @pytest.mark.filterwarnings("error")
+    def test_seed_is_a_whole_number_at_least_zero(self, seed, error):
+        rule = ExchangeRule(RULE_FIXED)
+        with pytest.raises(error, match="seed"):
+            run_simulation(init_ensemble(10, 100), rule, 20, seed=seed)
+        with pytest.raises(error, match="seed"):
+            couple_systems(init_ensemble(10, 100), init_ensemble(10, 50), rule, 20,
+                           0.5, seed=seed)
+        whole = run_simulation(init_ensemble(10, 100), rule, 20, seed=1e3)
+        assert np.array_equal(whole.ensemble.balances,
+                              run_simulation(init_ensemble(10, 100), rule, 20,
+                                             seed=1000).ensemble.balances)
 
 
 def _reference_round(balances, amounts, floor, rng):
@@ -406,6 +448,13 @@ class TestCoupledSystems:
         ens2 = _equilibrated(100, 50, seed=9)
         with pytest.raises(DomainError):
             couple_systems(ens1, ens2, ExchangeRule(RULE_FIXED), 10, 1.5)
+
+    @pytest.mark.parametrize("rate", [True, "0.5", None])
+    def test_migration_rate_is_a_real_number(self, rate):
+        # True once ran as rate 1, and "0.5" raised a TypeError
+        with pytest.raises(DomainError, match="migration rate"):
+            couple_systems(init_ensemble(10, 100), init_ensemble(10, 50),
+                           ExchangeRule(RULE_FIXED), 10, rate, seed=1)
 
     @settings(max_examples=120, deadline=None)
     @given(n1=st.integers(1, 40), n2=st.integers(1, 40),

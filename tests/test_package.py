@@ -1,5 +1,9 @@
 import inspect
+import os
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import ineqstats
 from ineqstats import (CoupledConfig, DriftDiffusionSpec, GridDistribution,
@@ -47,3 +51,49 @@ def test_removed_aliases_are_gone():
     # ``seed`` takes a Generator too, so ``rng`` would be a second way in
     for fn in (kinetic.run_simulation, kinetic.couple_systems):
         assert "rng" not in inspect.signature(fn).parameters
+
+
+# Imports the package and runs one tiny job per subcommand in a fresh
+# interpreter, then prints on its last line every top-level module that
+# this loaded.
+_RUNTIME_SCRIPT = """
+import sys
+before = set(sys.modules)
+import numpy as np
+import ineqstats, ineqstats.cli, ineqstats.wri_fixture
+from ineqstats import TwoClassModel, sample_income_table
+from ineqstats.cli import dispatch
+table = sample_income_table(TwoClassModel(48.0, 1.34, 113.0), 10_000,
+                            np.random.default_rng(1))
+with open("income.csv", "w") as fh:
+    fh.write("level_kusd,returns_in_bin\\n")
+    fh.writelines(f"{l!r},{c}\\n" for l, c in zip(table.levels.tolist(), table.counts.tolist()))
+ineqstats.wri_fixture.write_fixture_csvs("energy.csv", "population.csv")
+runs = [
+    ["simulate", "--agents", "10", "--money", "100", "--steps", "100", "--seed", "1"],
+    ["fp", "--kind", "additive", "--a0", "1", "--b0", "40", "--points-per-decade", "10"],
+    ["fit-income", "--input", "income.csv", "--mode", "in-bin"],
+    ["energy", "--energy", "energy.csv", "--population", "population.csv",
+     "--year", "2005", "--per-capita"],
+]
+for k, argv in enumerate(runs):
+    assert dispatch(argv + ["--out", f"out{k}"]) == 0, argv
+print(" ".join(sorted({name.partition(".")[0] for name in set(sys.modules) - before})))
+"""
+
+
+def test_runtime_needs_only_numpy_and_the_stdlib(tmp_path):
+    # the test extras (scipy, hypothesis) are installed wherever this runs,
+    # so a stray import of one would pass every other test
+    src = str(Path(ineqstats.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", _RUNTIME_SCRIPT], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    loaded = done.stdout.splitlines()[-1].split()
+    assert "numpy" in loaded and "ineqstats" in loaded
+    # numpy's compiled extensions register the Cython runtime's modules
+    allowed = set(sys.stdlib_module_names) | {"numpy", "ineqstats", "cython_runtime"}
+    assert [name for name in loaded
+            if name not in allowed and not name.startswith("_cython_")] == []
