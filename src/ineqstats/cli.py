@@ -14,6 +14,7 @@ a run can be reproduced and verified exactly.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import json
 import sys
@@ -51,8 +52,10 @@ def emit_manifest(out_dir: Path, subcommand: str, config: dict,
     write_json(out_dir / "manifest.json", manifest)
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out)
+def _out_dir(path) -> Path:
+    """The --out directory, created: a run calls this once its checks and
+    its computation have passed, so a refused run leaves no directory."""
+    out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -103,8 +106,9 @@ def _values(args, document: str, flags: dict, covered, what: str) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _run_single(out: Path, config: SimulationConfig) -> list[str]:
+def _run_single(out_path, config: SimulationConfig) -> list[str]:
     traj = run_from_config(config)
+    out = _out_dir(out_path)
     qv = config.quantum_value
     write_csv(out / "trajectory.csv", ("step", "entropy", "temperature"),
               [(s, e, t * qv) for s, e, t in traj.rows()])
@@ -116,7 +120,7 @@ def _run_single(out: Path, config: SimulationConfig) -> list[str]:
     return ["trajectory.csv", "histogram.csv"]
 
 
-def _run_coupled(out: Path, config: CoupledConfig) -> list[str]:
+def _run_coupled(out_path, config: CoupledConfig) -> list[str]:
     rule = config.exchange_rule()
     ens1 = init_ensemble(config.n_agents, config.total_money_quanta)
     ens2 = init_ensemble(config.n_agents2, config.total_money_quanta2)
@@ -125,6 +129,7 @@ def _run_coupled(out: Path, config: CoupledConfig) -> list[str]:
     run_simulation(ens2, rule, config.steps, seed=rng)
     report = couple_systems(ens1, ens2, rule, config.events,
                             config.migration_rate, seed=rng)
+    out = _out_dir(out_path)
     (out / "flux.json").write_text(report.to_json() + "\n", encoding="utf-8")
     for tag, ens in (("1", ens1), ("2", ens2)):
         hist = BinnedHistogram.from_ensemble(ens, origin=rule.floor)
@@ -136,7 +141,6 @@ def _run_coupled(out: Path, config: CoupledConfig) -> list[str]:
 
 
 def _cmd_simulate(args) -> int:
-    out = _out_dir(args)
     flags = _given(args, "config")
     values = _values(args, "config", flags, flags, "simulation config")
     coupled = not values.keys().isdisjoint({"n_agents2", "total_money_quanta2"})
@@ -152,7 +156,8 @@ def _cmd_simulate(args) -> int:
         _refuse(flags, flags.keys() - {f.name for f in fields(cls)},
                 "in coupled mode" if coupled else "without --agents2/--money2")
     config = build_config(cls, values, "simulation config")
-    outputs = (_run_coupled if coupled else _run_single)(out, config)
+    outputs = (_run_coupled if coupled else _run_single)(args.out, config)
+    out = Path(args.out)
     (out / "config.json").write_text(json.dumps(asdict(config)) + "\n", encoding="utf-8")
     emit_manifest(out, "simulate", asdict(config), [args.config], outputs + ["config.json"])
     return 0
@@ -164,7 +169,6 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_fp(args) -> int:
-    out = _out_dir(args)
     flags = _given(args, "spec_json")
     spec_fields = {f.name for f in fields(DriftDiffusionSpec)}
     what = "drift/diffusion spec"
@@ -173,6 +177,7 @@ def _cmd_fp(args) -> int:
     grid_args = _bind(make_grid, flags)
     grid = make_grid(spec, **grid_args)
     dist = stationary_solution(spec, grid)
+    out = _out_dir(args.out)
     write_csv(out / "solution.csv", ("r", "density"), dist.rows())
     (out / "spec.json").write_text(spec.to_json() + "\n", encoding="utf-8")
     emit_manifest(out, "fp", {**asdict(spec), **grid_args}, [args.spec_json],
@@ -187,15 +192,15 @@ def _cmd_fp(args) -> int:
 
 
 def _cmd_fit_income(args) -> int:
-    out = _out_dir(args)
     flags = {name: tuple(value) if isinstance(value, list) else value   # windows are tuples
              for name, value in _given(args, "input").items()}
     read_args = _bind(IncomeBinTable.from_csv, flags)
     fit_args = _bind(fit_report, flags)
     table = IncomeBinTable.from_csv(args.input, **read_args)
     report = fit_report(table, **fit_args)
-    (out / "report.json").write_text(report.to_json() + "\n", encoding="utf-8")
     curve = table.bin_incomes(max(report.alpha_staged, 1.0001)).lorenz()
+    out = _out_dir(args.out)
+    (out / "report.json").write_text(report.to_json() + "\n", encoding="utf-8")
     write_csv(out / "lorenz.csv", ("x", "y"),
               zip(curve.x.tolist(), curve.y.tolist()))
     print(report.table_row())
@@ -210,7 +215,6 @@ def _cmd_fit_income(args) -> int:
 
 
 def _cmd_energy(args) -> int:
-    out = _out_dir(args)
     records, drops = ingest_wri(args.energy, args.population, args.year,
                                 per_capita=args.per_capita)
     if drops.n_dropped:
@@ -220,6 +224,7 @@ def _cmd_energy(args) -> int:
     cdf = weighted_cdf(records)
     curve = cdf.lorenz()
     profile = slope_profile(curve)
+    out = _out_dir(args.out)
     write_csv(out / "cdf.csv", ("epsilon_kw", "C"), cdf.rows())
     write_csv(out / "lorenz.csv", ("x", "y"),
               zip(curve.x.tolist(), curve.y.tolist()))
@@ -314,10 +319,16 @@ _COMMANDS = {"simulate": _cmd_simulate, "fp": _cmd_fp,
              "fit-income": _cmd_fit_income, "energy": _cmd_energy}
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser ``dispatch`` reuses: building one costs about 0.7 ms, a
+    sixth of a small ``fit-income`` run, and parsing leaves it unchanged."""
+    return build_parser()
+
+
 def dispatch(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -81,6 +81,17 @@ def _tail_mass(T, alpha, r0, R) -> float:
     return math.exp(log_mass)
 
 
+def _tail_log_gradient(T, alpha, r0, R) -> tuple[float, float, float]:
+    """Derivatives of ln _tail_mass(T, alpha, r0, R) with respect to
+    (ln T, ln(alpha - 1), ln r0), on the same two branches."""
+    if R >= r0:
+        body = (r0 / T) * (math.pi / 2.0)
+        return body, (alpha - 1.0) * (math.log(r0 / R) - 1.0 / alpha), 1.0 + alpha - body
+    u = R / r0
+    body = (r0 / T) * math.atan(u)
+    return 1.0 + body, 0.0, (R / T) / (1.0 + u * u) - body
+
+
 _NEWTON_STEPS = 7   # inverse_cdf converges in 5 from its start; 2 spare
 
 
@@ -253,6 +264,43 @@ class LevelQuadrature:
         with np.errstate(over="ignore", invalid="ignore"):
             above = np.cumsum(self._masses(T, alpha, r0))
             return above[self._last_above] / above[-1]
+
+    def _ccdf_gradient(self, T: float, alpha: float,
+                       r0: float) -> tuple[np.ndarray, np.ndarray]:
+        """``ccdf(T, alpha, r0)`` and its derivatives with respect to
+        x = (ln T, ln(alpha - 1), ln r0), one row per level.
+
+        C = S/Z, with S the mass above a level and Z the total mass, so
+        dC = (dS - C dZ)/Z, where dS sums mass * d(ln mass)/dx over the
+        nodes above.  With u = r/r0, a node's d(ln mass)/dx is
+        ((r0/T) atan u, -(alpha-1)/2 ln(1+u^2),
+        -(r0/T) atan u + (r/T + (alpha+1) u^2)/(1+u^2)); the slot at R
+        takes that of its tail mass, and a node whose mass underflows
+        adds nothing.
+        """
+        _check_parameters(T, alpha, r0)
+        nodes = self._nodes
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            # the masses of _masses, from terms the derivatives share
+            u = nodes / r0
+            body = (r0 / T) * np.arctan(u)
+            spread = 1.0 + u * u
+            mass = np.exp(-body) / spread ** ((alpha + 1.0) / 2.0) * self._weights
+            mass[0] = _tail_mass(T, alpha, r0, nodes[0])
+            above = np.cumsum(mass)
+            comp = above[self._last_above] / above[-1]
+            grad = np.empty((3, nodes.size))
+            grad[0] = body
+            grad[1] = np.log(spread) * (-0.5 * (alpha - 1.0))
+            # (r/T + (alpha+1) u^2)/(1+u^2), also where u^2 is inf
+            grad[2] = (nodes / T - (alpha + 1.0)) / spread + (alpha + 1.0) - body
+            grad[:, 0] = _tail_log_gradient(T, alpha, r0, nodes[0])
+            grad *= mass
+            if not mass.all():
+                grad[:, mass == 0.0] = 0.0   # not 0 * inf
+            d_above = np.cumsum(grad, axis=1)
+            d_comp = (d_above[:, self._last_above] - comp * d_above[:, -1:]) / above[-1]
+        return comp, d_comp.T
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,9 @@ crossover region, the tail window is not yet asymptotic), so
 refinement of (T, alpha, r0) on the per-bin masses, weighted by counts.
 Per-bin residuals are close to independent, unlike cumulative-CDF
 residuals, which makes the refinement statistically well behaved.  It is
-a Levenberg-Marquardt search, typically 20-40 CDF evaluations per table;
-``refine_parameters`` gives its step cap and stopping rule.
+a Levenberg-Marquardt search with the exact Jacobian, typically 6-15
+evaluations of the CDF and its gradient per table; ``refine_parameters``
+gives its step cap and stopping rule.
 
 Stage 3, the refinement and the final residual only ever need the model
 CDF at the table's own levels, so they evaluate it through a
@@ -58,11 +59,11 @@ MODE_IN_BIN = "in-bin"
 MODE_AT_OR_ABOVE = "at-or-above"
 
 _LM_DAMPING = 1e-3           # initial Levenberg-Marquardt damping
-_LM_DIFF_STEP = 1e-6         # forward-difference step, in the log parameters
 _LM_MAX_STEP = 1.0           # largest move of one log parameter in one step
 _LM_MIN_STEP = 1e-10         # a shorter step ends the refinement
 _LM_RTOL = 1e-12             # so does a relative decrease no larger than this
 _LM_ITERATIONS = 100
+_P_MIN = 1e-300              # model bin masses are clipped here before the log
 _LN_MAX = 700.0              # math.exp leaves the normal floats beyond +-708
 _COMP_MIN = 1e-4             # lowest complementary-CDF target of a sampled table
 _INT64 = np.iinfo(np.int64)
@@ -174,9 +175,13 @@ def _window_line(cdf: WeightedCDF, window: tuple[float, float],
     lo, hi = window
     mask = (cdf.complementary >= lo) & (cdf.complementary <= hi)
     r, comp = cdf.values[mask], cdf.complementary[mask]
-    if r.size < 3 or (log_r and np.any(r <= 0)):
+    unusable = ""
+    if log_r and np.any(r <= 0):
+        unusable = f" ({np.count_nonzero(r <= 0)} more at levels <= 0, which have no ln r)"
+        r, comp = r[r > 0], comp[r > 0]
+    if r.size < 3:
         raise InsufficientDataError(
-            f"{part} window C in {window} holds {r.size} usable points; need 3")
+            f"{part} window C in {window} holds {r.size} usable points{unusable}; need 3")
     x, ln_c = (np.log(r) if log_r else r), np.log(comp)
     try:
         with np.errstate(over="raise"):   # polyfit sums the squared levels
@@ -233,32 +238,48 @@ def _fit_crossover(quadrature: LevelQuadrature, comp: np.ndarray, temperature: f
 # ---------------------------------------------------------------------------
 
 
-def _levenberg_marquardt(residuals, x0):
-    """Minimise |residuals(x)|^2 from x0 by damped Gauss-Newton steps.
+def _capped_step(m, g):
+    """The step dx solving m dx = -g with no coordinate moving by more than
+    _LM_MAX_STEP: a coordinate that would move further is held at the cap,
+    and the others minimise dx'm dx/2 + g'dx again, until none would.
 
-    ``residuals(x)`` is None where x is undefined (a DomainError at x0).
-    Each step solves (J'J + lam D) dx = -J'r, with J by forward differences
-    (backward where the forward point is undefined) and D the diagonal of
-    J'J floored at 1e-12 of its largest entry, then shrinks dx so that no
-    coordinate moves by more than _LM_MAX_STEP.  A step that does not
-    lower the sum of squares is refused and lam grows tenfold; an
-    accepted one divides lam by ten.
+    Shrinking the whole of dx instead stalls the search once one column of
+    J is nearly flat, as ln(alpha-1) is where alpha runs to 1: that
+    coordinate's step is then huge, and the shrink leaves T and r0 fixed.
+    """
+    step = np.linalg.solve(m, -g)
+    fixed = over = np.abs(step) > _LM_MAX_STEP
+    while over.any():
+        step[over] = np.copysign(_LM_MAX_STEP, step[over])
+        free = ~fixed
+        if not free.any():
+            break
+        step[free] = np.linalg.solve(m[np.ix_(free, free)],
+                                     -g[free] - m[np.ix_(free, fixed)] @ step[fixed])
+        over = free & (np.abs(step) > _LM_MAX_STEP)
+        fixed = fixed | over
+    return step
+
+
+def _levenberg_marquardt(residuals, x0):
+    """Minimise |r(x)|^2 from x0 by damped Gauss-Newton steps.
+
+    ``residuals(x)`` gives r and its Jacobian J at x, or None where x is
+    undefined (a DomainError at x0).  Each step solves
+    (J'J + lam D) dx = -J'r, with D the diagonal of J'J floored at 1e-12
+    of its largest entry, with no coordinate moving by more than
+    _LM_MAX_STEP (see _capped_step).  A step that does not lower the sum
+    of squares, or whose damped system is singular, is refused and lam
+    grows tenfold; an accepted one divides lam by ten.
     """
     x = np.asarray(x0, dtype=float)
-    r = residuals(x)
-    if r is None:
+    point = residuals(x)
+    if point is None:
         raise DomainError("the refinement start lies where the model CDF is undefined")
+    r, jac = point
     cost = float(r @ r)
     lam = _LM_DAMPING
     for _ in range(_LM_ITERATIONS):
-        jac = np.empty((r.size, x.size))
-        for i, h in enumerate(np.eye(x.size) * _LM_DIFF_STEP):
-            r_h = residuals(x + h)
-            if r_h is not None:
-                jac[:, i] = (r_h - r) / _LM_DIFF_STEP
-            else:
-                r_h = residuals(x - h)
-                jac[:, i] = 0.0 if r_h is None else (r - r_h) / _LM_DIFF_STEP
         a = jac.T @ jac
         g = jac.T @ r
         d = np.diag(a)
@@ -266,17 +287,20 @@ def _levenberg_marquardt(residuals, x0):
             break
         d = np.maximum(d, 1e-12 * d.max())
         while True:
-            step = np.linalg.solve(a + lam * np.diag(d), -g)
-            step *= min(1.0, _LM_MAX_STEP / np.abs(step).max(initial=1e-300))
+            try:
+                step = _capped_step(a + lam * np.diag(d), g)
+            except np.linalg.LinAlgError:   # collinear columns, lam too small to part them
+                lam *= 10.0
+                continue
             if np.abs(step).max() < _LM_MIN_STEP:
                 return x
-            r_new = residuals(x + step)
-            cost_new = math.inf if r_new is None else float(r_new @ r_new)
+            trial = residuals(x + step)
+            cost_new = math.inf if trial is None else float(trial[0] @ trial[0])
             if cost_new < cost:
                 break
             lam *= 10.0
         lam /= 10.0
-        x, r, decrease, cost = x + step, r_new, cost - cost_new, cost_new
+        x, (r, jac), decrease, cost = x + step, trial, cost - cost_new, cost_new
         if decrease <= _LM_RTOL * (cost + decrease):
             break
     return x
@@ -291,14 +315,15 @@ def refine_parameters(table: IncomeBinTable, temperature: float, alpha: float,
     variance of ln q_n up to a constant), as the squared length of the
     residuals sqrt(w_n) ln(q_n / p_n).  The search runs in
     (ln T, ln(alpha-1), ln r0) from the staged estimates by
-    Levenberg-Marquardt with a forward-difference Jacobian: each step
-    moves no log parameter by more than 1, so the runaway fits of
-    tail-less tables walk out instead of jumping, and the search stops
-    when the sum of squares falls by at most 1e-12 of itself, when the
-    step falls below 1e-10, or after 100 iterations.  A point where alpha
-    rounds to 1, a log parameter lies beyond +-700 (where math.exp
-    overflows or underflows) or the CCDF is NaN is refused, and so is a
-    start with T or r0 not finite and positive, or alpha not finite.
+    Levenberg-Marquardt with the exact Jacobian of the residuals (a bin
+    whose p_n is clipped at 1e-300 gets a zero row): each step moves no
+    log parameter by more than 1, so the runaway fits of tail-less tables
+    walk out instead of jumping, and the search stops when the sum of
+    squares falls by at most 1e-12 of itself, when the step falls below
+    1e-10, or after 100 iterations.  A point where alpha rounds to 1, a
+    log parameter lies beyond +-700 (where math.exp overflows or
+    underflows) or the CCDF is NaN is refused, and so is a start with T or
+    r0 not finite and positive, or alpha not finite.
     """
     if not (0 < temperature < math.inf and 0 < r0 < math.inf and math.isfinite(alpha)):
         raise DomainError(f"cannot refine from T={temperature!r}, alpha={alpha!r}, r0={r0!r}")
@@ -315,11 +340,17 @@ def refine_parameters(table: IncomeBinTable, temperature: float, alpha: float,
         alpha = 1.0 + math.exp(x[1])
         if alpha <= 1.0:   # ln(alpha - 1) so low that alpha rounds to 1
             return None
-        comp = quadrature.ccdf(math.exp(x[0]), alpha, math.exp(x[2]))
-        p = np.append(comp[:-1] - comp[1:], comp[-1])
-        res = sqrt_w * (ln_q - np.log(np.maximum(p[pos], 1e-300)))
+        comp, d_comp = quadrature._ccdf_gradient(math.exp(x[0]), alpha, math.exp(x[2]))
+        p = np.append(comp[:-1] - comp[1:], comp[-1])[pos]
+        res = sqrt_w * (ln_q - np.log(np.maximum(p, _P_MIN)))
         # a NaN CCDF (0/0 where every density underflows) rejects the point
-        return None if math.isnan(res.sum()) else res
+        if math.isnan(res.sum()):
+            return None
+        dp = np.concatenate([d_comp[:-1] - d_comp[1:], d_comp[-1:]])[pos]
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            d_ln_p = dp / p[:, None]
+        d_ln_p[p < _P_MIN] = 0.0   # the residual of a clipped p does not move
+        return res, -sqrt_w[:, None] * d_ln_p
 
     x0 = [math.log(temperature), math.log(max(alpha - 1.0, 1e-3)), math.log(r0)]
     best = _levenberg_marquardt(residuals, x0)

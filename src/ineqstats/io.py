@@ -24,8 +24,8 @@ __all__ = ["format_cell", "write_csv", "write_json", "sha256_file", "read_text",
 
 
 def format_cell(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
+    if isinstance(value, float):   # np.float64 too, whose repr names its type
+        return repr(float(value))
     return str(value)
 
 

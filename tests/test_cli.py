@@ -15,9 +15,18 @@ from hypothesis import HealthCheck, example, given, seed, settings, strategies a
 import ineqstats
 from ineqstats import (IneqStatsError, SimulationConfig, TwoClassModel,
                        sample_income_table)
-from ineqstats.cli import dispatch
+from ineqstats.cli import build_parser, dispatch
 from ineqstats.io import build_config, json_object, write_csv
 from ineqstats.wri_fixture import write_fixture_csvs
+
+
+def run_module(*argv):
+    """``python -m ineqstats.cli`` in a fresh interpreter, on this package."""
+    src = Path(ineqstats.__file__).parents[1]
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, "-m", "ineqstats.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
 
 
 def read(path):
@@ -208,6 +217,19 @@ class TestFitIncome:
                          "--out", str(tmp_path / "o")])
         assert code == 1
 
+    def test_runs_in_one_process_match_a_fresh_process(self, tmp_path, income_csv):
+        # dispatch reuses one parser, so a flag given to one run must not
+        # reach the next: the staged-only run leaves the second refined
+        base = ["fit-income", "--input", str(income_csv), "--year", "2007", "--out"]
+        assert dispatch(base + [str(tmp_path / "staged"), "--no-refine"]) == 0
+        assert dispatch(base + [str(tmp_path / "same")]) == 0
+        fresh = run_module(*base, str(tmp_path / "fresh"))
+        assert fresh.returncode == 0, fresh.stderr
+        report = (tmp_path / "same" / "report.json").read_text()
+        assert json.loads(report)["refined"] is True
+        assert not json.loads((tmp_path / "staged" / "report.json").read_text())["refined"]
+        assert report == (tmp_path / "fresh" / "report.json").read_text()
+
 
 class TestEnergy:
     def test_summary_world_average_matches_oracle(self, tmp_path, fixture_csvs):
@@ -287,20 +309,16 @@ class TestUsage:
     def test_help_exits_zero(self):
         assert dispatch(["--help"]) == 0
 
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert build_parser() is not build_parser()
+
     def test_module_entry_runs(self, tmp_path):
         # `python -m ineqstats.cli` must run main(), as the console script does
-        src = Path(ineqstats.__file__).parents[1]
-        env = {**os.environ,
-               "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
-
-        def run(*argv):
-            return subprocess.run([sys.executable, "-m", "ineqstats.cli", *argv], env=env,
-                                  capture_output=True, text=True, timeout=120)
-
-        done = run("fp", "--kind", "additive", "--a0", "1", "--b0", "40", "--out", str(tmp_path))
+        done = run_module("fp", "--kind", "additive", "--a0", "1", "--b0", "40",
+                          "--out", str(tmp_path))
         assert done.returncode == 0, done.stderr
         assert (tmp_path / "solution.csv").exists()
-        assert run("frobnicate").returncode == 2
+        assert run_module("frobnicate").returncode == 2
 
 
 # Bad inputs from the command line; each must end in exit 1 with one
@@ -401,6 +419,25 @@ def test_rejected_with_one_error_line(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error:") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("argv, expected", [
+    pytest.param(["simulate", "--agents", "10"], 2, id="simulate-usage"),
+    pytest.param(["simulate", "--agents", "10", "--money", "100", "--steps", "-5",
+                  "--seed", "1"], 1, id="simulate-config"),
+    pytest.param(["fp", "--kind", "additive", "--a0", "1", "--b0", "40", "--r-min", "5"], 1,
+                 id="fp"),
+    pytest.param(["fit-income", "--input", "{table}"], 1, id="fit-income"),
+    pytest.param(["energy", "--energy", "{table}", "--population", "{table}",
+                  "--year", "2005"], 1, id="energy"),
+])
+def test_refused_run_leaves_no_output_directory(tmp_path, capsys, argv, expected):
+    table = tmp_path / "table.csv"
+    table.write_text("level_kusd,returns_at_or_above\n0,100\n10,50\n")
+    out = tmp_path / "out"
+    argv = [str(table) if arg == "{table}" else arg for arg in argv]
+    assert dispatch(argv + ["--out", str(out)]) == expected
+    assert not out.exists()
 
 
 # Sizes just above the documented ceilings.  numpy's allocators for the

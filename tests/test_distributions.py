@@ -9,6 +9,7 @@ from ineqstats import (DomainError, LevelQuadrature, LorenzCurve,
                        MalformedCurveError, NoIntersectionError, TwoClassModel,
                        class_boundary, lorenz_exponential, lorenz_two_class,
                        sample_lorenz_curve, tail_fraction)
+from ineqstats.distributions import _tail_log_gradient, _tail_mass
 
 
 def quad_mass_above(model, r):
@@ -224,6 +225,38 @@ class TestLevelQuadrature:
     def test_invalid_parameters_rejected(self):
         with pytest.raises(DomainError):
             LevelQuadrature([0.0, 10.0]).ccdf(40, 1.0, 100)
+
+    @pytest.mark.parametrize("T, alpha, r0", [(48.0, 1.34, 113.0), (30.0, 2.5, 20.0),
+                                              (50.0, 1.1, 5000.0), (10.0, 1.5, 1e-3),
+                                              (50.0, 1.5, 1e12), (5.0, 1.0 + 1e-9, 300.0)])
+    @pytest.mark.filterwarnings("error")
+    def test_gradient_matches_central_differences(self, T, alpha, r0):
+        quadrature = LevelQuadrature(np.concatenate([[0.0], np.geomspace(1.0, 5000.0, 30)]))
+        comp, grad = quadrature._ccdf_gradient(T, alpha, r0)
+        assert np.array_equal(comp, quadrature.ccdf(T, alpha, r0))
+        x, h = np.log([T, alpha - 1.0, r0]), 1e-5
+        for i, step in enumerate(np.eye(3) * h):
+            up, down = (quadrature.ccdf(*(np.exp(x + s) + [0.0, 1.0, 0.0])) for s in (step, -step))
+            assert grad[:, i] == pytest.approx((up - down) / (2 * h), rel=1e-6, abs=1e-9)
+
+    @pytest.mark.filterwarnings("error")
+    def test_gradient_is_finite_where_node_masses_underflow(self):
+        # r0 = 1e-150: far above it the density underflows to 0 while
+        # ln(1 + u^2) is inf, and C is still finite
+        quadrature = LevelQuadrature(np.concatenate([[0.0], np.geomspace(1.0, 5000.0, 30)]))
+        comp, grad = quadrature._ccdf_gradient(1.0, 1.01, 1e-150)
+        assert np.all(np.isfinite(comp)) and np.all(np.isfinite(grad))
+
+    # R at or above r0 takes the power-law branch of the tail mass, R below r0 the other
+    @pytest.mark.parametrize("T, alpha, r0, R", [(48.0, 1.34, 113.0, 5e11), (30.0, 2.5, 20.0, 40.0),
+                                                 (50.0, 1.5, 400.0, 100.0), (5.0, 1.2, 300.0, 100.0)])
+    def test_tail_slot_gradient_matches_central_differences(self, T, alpha, r0, R):
+        def ln_mass(x):
+            return math.log(_tail_mass(math.exp(x[0]), 1.0 + math.exp(x[1]), math.exp(x[2]), R))
+
+        x, h = np.log([T, alpha - 1.0, r0]), 1e-6
+        want = [(ln_mass(x + step) - ln_mass(x - step)) / (2 * h) for step in np.eye(3) * h]
+        assert _tail_log_gradient(T, alpha, r0, R) == pytest.approx(want, rel=1e-7, abs=1e-9)
 
     @pytest.mark.filterwarnings("error")
     def test_runaway_parameters_warn_nothing(self):

@@ -1,7 +1,8 @@
+import numpy as np
 import pytest
 
 from ineqstats import FormatError
-from ineqstats.io import read_csv_rows, record_line, usable_row
+from ineqstats.io import read_csv_rows, record_line, usable_row, write_csv
 
 
 @pytest.mark.parametrize("row", [[], [""], [" ", "\t"], ["", "", "", ""]])
@@ -44,3 +45,11 @@ def test_reader_of_an_empty_file_yields_nothing(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("")
     assert list(read_csv_rows(path)) == []
+
+
+def test_numpy_scalars_are_written_as_python_numbers(tmp_path):
+    rows = [(0.1, 3, 1e-300), (2.5e17, -7, 1.0)]
+    write_csv(tmp_path / "python.csv", ("x", "n", "y"), rows)
+    write_csv(tmp_path / "numpy.csv", ("x", "n", "y"),
+              [(np.float64(x), np.int64(n), np.float64(y)) for x, n, y in rows])
+    assert (tmp_path / "numpy.csv").read_bytes() == (tmp_path / "python.csv").read_bytes()
