@@ -11,6 +11,7 @@ flag.
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass
 
@@ -80,13 +81,11 @@ class DropReport:
         return len(self.dropped)
 
 
-def _read_country_year_csv(path, year: int) -> dict[str, float | None]:
-    """Values of ``year`` in `country,year,value` rows, keyed by country
-    name; None when missing, non-numeric or not finite.  Every row's year
-    is validated, so FormatError names the line of a bad row in any year.
-    Each distinct year cell is parsed once."""
+def _year_rows_csv(path, year: int):
+    """(record, name, value cell) of each ``year`` row, by the CSV reader:
+    the path for every file that ``_year_rows_plain`` cannot prove plain,
+    and the one that names a bad row's line."""
     years: dict[str, int] = {}
-    out: dict[str, float | None] = {}
     for record, row in read_csv_rows(path):
         try:
             row_year, cell = years[row[1]], row[2]   # a short row raises in any year
@@ -99,13 +98,73 @@ def _read_country_year_csv(path, year: int) -> dict[str, float | None]:
                 raise FormatError(f"{path}:{record_line(path, record)}: "
                                   f"bad year {row[1]!r}") from exc
             cell = row[2]
-        if row_year != year:
-            continue
+        if row_year == year:
+            yield record, row[0], cell
+
+
+def _year_rows_plain(data: bytes, year: int):
+    """The rows ``_year_rows_csv`` yields, found by one numpy scan of the
+    file's bytes, or None unless the file is plain: UTF-8 with no quote,
+    CR or NUL byte, ending in a newline, no line longer than the CSV field
+    limit, and every line after the header of three cells, the year of 1-9
+    ASCII digits.  Such a file has one record per line, split at its
+    commas, so only the requested year's lines are decoded."""
+    if b'"' in data or b"\r" in data or b"\0" in data or not data.endswith(b"\n"):
+        return None
+    if not data.isascii():
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError:
+            return None
+    buf = np.frombuffer(data, np.uint8)
+    ends = np.flatnonzero(buf == ord("\n"))
+    if np.diff(ends, prepend=-1).max() - 1 > csv.field_size_limit():
+        return None
+    commas = np.flatnonzero(buf[ends[0]:] == ord(",")) + ends[0]
+    first, second = commas[0::2], commas[1::2]
+    if (commas.size != 2 * (ends.size - 1) or np.any(first <= ends[:-1])
+            or np.any(second >= ends[1:])):
+        return None
+    width = second - first - 1
+    if width.min(initial=1) < 1 or width.max(initial=0) > 9:
+        return None
+    years = np.zeros(width.size, np.int64)
+    for j in range(width.max(initial=0)):
+        live = j < width
+        digit = buf[np.minimum(first + 1 + j, second)] - ord("0")   # uint8: wraps below '0'
+        if np.any(live & (digit > 9)):
+            return None
+        years = np.where(live, 10 * years + digit, years)
+    hits = np.flatnonzero(years == year)
+    cuts = np.column_stack((ends[hits] + 1, first[hits], second[hits] + 1, ends[hits + 1]))
+    return [(k + 2, data[a:b].decode(), data[c:d].decode())
+            for k, (a, b, c, d) in zip(hits.tolist(), cuts.tolist())]
+
+
+def _read_country_year_csv(path, year: int) -> dict[str, float | None]:
+    """Values of ``year`` in `country,year,value` rows, keyed by country
+    name; None when missing, non-numeric or not finite.  Every row's year
+    is validated, so FormatError names the line of a bad row in any year,
+    and a second row of one country in ``year`` is refused.  A plain file
+    is scanned with numpy and any other goes to the CSV reader; the two
+    give the same result on every file both accept."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    rows = _year_rows_plain(data, year)
+    out: dict[str, float | None] = {}
+    first: dict[str, int] = {}
+    for record, name, cell in _year_rows_csv(path, year) if rows is None else rows:
+        name = name.strip()
+        if name in first:
+            raise FormatError(f"{path}:{record_line(path, record)}: second {year} row "
+                              f"for {name!r} (the first is on line "
+                              f"{record_line(path, first[name])})")
+        first[name] = record
         try:
             value = float(cell)
         except ValueError:
             value = math.nan
-        out[row[0].strip()] = value if math.isfinite(value) else None
+        out[name] = value if math.isfinite(value) else None
     return out
 
 

@@ -321,14 +321,15 @@ def evolve_transient(p0: GridDistribution, spec: DriftDiffusionSpec,
             "(1 / largest cell outflow rate)")
 
     m = p0.density * w
+    hi, lo = m[1:], m[:-1]   # views, so each step writes into m
     flux = np.empty_like(left)
     back = np.empty_like(left)
     for _ in range(steps):
-        np.multiply(left, m[1:], out=flux)
-        np.multiply(right, m[:-1], out=back)
+        np.multiply(left, hi, out=flux)
+        np.multiply(right, lo, out=back)
         flux -= back
-        m[:-1] += flux
-        m[1:] -= flux
+        lo += flux
+        hi -= flux
     return GridDistribution(grid, m / w)
 
 

@@ -67,14 +67,21 @@ def read_csv_rows(path):
     header, blank and short rows included, numbering records from 2 (the
     header is record 1); a caller hands a row that fails to parse to
     ``usable_row`` and names it in an error by ``record_line``.  Bytes
-    that are not UTF-8 raise FormatError."""
+    that are not UTF-8 raise FormatError, and so does a record the CSV
+    reader refuses (a cell longer than ``csv.field_size_limit()``), named
+    by the file line it starts on."""
     with open(path, newline="", encoding="utf-8") as fh:
+        record = 0   # the last record read
         try:
             reader = csv.reader(fh)
             next(reader, None)
-            yield from enumerate(reader, start=2)
+            record = 1
+            for record, row in enumerate(reader, start=2):
+                yield record, row
         except UnicodeDecodeError as exc:
             raise _not_utf8(path, exc) from exc
+        except csv.Error as exc:
+            raise FormatError(f"{path}:{record_line(path, record + 1)}: {exc}") from exc
 
 
 def record_line(path, record: int) -> int:

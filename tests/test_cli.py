@@ -654,6 +654,34 @@ def test_energy_totals_beyond_float_refused(tmp_path, capsys):
     assert "must be finite" in err
 
 
+@pytest.mark.parametrize("argv, header, row", [
+    pytest.param(["energy", "--energy", "{csv}", "--population", "{csv}", "--year", "1990"],
+                 "country,year,value", "{long},1990,5", id="energy"),
+    pytest.param(["fit-income", "--input", "{csv}"], "level_kusd,returns_at_or_above",
+                 "10,{long}", id="fit-income"),
+])
+def test_over_long_cell_is_one_error_line(tmp_path, capsys, argv, header, row):
+    path = tmp_path / "table.csv"
+    long_row = row.format(long="9" * 131073)
+    path.write_text(f"{header}\n{row.format(long='1')}\n{long_row}\n")
+    argv = [str(path) if arg == "{csv}" else arg for arg in argv]
+    code = dispatch(argv + ["--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == f"error: {path}:3: field larger than field limit (131072)\n"
+
+
+def test_duplicate_country_row_is_one_error_line(tmp_path, capsys):
+    e, p = tmp_path / "e.csv", tmp_path / "p.csv"
+    e.write_text("country,year,value\nA,1990,5\nB,1990,2\nA,1990,7\n")
+    p.write_text("country,year,value\nA,1990,10\nB,1990,20\n")
+    code = dispatch(["energy", "--energy", str(e), "--population", str(p),
+                     "--year", "1990", "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == f"error: {e}:4: second 1990 row for 'A' (the first is on line 2)\n"
+
+
 @pytest.mark.parametrize("mode, counts, message", [
     pytest.param("at-or-above", ("1e20", "50", "10"), ":2: count 1e20 lies beyond 64-bit",
                  id="count-beyond-int64"),

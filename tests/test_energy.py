@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
+import ineqstats.energy as energy_module
 from conftest import requires_wri, wri_data_dir
 from ineqstats import (CountryRecord, DegenerateCurveError, DomainError,
                        EmptyJoinError, FormatError, LorenzCurve, ingest_wri,
@@ -119,15 +120,39 @@ class TestIngest:
         with pytest.raises(FormatError, match=r"energy\.csv:4: expected country,year,value"):
             ingest_wri(e, p, 2005)
 
+    @pytest.mark.parametrize("rows, lines", [
+        (["A,1990,5", "B,1990,1", "A,1990,7"], (4, 2)),
+        (["A,1990,5", " A ,1990,7"], (3, 2)),                      # names are stripped
+        (['"A\nB",1990,1', "C,1990,5", "C,1990,7"], (5, 4)),      # the CSV reader's path
+    ])
+    def test_second_row_of_a_country_in_the_year_refused(self, tmp_path, rows, lines):
+        e, p = write_pair(tmp_path, rows, ["A,1990,10", "C,1990,10"])
+        with pytest.raises(FormatError, match=rf"energy\.csv:{lines[0]}: second 1990 row "
+                                              rf"for '\w' \(the first is on line {lines[1]}\)"):
+            ingest_wri(e, p, 1990)
+
+    def test_rows_of_other_years_are_not_checked_for_duplicates(self, tmp_path):
+        e, p = write_pair(tmp_path, ["A,1990,5", "A,2000,6", "A,2000,7"], ["A,1990,10"])
+        records, drops = ingest_wri(e, p, 1990)
+        assert [(r.name, r.energy) for r in records] == [("A", 5.0)]
+        assert drops.n_dropped == 0
+
+    @pytest.mark.parametrize("year", [2 ** 63, -2 ** 63 - 1, 10 ** 9])
+    def test_year_beyond_any_cell_is_an_empty_join(self, tmp_path, year):
+        e, p = write_pair(tmp_path, ["A,1990,5", "B,999999999,1"], ["A,1990,10"])
+        with pytest.raises(EmptyJoinError, match=f"no usable country rows for {year}"):
+            ingest_wri(e, p, year)
+
 
 def reference_ingest(energy_csv, population_csv, year):
     """The whole-file join that ``ingest_wri`` must match: parse every row
     of both files into (name, year) keys, then keep the requested year.
     Returns ("format", message) or ("join", [(name, energy, population)],
     dropped).  A row is named by the file line it starts on: each earlier
-    row took one line plus one per line break inside its cells."""
+    row took one line plus one per line break inside its cells.  A second
+    row of one country in the requested year is refused."""
     def parse(path):
-        out = {}
+        out, first = {}, {}
         with open(path, newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
             starts = np.cumsum([1] + [1 + "".join(row).count("\n") for row in rows])
@@ -146,7 +171,12 @@ def reference_ingest(energy_csv, population_csv, year):
                     value = None
                 if value is not None and not np.isfinite(value):
                     value = None
-                out[(row[0].strip(), row_year)] = value
+                key = (row[0].strip(), row_year)
+                if row_year == year and key in first:
+                    raise FormatError(f"{path}:{lineno}: second {year} row for {key[0]!r} "
+                                      f"(the first is on line {first[key]})")
+                first[key] = lineno
+                out[key] = value
         return out
 
     try:
@@ -225,6 +255,92 @@ class TestIngestMatchesWholeFileParse:
                 writer.writerows(rows)
             paths.append(path)
         assert ingest_outcome(*paths, year) == reference_ingest(*paths, year)
+
+
+# Plain files, which the numpy scan reads: digit-only years, names with no
+# comma, quote, CR, newline or NUL (but other Unicode line separators, which
+# the CSV reader keeps inside a cell), and no blank rows.
+_PLAIN_NAMES = st.sampled_from(["A", " A ", "B", "Korea Rep.", "Côte d'Ivoire",
+                                "\u2028C\x85", "D\t", ""])
+_PLAIN_VALUES = st.one_of(st.sampled_from(["12", "7", " 4.5 ", "1e6"]), _VALUES)
+_PLAIN_YEARS = YEARS + (0, 999_999_999)
+_PLAIN_YEAR_CELLS = st.one_of(*[st.just(str(y)) for y in YEARS],
+                              st.sampled_from([str(y) for y in _PLAIN_YEARS]))
+
+
+@st.composite
+def plain_file_rows(draw):
+    rows = draw(st.lists(st.tuples(_PLAIN_NAMES, _PLAIN_YEAR_CELLS, _PLAIN_VALUES),
+                         min_size=3, max_size=16,
+                         unique_by=lambda row: (row[0].strip(), row[1])))
+    if rows and draw(st.integers(0, 3)) == 3:   # a second row of one country and year
+        name, year, _ = draw(st.sampled_from(rows))
+        rows.insert(draw(st.integers(0, len(rows))), (name, year, draw(_PLAIN_VALUES)))
+    return rows
+
+
+def write_plain(path, rows):
+    path.write_text("".join(f"{name},{year},{value}\n" for name, year, value in
+                            [("country", "year", "value"), *rows]), encoding="utf-8")
+
+
+class TestPlainScan:
+    @seed(20261019)
+    @settings(max_examples=250, deadline=None)
+    @given(energy_rows=plain_file_rows(), population_rows=plain_file_rows(),
+           year=st.one_of(st.sampled_from(YEARS), st.sampled_from(_PLAIN_YEARS + (2 ** 70,))))
+    def test_scan_matches_whole_file_parse(self, tmp_path_factory, energy_rows,
+                                           population_rows, year):
+        base = tmp_path_factory.mktemp("plain")
+        paths = base / "energy.csv", base / "population.csv"
+        for path, rows in zip(paths, (energy_rows, population_rows)):
+            write_plain(path, rows)
+            assert energy_module._year_rows_plain(path.read_bytes(), year) is not None
+        assert ingest_outcome(*paths, year) == reference_ingest(*paths, year)
+
+    def test_plain_file_is_read_without_the_csv_reader(self, tmp_path, monkeypatch):
+        e, p = tmp_path / "e.csv", tmp_path / "p.csv"
+        write_fixture_csvs(e, p)
+        want = ingest_outcome(e, p, 2005)
+
+        def refuse(path):
+            raise AssertionError(f"csv reader opened {path}")
+
+        monkeypatch.setattr(energy_module, "read_csv_rows", refuse)
+        assert ingest_outcome(e, p, 2005) == want
+        assert len(want[1]) == 22
+
+
+_PLAIN_ENERGY = "country,year,value\nA,1990,5\nCôte d'Ivoire,1990,7\nB,2000,3\n"
+
+
+@pytest.mark.parametrize("energy, plain", [
+    pytest.param(_PLAIN_ENERGY.replace("A,1990", '"A",1990'), False, id="quoted-name"),
+    pytest.param(_PLAIN_ENERGY.replace("\n", "\r\n"), False, id="crlf"),
+    pytest.param(_PLAIN_ENERGY.replace("5\n", "5\n\n"), False, id="blank-line"),
+    pytest.param(_PLAIN_ENERGY.replace("A,1990,5", "A,1990,5,x"), False, id="fourth-column"),
+    pytest.param(_PLAIN_ENERGY.replace("A,1990", "A, 1990"), False, id="space-in-year"),
+    pytest.param(_PLAIN_ENERGY.replace("A,1990", "A,01990"), True, id="leading-zero-year"),
+    pytest.param(_PLAIN_ENERGY.replace("B,2000", "B,1234567890"), False, id="ten-digit-year"),
+    pytest.param(_PLAIN_ENERGY.rstrip("\n"), False, id="no-final-newline"),
+    pytest.param(_PLAIN_ENERGY.replace("B,", "B\0,"), False, id="nul-byte"),
+    pytest.param(_PLAIN_ENERGY.encode().replace(b"\xc3\xb4", b"\xf4"), False, id="not-utf8"),
+    pytest.param(_PLAIN_ENERGY.replace("B,", "B" * 131070 + ","), False,
+                 id="over-long-line"),
+    pytest.param(_PLAIN_ENERGY.replace("B,", "B" * 131073 + ","), False,
+                 id="over-long-cell"),
+])
+def test_file_that_is_not_plain_gets_the_csv_readers_outcome(tmp_path, monkeypatch,
+                                                             energy, plain):
+    """Each file differs from a plain one in one way.  All but the
+    leading-zero year, which is still 1-9 digits, go to the CSV reader."""
+    e, p = tmp_path / "energy.csv", tmp_path / "population.csv"
+    e.write_bytes(energy if isinstance(energy, bytes) else energy.encode())
+    p.write_text("country,year,value\nA,1990,10\nCôte d'Ivoire,1990,20\n")
+    assert (energy_module._year_rows_plain(e.read_bytes(), 1990) is not None) == plain
+    outcome = ingest_outcome(e, p, 1990)
+    monkeypatch.setattr(energy_module, "_year_rows_plain", lambda data, year: None)
+    assert outcome == ingest_outcome(e, p, 1990)
 
 
 class TestWeightedCdf:

@@ -53,3 +53,10 @@ def test_numpy_scalars_are_written_as_python_numbers(tmp_path):
     write_csv(tmp_path / "numpy.csv", ("x", "n", "y"),
               [(np.float64(x), np.int64(n), np.float64(y)) for x, n, y in rows])
     assert (tmp_path / "numpy.csv").read_bytes() == (tmp_path / "python.csv").read_bytes()
+
+
+def test_over_long_cell_names_the_line_its_record_starts_on(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text('country,year,value\nA,2005,1\n"B\n' + "x" * 131072 + '",2005,2\n')
+    with pytest.raises(FormatError, match=r"t\.csv:3: field larger than field limit"):
+        list(read_csv_rows(path))
