@@ -149,8 +149,7 @@ def _read_country_year_csv(path, year: int) -> dict[str, float | None]:
     is scanned with numpy and any other goes to the CSV reader; the two
     give the same result on every file both accept."""
     with open(path, "rb") as fh:
-        data = fh.read()
-    rows = _year_rows_plain(data, year)
+        rows = _year_rows_plain(fh.read(), year)
     out: dict[str, float | None] = {}
     first: dict[str, int] = {}
     for record, name, cell in _year_rows_csv(path, year) if rows is None else rows:

@@ -71,17 +71,29 @@ def read_csv_rows(path):
     reader refuses (a cell longer than ``csv.field_size_limit()``), named
     by the file line it starts on."""
     with open(path, newline="", encoding="utf-8") as fh:
-        record = 0   # the last record read
         try:
             reader = csv.reader(fh)
             next(reader, None)
-            record = 1
-            for record, row in enumerate(reader, start=2):
-                yield record, row
+            yield from enumerate(reader, start=2)
         except UnicodeDecodeError as exc:
             raise _not_utf8(path, exc) from exc
         except csv.Error as exc:
-            raise FormatError(f"{path}:{record_line(path, record + 1)}: {exc}") from exc
+            raise FormatError(f"{path}:{_refused_record_line(path)}: {exc}") from exc
+
+
+def _refused_record_line(path) -> int:
+    """The file line on which the record that the CSV reader refuses
+    starts.  The file is read again, so the rows that ``read_csv_rows``
+    yields need not be counted; only an error message pays for that."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        line = 1
+        try:
+            for _ in reader:
+                line = reader.line_num + 1
+        except csv.Error:
+            pass
+        return line
 
 
 def record_line(path, record: int) -> int:

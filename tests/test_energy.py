@@ -217,9 +217,15 @@ def ingest_outcome(energy_csv, population_csv, year):
 
 
 YEARS = (1990, 2000, 2005)
-_NAMES = st.sampled_from(["A", " A ", "B", "Korea, Rep.", "Côte d'Ivoire", "Saint\nLucia"])
-_YEAR_CELLS = st.sampled_from(YEARS).flatmap(
-    lambda y: st.sampled_from([str(y), f" {y} ", f"{y} "]))
+_NAME_LIST = ["A", " A ", "B", "Korea, Rep.", "Côte d'Ivoire", "Saint\nLucia"]
+_NAMES = st.sampled_from(_NAME_LIST)
+
+
+def _year_cells(year):
+    return st.sampled_from([str(year), f" {year} ", f"{year} "])
+
+
+_YEAR_CELLS = st.sampled_from(YEARS).flatmap(_year_cells)
 _VALUES = st.sampled_from(["12", "7", " 4.5 ", "1e6", "2.5e-1", "0", "-3", "n/a",
                            "", "..", " ", "x1", "nan", "inf", "-inf"])
 _DATA_ROW = st.tuples(_NAMES, _YEAR_CELLS, _VALUES).map(list)
@@ -231,8 +237,17 @@ _FAULT_ROW = st.sampled_from([["C", "1980"], ["C"], ["C", "19x0", "5"],
 
 @st.composite
 def wri_file_rows(draw):
-    rows = draw(st.lists(st.one_of(_DATA_ROW, _DATA_ROW, _DATA_ROW, _BLANK_ROW),
-                         min_size=4, max_size=16))
+    """Data rows of unique (stripped name, year) keys with, in 1 file of 4,
+    a second row of one key, then blank rows and now and then a fault."""
+    rows = draw(st.lists(_DATA_ROW, min_size=3, max_size=12,
+                         unique_by=lambda row: (row[0].strip(), int(row[1]))))
+    if draw(st.integers(0, 3)) == 3:   # a second row of one country and year
+        name, year, _ = draw(st.sampled_from(rows))
+        twin = draw(st.sampled_from([n for n in _NAME_LIST if n.strip() == name.strip()]))
+        rows.insert(draw(st.integers(0, len(rows))),
+                    [twin, draw(_year_cells(int(year))), draw(_VALUES)])
+    for blank in draw(st.lists(_BLANK_ROW, max_size=4)):
+        rows.insert(draw(st.integers(0, len(rows))), blank)
     if draw(st.integers(0, 7)) == 3:
         rows.insert(draw(st.integers(0, len(rows))), draw(_FAULT_ROW))
     return rows
