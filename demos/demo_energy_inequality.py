@@ -29,8 +29,7 @@ for year in FIXTURE_YEARS:
     print(f"{year}: fixture-weighted average {avg:.2f} kW "
           f"(published world row {WORLD_AVERAGE_KW[year]:.1f} kW), "
           f"Gini {curve.gini:.3f}")
-    write_csv(OUT / f"energy_lorenz_{year}.csv", ("x", "y"),
-              zip(curve.x.tolist(), curve.y.tolist()))
+    write_csv(OUT / f"energy_lorenz_{year}.csv", ("x", "y"), (curve.x, curve.y))
 
 print("\nGini decreases 1990 -> 2000 -> 2005: the energy gap narrows "
       "as the economy globalises.")
@@ -39,7 +38,7 @@ print("\nGini decreases 1990 -> 2000 -> 2005: the energy gap narrows "
 records = fixture_records(2005)
 cdf = weighted_cdf(records)
 world = WORLD_AVERAGE_KW[2005]
-write_csv(OUT / "energy_cdf_2005.csv", ("epsilon_kw", "C"), cdf.rows())
+write_csv(OUT / "energy_cdf_2005.csv", ("epsilon_kw", "C"), (cdf.values, cdf.complementary))
 
 print(f"\n2005 ladder (world average {world} kW):")
 print(f"  {'country':<22} {'eps kW':>7} {'eps/<eps>':>9} {'C(eps)':>8} "

@@ -49,7 +49,7 @@ err = np.abs(both.density[1:-1] / model.pdf(both.grid[1:-1]) - 1).max()
 print(f"\ncombined (a0=500, a=1, b0=2e4, b=2): T={comb.temperature:.0f}, "
       f"alpha={comb.pareto_exponent:.1f}, r0={comb.crossover_income:.0f}")
 print(f"  quadrature vs closed form: max relative error {err:.2e}")
-write_csv(OUT / "stationary_combined.csv", ("r", "density"), both.rows())
+write_csv(OUT / "stationary_combined.csv", ("r", "density"), (both.grid, both.density))
 
 # --- transient: a mid-income pulse relaxes to the exponential -----------
 spec = DriftDiffusionSpec.additive(a0=1.0, b0=1.0)   # T = 1

@@ -30,7 +30,7 @@ traj = run_simulation(ens, rule, 5_000_000, checkpoint_every=500_000, seed=2024)
 
 s_eq = N * (1 + math.log(T))
 print(f"\n  {'steps':>10}  {'entropy':>9}  {'S / S_eq':>8}")
-for step, s, _ in traj.rows():
+for step, s in zip(traj.steps.tolist(), traj.entropy.tolist()):
     print(f"  {int(step):>10,}  {s:9.1f}  {s / s_eq:8.4f}")
 
 temperature, mu = temperature_and_potential(ens)
@@ -40,7 +40,7 @@ print(f"chemical potential mu = -T ln(T/m*) = {mu:.1f} quanta")
 # final histogram against the exponential prediction exp(-m/T)/T
 hist = traj.final_histogram
 write_csv(OUT / "balance_histogram.csv", ("bin_lower", "count"),
-          zip(hist.bin_lowers().tolist(), hist.counts.tolist()))
+          (hist.bin_lowers(), hist.counts))
 print(f"\nbalance histogram -> {OUT / 'balance_histogram.csv'}")
 print("  m      P(m) measured   P(m) exponential")
 probs = hist.counts / hist.n_total

@@ -32,7 +32,7 @@ print(f"\nsynthetic table: {table.total:,} returns over {len(table.levels)} leve
       f"spanning {table.levels[1]:.1f} .. {table.levels[-1]:.0f} k$")
 
 cdf = WeightedCDF(table.levels, table.counts)
-write_csv(OUT / "income_cdf.csv", ("r", "C"), cdf.rows())
+write_csv(OUT / "income_cdf.csv", ("r", "C"), (cdf.values, cdf.complementary))
 
 report = fit_report(table)
 print("\nstaged fits (the tax-data procedure):")
@@ -56,7 +56,6 @@ print("\ntable row:")
 print("  " + report.table_row())
 
 curve = table.bin_incomes(max(report.alpha_staged, 1.0001)).lorenz()
-write_csv(OUT / "income_lorenz.csv", ("x", "y"),
-          zip(curve.x.tolist(), curve.y.tolist()))
+write_csv(OUT / "income_lorenz.csv", ("x", "y"), (curve.x, curve.y))
 print(f"\nLorenz curve -> {OUT / 'income_lorenz.csv'}")
 print("CDF          ->", OUT / "income_cdf.csv")

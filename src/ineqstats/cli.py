@@ -111,10 +111,10 @@ def _run_single(out_path, config: SimulationConfig) -> list[str]:
     out = _out_dir(out_path)
     qv = config.quantum_value
     write_csv(out / "trajectory.csv", ("step", "entropy", "temperature"),
-              [(s, e, t * qv) for s, e, t in traj.rows()])
+              (traj.steps, traj.entropy, traj.temperature * qv))
     hist = traj.final_histogram
     write_csv(out / "histogram.csv", ("bin_lower", "count"),
-              zip((hist.bin_lowers() * qv).tolist(), hist.counts.tolist()))
+              (hist.bin_lowers() * qv, hist.counts))
     print(f"simulated {traj.steps[-1]} exchange attempts; "
           f"final entropy {traj.entropy[-1]:.1f}", file=sys.stderr)
     return ["trajectory.csv", "histogram.csv"]
@@ -134,7 +134,7 @@ def _run_coupled(out_path, config: CoupledConfig) -> list[str]:
     for tag, ens in (("1", ens1), ("2", ens2)):
         hist = BinnedHistogram.from_ensemble(ens, origin=rule.floor)
         write_csv(out / f"histogram{tag}.csv", ("bin_lower", "count"),
-                  zip(hist.bin_lowers().tolist(), hist.counts.tolist()))
+                  (hist.bin_lowers(), hist.counts))
     print(f"coupled run: dM={report.delta_money} dN={report.delta_agents} "
           f"dS_est={report.delta_entropy_estimate:.4f}", file=sys.stderr)
     return ["flux.json", "histogram1.csv", "histogram2.csv"]
@@ -178,7 +178,7 @@ def _cmd_fp(args) -> int:
     grid = make_grid(spec, **grid_args)
     dist = stationary_solution(spec, grid)
     out = _out_dir(args.out)
-    write_csv(out / "solution.csv", ("r", "density"), dist.rows())
+    write_csv(out / "solution.csv", ("r", "density"), (dist.grid, dist.density))
     (out / "spec.json").write_text(spec.to_json() + "\n", encoding="utf-8")
     emit_manifest(out, "fp", {**asdict(spec), **grid_args}, [args.spec_json],
                   ["solution.csv", "spec.json"])
@@ -201,8 +201,7 @@ def _cmd_fit_income(args) -> int:
     curve = table.bin_incomes(max(report.alpha_staged, 1.0001)).lorenz()
     out = _out_dir(args.out)
     (out / "report.json").write_text(report.to_json() + "\n", encoding="utf-8")
-    write_csv(out / "lorenz.csv", ("x", "y"),
-              zip(curve.x.tolist(), curve.y.tolist()))
+    write_csv(out / "lorenz.csv", ("x", "y"), (curve.x, curve.y))
     print(report.table_row())
     emit_manifest(out, "fit-income", {"input": args.input, **read_args, **fit_args},
                   [args.input], ["report.json", "lorenz.csv"])
@@ -225,9 +224,8 @@ def _cmd_energy(args) -> int:
     curve = cdf.lorenz()
     profile = slope_profile(curve)
     out = _out_dir(args.out)
-    write_csv(out / "cdf.csv", ("epsilon_kw", "C"), cdf.rows())
-    write_csv(out / "lorenz.csv", ("x", "y"),
-              zip(curve.x.tolist(), curve.y.tolist()))
+    write_csv(out / "cdf.csv", ("epsilon_kw", "C"), (cdf.values, cdf.complementary))
+    write_csv(out / "lorenz.csv", ("x", "y"), (curve.x, curve.y))
     write_json(out / "summary.json", {
         "year": args.year,
         "countries": len(records),

@@ -114,13 +114,15 @@ class TwoClassModel:
         self.T, self.alpha, self.r0 = float(T), float(alpha), float(r0)
         quadrature = LevelQuadrature([self.T, self.r0])
         nodes = quadrature._nodes
-        with np.errstate(over="ignore"):
+        with np.errstate(all="ignore"):
             mass = quadrature._masses(self.T, self.alpha, self.r0)
-        self.c = 1.0 / mass.sum()
-        # beyond R = nodes[0] the density is the power law, whose first
-        # moment is R alpha / (alpha - 1) times its mass
-        self._mean = self.c * (nodes[1:] @ mass[1:]
-                               + mass[0] * nodes[0] * self.alpha / (self.alpha - 1.0))
+            self.c = 1.0 / mass.sum()
+            # beyond R = nodes[0] the density is the power law, whose first
+            # moment is R alpha / (alpha - 1) times its mass
+            self._mean = self.c * (nodes[1:] @ mass[1:]
+                                   + mass[0] * nodes[0] * self.alpha / (self.alpha - 1.0))
+        if not (0 < self.c < np.inf and np.isfinite(self._mean)):
+            raise DomainError(f"T={T}, alpha={alpha}, r0={r0}: normalisation or mean not finite")
         comp = self.c * np.cumsum(mass)   # C near each node, for inverse_cdf
         self._start_nodes, self._start_ln_comp = nodes[comp > 0], np.log(comp[comp > 0])
 
@@ -427,6 +429,8 @@ def class_boundary(T: float, alpha: float, pl_prefactor: float) -> tuple[float, 
         return -r / T - math.log(pl_prefactor) + alpha * math.log(r)
 
     lo, hi = _BOUNDARY_BRACKET[0] * T, _BOUNDARY_BRACKET[1] * T
+    if not hi < math.inf:
+        raise DomainError(f"class_boundary bracket [{lo:g}, {hi:g}] exceeds the float range")
     g_lo, g_hi = gap(lo), gap(hi)
     if g_lo == 0.0:
         return lo, math.exp(-lo / T)

@@ -199,9 +199,6 @@ class GridDistribution:
             raise DomainError("distributions live on different grids")
         return float(np.sum(np.abs(self.density - other.density) * _cell_widths(self.grid)))
 
-    def rows(self):
-        return list(zip(self.grid.tolist(), self.density.tolist()))
-
 
 _LINEAR_POINTS = 300   # points of the linear stretch below the knee
 MAX_GRID_POINTS = 10 ** 7   # log grid points; denser grids are refused
@@ -257,13 +254,17 @@ def _interface_drift(spec: DriftDiffusionSpec, grid: np.ndarray):
     """B on the grid, and on each interval x = h (s[i] + s[i+1])/2 with
     s = A/B: the trapezoid drift integral, which makes the stationary
     solution an exact fixed point of the stepper."""
-    B = spec.diffusion(grid)
+    with np.errstate(all="ignore"):
+        B = spec.diffusion(grid)
+        s = spec.drift(grid) / B
+        x = 0.5 * (s[1:] + s[:-1]) * np.diff(grid)
     if np.any(B <= 0):
         raise SingularDiffusionError(
             "diffusion coefficient vanishes on the grid; "
             "for the multiplicative kind use a grid starting at r > 0")
-    s = spec.drift(grid) / B
-    return B, 0.5 * (s[1:] + s[:-1]) * np.diff(grid)
+    if not (np.all(np.isfinite(B)) and np.all(np.isfinite(x))):
+        raise DomainError(f"drift or diffusion overflows on the grid up to r = {grid[-1]:g}")
+    return B, x
 
 
 def stationary_solution(spec: DriftDiffusionSpec,

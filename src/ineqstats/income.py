@@ -84,6 +84,8 @@ class IncomeBinTable:
         counts = whole_numbers(self.counts, "counts")
         object.__setattr__(self, "levels", levels)
         object.__setattr__(self, "counts", counts)
+        if self.year is not None:
+            object.__setattr__(self, "year", whole_number(self.year, "year"))
         if levels.size == 0 or levels.size != counts.size:
             raise DomainError("need matching, non-empty levels and counts")
         if not np.all(np.isfinite(levels)):

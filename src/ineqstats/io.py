@@ -1,8 +1,8 @@
 """CSV/JSON input parsing, and emission with deterministic formatting.
 
-Floats are written with repr() of the Python float (shortest round-trip
-form, '.' decimal separator), so identical data produces byte-identical
-files.
+CSV files are written by column: each cell is str() of a Python value,
+so a float is its shortest round-trip repr ('.' decimal separator), and
+identical data produces byte-identical files.
 """
 
 from __future__ import annotations
@@ -18,23 +18,19 @@ import numpy as np
 
 from .errors import DomainError, FormatError
 
-__all__ = ["format_cell", "write_csv", "write_json", "sha256_file", "read_text",
+__all__ = ["write_csv", "write_json", "sha256_file", "read_text",
            "read_csv_rows", "record_line", "usable_row", "json_object", "build_config",
            "whole_number", "whole_numbers"]
 
 
-def format_cell(value) -> str:
-    if isinstance(value, float):   # np.float64 too, whose repr names its type
-        return repr(float(value))
-    return str(value)
-
-
-def write_csv(path, header, rows) -> None:
-    path = Path(path)
-    lines = [",".join(str(h) for h in header)]
-    for row in rows:
-        lines.append(",".join(format_cell(v) for v in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+def write_csv(path, header, columns) -> None:
+    """Write equal-length numpy arrays or lists as the columns of a CSV
+    file: each cell is str() of a Python value (an array's ``tolist()``,
+    so numpy numbers print as Python's); ragged columns raise ValueError."""
+    cells = [map(str, col.tolist() if isinstance(col, np.ndarray) else col)
+             for col in columns]
+    lines = map(",".join, zip(*cells, strict=True))
+    Path(path).write_text("\n".join([",".join(header), *lines]) + "\n", encoding="utf-8")
 
 
 def write_json(path, obj) -> None:

@@ -185,6 +185,8 @@ class BinnedHistogram:
         self.counts = whole_numbers(self.counts, "bin counts")
         if np.any(self.counts < 0):
             raise DomainError("bin counts must be non-negative")
+        if not -math.inf < self.origin < math.inf:
+            raise DomainError(f"histogram origin must be a finite number; got {self.origin!r}")
 
     @property
     def n_total(self) -> int:
@@ -354,10 +356,6 @@ class Trajectory:
     temperature: np.ndarray
     final_histogram: BinnedHistogram
     ensemble: AgentEnsemble
-
-    def rows(self):
-        return list(zip(self.steps.tolist(), self.entropy.tolist(),
-                        self.temperature.tolist()))
 
 
 _BLOCK_AMOUNTS = 2 ** 14   # most attempts per block of drawn amounts (128 KB)

@@ -77,7 +77,3 @@ class WeightedCDF:
         x[-1] = 1.0
         y[-1] = 1.0
         return LorenzCurve(x, y)
-
-    def rows(self):
-        """(value, complementary) pairs, for CSV emission."""
-        return list(zip(self.values.tolist(), self.complementary.tolist()))

@@ -63,11 +63,9 @@ def fixture_records(year: int) -> list[CountryRecord]:
 def write_fixture_csvs(energy_path, population_path) -> None:
     """Render the fixture as the `country,year,value` CSV pair the energy
     pipeline ingests (energy in kW per capita: use the per-capita flag)."""
-    energy_rows = []
-    population_rows = []
-    for name, _label, eps, pop in _COUNTRIES:
-        for idx, year in enumerate(FIXTURE_YEARS):
-            energy_rows.append((name, year, eps[idx]))
-            population_rows.append((name, year, int(pop[idx] * 1e6)))
-    write_csv(energy_path, ("country", "year", "value"), energy_rows)
-    write_csv(population_path, ("country", "year", "value"), population_rows)
+    names = [name for name, *_ in _COUNTRIES for _ in FIXTURE_YEARS]
+    years = FIXTURE_YEARS * len(_COUNTRIES)
+    eps = [kw for _, _, eps_kw, _ in _COUNTRIES for kw in eps_kw]
+    pop = [int(millions * 1e6) for *_, pop_millions in _COUNTRIES for millions in pop_millions]
+    write_csv(energy_path, ("country", "year", "value"), (names, years, eps))
+    write_csv(population_path, ("country", "year", "value"), (names, years, pop))

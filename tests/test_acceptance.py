@@ -220,8 +220,7 @@ def test_criterion_10_determinism(tmp_path):
     comp = table.counts[::-1].cumsum()[::-1]
     income_csv = tmp_path / "income.csv"
     from ineqstats.io import write_csv
-    write_csv(income_csv, ("level_kusd", "returns_at_or_above"),
-              zip(table.levels.tolist(), comp.tolist()))
+    write_csv(income_csv, ("level_kusd", "returns_at_or_above"), (table.levels, comp))
     from ineqstats.wri_fixture import write_fixture_csvs
     e_csv, p_csv = tmp_path / "e.csv", tmp_path / "p.csv"
     write_fixture_csvs(e_csv, p_csv)

@@ -164,8 +164,7 @@ def income_csv(tmp_path_factory):
     rng = np.random.default_rng(20260808)
     table = sample_income_table(model, 100_000, rng, n_levels=50)
     comp = table.counts[::-1].cumsum()[::-1]
-    write_csv(path, ("level_kusd", "returns_at_or_above"),
-              zip(table.levels.tolist(), comp.tolist()))
+    write_csv(path, ("level_kusd", "returns_at_or_above"), (table.levels, comp))
     return path
 
 
@@ -204,8 +203,7 @@ class TestFitIncome:
         comp = np.exp(-levels / 171.0)
         counts = rng.poisson(80624 * np.append(comp[:-1] - comp[1:], comp[-1]))
         table = tmp_path / "table.csv"
-        write_csv(table, ("level_kusd", "returns_in_bin"),
-                  zip(levels.tolist(), counts.tolist()))
+        write_csv(table, ("level_kusd", "returns_in_bin"), (levels, counts))
         out = tmp_path / "fit"
         code = dispatch(["fit-income", "--input", str(table), "--mode", "in-bin",
                          "--out", str(out)])
@@ -805,3 +803,72 @@ def test_any_argv_ends_cleanly(argv_files, argv):
     assert code in (0, 1, 2)
     if code:
         assert err.getvalue().startswith(("error:", "usage:")), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["--a", "1", "--b", "1e308"], id="diffusion"),
+    pytest.param(["--a", "1e308", "--b", "1"], id="drift"),
+])
+def test_fp_coefficient_overflow_is_one_error_line(tmp_path, capsys, argv):
+    # b r^2 overflowed with numpy's RuntimeWarning, and the run exited 0
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = dispatch(["fp", "--kind", "combined", "--a0", "1", "--b0", "40", *argv,
+                         "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
+# The CI recipes' data files, by SHA-256.  Reruns on one commit cannot
+# see a formatting change, so these pin the bytes across commits; a numpy
+# whose exp or log rounds differently in the last place changes the fp and
+# simulate digests too.
+CI_RECIPE_DIGESTS = {
+    "fp/solution.csv": "9d8a27fcceee58df929cde2f7956ab807add8ff6ad0a4b88b1dc8eb37fe9dad6",
+    "single/trajectory.csv": "25dfc2fbd86f1cef693f0bdf91e55f259c793a8649a91bcc9e8d2cfb27fa3b89",
+    "single/histogram.csv": "d17f8c3f898a8950fb3366c1e85ac9932aeb3561bbae40a19d73912f1d2c76d3",
+    "debt/trajectory.csv": "b792b1b1cc458490751e194e2f87306ac815ccc693c86ffb3cf3061e481d0a72",
+    "debt/histogram.csv": "291acbef8607178c395dfaf325eeb171d273e79d9cdeb1db2c3f040019934e9b",
+    "coupled/histogram1.csv": "029e3c9df267132ffc52604ff6bda5c9f7f19ef20f98c1aea74edd3a9db9ffca",
+    "coupled/histogram2.csv": "74e79389dd487c2d7b907ce96856dc961e52dbb299cdd0ee5eef4cd2c8aeb750",
+    "energy/cdf.csv": "69ddfc9f908c3b7e0352c3cf31d3f4fa703787d22076b43a47f046b8550bd6db",
+    "energy/lorenz.csv": "af1db48dcc3a13c5a24cc28811dd6183f3b06d4f51b200b89e0009ece13dfacf",
+    "fit-income/lorenz.csv": "705ac8fb7822acc18157ea68067b31191b3b4bd19f96a3310fb90d2fa52fe3da",
+}
+
+
+def test_ci_recipe_data_files_keep_their_bytes(tmp_path, capsys):
+    from ineqstats.io import sha256_file
+    table = sample_income_table(TwoClassModel(48, 1.34, 113), 100000,
+                                np.random.default_rng(1), year=2007)
+    comp = table.counts[::-1].cumsum()[::-1]
+    income = tmp_path / "income.csv"
+    income.write_text("level_kusd,returns_at_or_above\n" + "".join(
+        f"{level!r},{count}\n" for level, count in zip(table.levels.tolist(), comp.tolist())))
+    energy, population = tmp_path / "energy.csv", tmp_path / "population.csv"
+    write_fixture_csvs(energy, population)
+    simulate = ["simulate", "--agents", "100", "--money", "5000", "--seed", "3"]
+    recipes = {
+        "fp": (["fp", "--kind", "additive", "--a0", "1", "--b0", "40"], ["solution.csv"]),
+        "single": (simulate + ["--steps", "20000", "--checkpoint-every", "2000"],
+                   ["trajectory.csv", "histogram.csv"]),
+        "debt": (simulate + ["--steps", "20000", "--checkpoint-every", "2000",
+                             "--floor", "-20"], ["trajectory.csv", "histogram.csv"]),
+        "coupled": (simulate + ["--agents2", "100", "--money2", "2000", "--steps", "5000",
+                                "--events", "500", "--migration-rate", "0.3"],
+                    ["histogram1.csv", "histogram2.csv"]),
+        "energy": (["energy", "--energy", str(energy), "--population", str(population),
+                    "--per-capita", "--year", "2005"], ["cdf.csv", "lorenz.csv"]),
+        "fit-income": (["fit-income", "--input", str(income), "--year", "2007"],
+                       ["lorenz.csv"]),
+    }
+    digests = {}
+    for name, (argv, files) in recipes.items():
+        assert dispatch(argv + ["--out", str(tmp_path / name)]) == 0, name
+        for file in files:
+            digests[f"{name}/{file}"] = sha256_file(tmp_path / name / file)
+    capsys.readouterr()
+    assert digests == CI_RECIPE_DIGESTS

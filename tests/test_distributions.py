@@ -30,7 +30,8 @@ class TestTwoClassModel:
                                      (-1, 2, 100), (40, 0.5, 100), (40, 2, -5),
                                      (math.inf, 2, 100), (40, math.inf, 100),
                                      (40, 2, math.inf), (math.nan, 2, 100),
-                                     (40, math.nan, 100), (40, 2, math.nan)])
+                                     (40, math.nan, 100), (40, 2, math.nan),
+                                     (40, 1e308, 100)])   # once built with c = inf
     def test_invalid_parameters_rejected(self, bad):
         with pytest.raises(DomainError):
             TwoClassModel(*bad)
@@ -420,6 +421,8 @@ class TestClassBoundary:
             class_boundary(-1.0, 1.5, 1.0)
         with pytest.raises(DomainError):
             class_boundary(1.0, 1.5, 0.0)
+        with pytest.raises(DomainError, match="float range"):   # returned (inf, 0.0)
+            class_boundary(1e308, 1.5, 1e4)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     @pytest.mark.parametrize("position", range(3))

@@ -81,6 +81,16 @@ class TestTable:
         with pytest.raises(DomainError, match="income levels must be finite"):
             IncomeBinTable(np.array(levels), np.ones(len(levels), dtype=np.int64))
 
+    @pytest.mark.parametrize("year", [math.nan, math.inf, 2007.5])
+    def test_year_is_a_whole_number(self, year):
+        # a NaN year was once accepted by both
+        with pytest.raises(FormatError, match="year must be a whole number"):
+            IncomeBinTable(np.array([0.0, 10.0]), np.array([3, 1]), year)
+        with pytest.raises(FormatError, match="year must be a whole number"):
+            sample_income_table(TwoClassModel(40.0, 1.5, 100.0), 100,
+                                np.random.default_rng(1), year=year)
+        assert IncomeBinTable(np.array([0.0, 10.0]), np.array([3, 1]), 2007.0).year == 2007
+
     @pytest.mark.parametrize("counts", [[1.5, 2.7, 1], [1, np.nan, 1], [1, np.inf, 1],
                                         [True, False, True]])
     @pytest.mark.filterwarnings("error")

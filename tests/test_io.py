@@ -48,11 +48,20 @@ def test_reader_of_an_empty_file_yields_nothing(tmp_path):
 
 
 def test_numpy_scalars_are_written_as_python_numbers(tmp_path):
-    rows = [(0.1, 3, 1e-300), (2.5e17, -7, 1.0)]
-    write_csv(tmp_path / "python.csv", ("x", "n", "y"), rows)
+    columns = ([0.1, 2.5e17], [3, -7], [1e-300, 1.0])
+    write_csv(tmp_path / "python.csv", ("x", "n", "y"), columns)
+    x, n, y = columns
     write_csv(tmp_path / "numpy.csv", ("x", "n", "y"),
-              [(np.float64(x), np.int64(n), np.float64(y)) for x, n, y in rows])
+              (np.array(x, dtype=np.float64), np.array(n, dtype=np.int64),
+               np.array(y, dtype=np.float64)))
     assert (tmp_path / "numpy.csv").read_bytes() == (tmp_path / "python.csv").read_bytes()
+    assert (tmp_path / "python.csv").read_text() == "x,n,y\n0.1,3,1e-300\n2.5e+17,-7,1.0\n"
+
+
+def test_ragged_columns_are_refused(tmp_path):
+    with pytest.raises(ValueError):
+        write_csv(tmp_path / "t.csv", ("x", "y"), (np.arange(3), np.arange(2)))
+    assert not (tmp_path / "t.csv").exists()
 
 
 def test_over_long_cell_names_the_line_its_record_starts_on(tmp_path):

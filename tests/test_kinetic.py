@@ -50,6 +50,12 @@ class TestEnsembleSetup:
         with pytest.raises(FormatError, match="bin counts must be whole numbers"):
             BinnedHistogram(balances)
 
+    @pytest.mark.parametrize("origin", [math.nan, math.inf, -math.inf])
+    def test_histogram_origin_is_a_finite_number(self, origin):
+        # a NaN origin once made every bin_lowers() NaN
+        with pytest.raises(DomainError, match="origin must be a finite number"):
+            BinnedHistogram(np.array([2, 1]), origin=origin)
+
     def test_whole_number_balances_are_kept(self):
         balances = np.array([3, 0, 7], dtype=np.int64)
         assert AgentEnsemble(balances).balances is balances   # no copy

@@ -7,9 +7,9 @@ from pathlib import Path
 
 import ineqstats
 from ineqstats import (CoupledConfig, DriftDiffusionSpec, GridDistribution,
-                       IncomeBinTable, LorenzCurve, SimulationConfig, TwoClassModel,
-                       WeightedCDF, cli, distributions, energy, fokker_planck,
-                       income, io, kinetic)
+                       IncomeBinTable, LorenzCurve, SimulationConfig, Trajectory,
+                       TwoClassModel, WeightedCDF, cli, distributions, energy,
+                       fokker_planck, income, io, kinetic)
 
 
 def test_star_import_binds_no_submodule():
@@ -28,8 +28,8 @@ def test_removed_aliases_are_gone():
         (ineqstats, ("two_class_pdf", "two_class_cdf", "gini_from_curve",
                      "world_average", "lorenz_energy")),
         (LorenzCurve, ("points",)),
-        (GridDistribution, ("interp",)),
-        (WeightedCDF, ("total_weight",)),
+        (GridDistribution, ("interp", "rows")),
+        (WeightedCDF, ("total_weight", "rows")),
         (TwoClassModel, ("sample", "to_json", "from_json")),
         (IncomeBinTable, ("mean_income", "lorenz")),
         (fokker_planck, ("alpha_from_coefficients",)),
@@ -39,7 +39,8 @@ def test_removed_aliases_are_gone():
         (DriftDiffusionSpec, ("from_json",)),
         (cli, ("_reject_unread", "_config_echo")),
         (kinetic, ("exchange_step",)),
-        (io, ("load_config",)),
+        (io, ("load_config", "format_cell")),
+        (Trajectory, ("rows",)),
         (income, ("empirical_cdf_income", "fit_crossover", "CrossoverFit")),
         (kinetic, ("multiplicity_exact",)),
         (ineqstats, ("exchange_step", "empirical_cdf_income", "fit_crossover",
