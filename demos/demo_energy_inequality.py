@@ -1,10 +1,13 @@
-"""Global energy-consumption inequality from the embedded country fixture.
+"""Global energy-consumption inequality from the 22-country WRI fixture.
 
-Builds the population-weighted complementary CDF of per-capita energy
-consumption for 1990/2000/2005, compares it with the parameter-free
-exponential overlay exp(-eps/T) where T is the world average, and tracks
-the Lorenz curve and Gini coefficient across the three years.  The same
-pipeline accepts full WRI downloads via `ineqstats energy`.
+Reads the fixture pair in tests/data (country,year,value rows, energy in
+kW per capita, approximate populations) through `ingest_wri`, the reader
+that `ineqstats energy` uses.  Builds the population-weighted
+complementary CDF of per-capita energy consumption for 1990/2000/2005,
+compares it with the parameter-free exponential overlay exp(-eps/T) where
+T is the world average, and tracks the Lorenz curve and Gini coefficient
+across the three years.  The same pipeline accepts full WRI downloads via
+`ineqstats energy`.
 
 Run:  python demos/demo_energy_inequality.py
 """
@@ -12,18 +15,27 @@ Run:  python demos/demo_energy_inequality.py
 import math
 from pathlib import Path
 
-from ineqstats import per_capita_kw, slope_profile, weighted_cdf
+from ineqstats import ingest_wri, per_capita_kw, slope_profile, weighted_cdf
 from ineqstats.io import write_csv
-from ineqstats.wri_fixture import (FIXTURE_YEARS, WORLD_AVERAGE_KW,
-                                   fixture_records)
 
+DATA = Path(__file__).parents[1] / "tests" / "data"
 OUT = Path(__file__).parent / "output"
 OUT.mkdir(exist_ok=True)
 
-print("embedded fixture: 22 countries, per-capita energy use in kW\n")
+FIXTURE_YEARS = (1990, 2000, 2005)
+# Published population-weighted world averages, kW per capita.
+WORLD_AVERAGE_KW = {1990: 2.2, 2000: 2.2, 2005: 2.3}
+
+
+def fixture_year(year):
+    return ingest_wri(DATA / "wri_fixture_energy.csv", DATA / "wri_fixture_population.csv",
+                      year, per_capita=True)[0]
+
+
+print("WRI fixture: 22 countries, per-capita energy use in kW\n")
 
 for year in FIXTURE_YEARS:
-    cdf = weighted_cdf(fixture_records(year))
+    cdf = weighted_cdf(fixture_year(year))
     avg = cdf.mean
     curve = cdf.lorenz()
     print(f"{year}: fixture-weighted average {avg:.2f} kW "
@@ -35,7 +47,7 @@ print("\nGini decreases 1990 -> 2000 -> 2005: the energy gap narrows "
       "as the economy globalises.")
 
 # --- 2005 in detail -------------------------------------------------------
-records = fixture_records(2005)
+records = fixture_year(2005)
 cdf = weighted_cdf(records)
 world = WORLD_AVERAGE_KW[2005]
 write_csv(OUT / "energy_cdf_2005.csv", ("epsilon_kw", "C"), (cdf.values, cdf.complementary))
@@ -54,7 +66,7 @@ print("The overlay column is exp(-eps/T) with T fixed by the world "
       "average: no fitted parameters.")
 
 # --- the Lorenz kink ------------------------------------------------------
-profile = slope_profile(weighted_cdf(fixture_records(1990)).lorenz())
+profile = slope_profile(weighted_cdf(fixture_year(1990)).lorenz())
 print(f"\n1990 Lorenz slope profile: largest slope jump at x = "
       f"{profile.kink_x:.3f} (jump {profile.max_jump:.2f})")
 print("On the full country set this kink marks the developed/developing "

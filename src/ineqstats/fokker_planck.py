@@ -309,16 +309,24 @@ def evolve_transient(p0: GridDistribution, spec: DriftDiffusionSpec,
     B, x = _interface_drift(spec, grid)
     h = np.diff(grid)
     w = _cell_widths(grid)
-    # per-step fractions of a cell's mass that cross to the left and right
-    left = dt * _bernoulli(-x) / h * B[1:] / w[1:]
-    right = dt * _bernoulli(x) / h * B[:-1] / w[:-1]
-    outflow = np.zeros_like(grid)
-    outflow[1:] += left
-    outflow[:-1] += right
-    largest = float(np.max(outflow))
+
+    def fractions(dt):
+        """Per-step fractions of a cell's mass that cross to the left and
+        right, and the largest fraction that leaves one cell (inf or NaN
+        where a huge dt overflows)."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            left = dt * _bernoulli(-x) / h * B[1:] / w[1:]
+            right = dt * _bernoulli(x) / h * B[:-1] / w[:-1]
+            outflow = np.zeros_like(grid)
+            outflow[1:] += left
+            outflow[:-1] += right
+        return left, right, float(np.max(outflow))
+
+    left, right, largest = fractions(dt)
     if not largest <= 1.0:
+        largest_rate = fractions(1.0)[2]
         raise ConfigurationError(
-            f"dt={dt:g} violates the positivity bound {dt / largest:g} "
+            f"dt={dt:g} violates the positivity bound {1 / largest_rate:g} "
             "(1 / largest cell outflow rate)")
 
     m = p0.density * w
@@ -345,6 +353,9 @@ def delta_r2_diagnostic(r, spec: DriftDiffusionSpec):
     arr = np.asarray(r, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise DomainError("income must be finite")
-    out = 2.0 * (spec.diffusion(arr) - arr * spec.drift(arr))
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = 2.0 * (spec.diffusion(arr) - arr * spec.drift(arr))
+    if not np.all(np.isfinite(out)):
+        raise DomainError("the rate of change of r^2 overflows a float")
     return float(out) if np.ndim(r) == 0 else out
 

@@ -226,7 +226,11 @@ def temperature_and_potential(ens: AgentEnsemble, m_star: float = 1.0) -> tuple[
     if ens.total <= 0:
         raise DomainError("chemical potential undefined for non-positive total money")
     T = ens.total / ens.n * m_star
+    if not 0 < T < math.inf:
+        raise DomainError(f"money temperature {T!r} is not a positive finite float")
     mu = -T * math.log(T / m_star)
+    if not math.isfinite(mu):
+        raise DomainError(f"chemical potential at T = {T!r} overflows a float")
     return T, mu
 
 
@@ -609,6 +613,9 @@ class CycleSpec:
             raise DomainError("need volumes v2 > v1 >= 0")
         if not self.t1 >= self.t2 > 0:
             raise DomainError("need temperatures t1 >= t2 > 0")
+        # an infinite field, or finite ones whose products overflow
+        if not all(map(math.isfinite, cycle_profit_and_rate(self))):
+            raise DomainError("need a finite profit and profit rate")
 
 
 def cycle_profit_and_rate(cycle: CycleSpec) -> tuple[float, float]:

@@ -1,9 +1,27 @@
 """Shared helpers for the test suite."""
 
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+from ineqstats import ingest_wri
+
+# The offline stand-in for the WRI downloads: the 22 countries tabulated
+# in the source dataset for 1990/2000/2005, as a country,year,value pair
+# with energy in kW per capita (read it with per_capita=True).  The
+# populations are approximate mid-year figures, used only as weights.
+WRI_FIXTURE = (Path(__file__).parent / "data" / "wri_fixture_energy.csv",
+               Path(__file__).parent / "data" / "wri_fixture_population.csv")
+FIXTURE_YEARS = (1990, 2000, 2005)
+# Published population-weighted world averages, kW per capita.
+WORLD_AVERAGE_KW = {1990: 2.2, 2000: 2.2, 2005: 2.3}
+
+
+def fixture_year(year):
+    """The fixture's country records for one year, read through the ingest."""
+    return ingest_wri(*WRI_FIXTURE, year, per_capita=True)[0]
 
 
 def loglog_slope(x, y, lo, hi):

@@ -8,15 +8,15 @@ import time
 import numpy as np
 import pytest
 
-from conftest import lattice_ks, requires_wri, wri_data_dir
+from conftest import (WORLD_AVERAGE_KW, WRI_FIXTURE, lattice_ks, requires_wri,
+                      wri_data_dir)
 from ineqstats import (DriftDiffusionSpec, ExchangeRule, RULE_FIXED,
                        RULE_UNIFORM, TwoClassModel, class_boundary,
                        couple_systems, delta_r2_diagnostic, fit_report,
-                       init_ensemble, per_capita_kw, run_simulation,
+                       ingest_wri, init_ensemble, per_capita_kw, run_simulation,
                        sample_income_table, sample_lorenz_curve,
                        stationary_solution, weighted_cdf)
 from ineqstats.cli import dispatch
-from ineqstats.wri_fixture import WORLD_AVERAGE_KW, fixture_records
 from conftest import loglog_slope
 
 
@@ -183,22 +183,23 @@ def test_criterion_08_gini_identities():
 
 def test_criterion_09_energy_fixture():
     start = time.perf_counter()
-    records = fixture_records(2005)
-    cdf_values = {rec.label: per_capita_kw(rec) for rec in records}
+    records, drops = ingest_wri(*WRI_FIXTURE, 2005, per_capita=True)
+    cdf_values = {rec.name: per_capita_kw(rec) for rec in records}
     world = WORLD_AVERAGE_KW[2005]
-    usa = cdf_values["USA"] / world
-    india = cdf_values["IND"] / world
+    usa = cdf_values["United States"] / world
+    india = cdf_values["India"] / world
     gini = weighted_cdf(records).lorenz().gini
     elapsed = time.perf_counter() - start
-    ok = 4.0 < usa < 5.0 and 0.2 < india < 0.3 and elapsed < 1.0
+    ok = (len(records) == 22 and drops.n_dropped == 0
+          and 4.0 < usa < 5.0 and 0.2 < india < 0.3 and elapsed < 1.0)
     report("9[fixture]", ok,
+           f"{len(records)} countries joined (22), {drops.n_dropped} dropped (0), "
            f"USA eps/<eps>={usa:.2f} (4..5), India={india:.2f} (0.2..0.3), "
            f"fixture Gini={gini:.3f}, runtime={elapsed:.2f}s (<1s)")
 
 
 @requires_wri
 def test_criterion_09_full_wri_dataset():
-    from ineqstats import ingest_wri
     base = wri_data_dir()
     averages = {}
     ginis = {}
@@ -221,9 +222,7 @@ def test_criterion_10_determinism(tmp_path):
     income_csv = tmp_path / "income.csv"
     from ineqstats.io import write_csv
     write_csv(income_csv, ("level_kusd", "returns_at_or_above"), (table.levels, comp))
-    from ineqstats.wri_fixture import write_fixture_csvs
-    e_csv, p_csv = tmp_path / "e.csv", tmp_path / "p.csv"
-    write_fixture_csvs(e_csv, p_csv)
+    e_csv, p_csv = WRI_FIXTURE
 
     jobs = {
         "simulate": (["simulate", "--agents", "500", "--money", "25000",

@@ -13,11 +13,11 @@ import pytest
 from hypothesis import HealthCheck, example, given, seed, settings, strategies as st
 
 import ineqstats
+from conftest import WRI_FIXTURE
 from ineqstats import (IneqStatsError, SimulationConfig, TwoClassModel,
                        sample_income_table)
 from ineqstats.cli import build_parser, dispatch
 from ineqstats.io import build_config, json_object, write_csv
-from ineqstats.wri_fixture import write_fixture_csvs
 
 
 def run_module(*argv):
@@ -168,14 +168,6 @@ def income_csv(tmp_path_factory):
     return path
 
 
-@pytest.fixture(scope="module")
-def fixture_csvs(tmp_path_factory):
-    base = tmp_path_factory.mktemp("wri")
-    e, p = base / "energy.csv", base / "population.csv"
-    write_fixture_csvs(e, p)
-    return e, p
-
-
 class TestFitIncome:
     def test_report_fields_populated(self, tmp_path, income_csv, capsys):
         out = tmp_path / "fit"
@@ -230,8 +222,8 @@ class TestFitIncome:
 
 
 class TestEnergy:
-    def test_summary_world_average_matches_oracle(self, tmp_path, fixture_csvs):
-        e, p = fixture_csvs
+    def test_summary_world_average_matches_oracle(self, tmp_path):
+        e, p = WRI_FIXTURE
         out = tmp_path / "energy"
         code = dispatch(["energy", "--energy", str(e), "--population", str(p),
                          "--year", "2005", "--per-capita", "--out", str(out)])
@@ -255,8 +247,8 @@ class TestEnergy:
         assert (out / "cdf.csv").read_text().startswith("epsilon_kw,C")
         assert (out / "lorenz.csv").read_text().startswith("x,y")
 
-    def test_manifest_digests_inputs(self, tmp_path, fixture_csvs):
-        e, p = fixture_csvs
+    def test_manifest_digests_inputs(self, tmp_path):
+        e, p = WRI_FIXTURE
         out = tmp_path / "m"
         dispatch(["energy", "--energy", str(e), "--population", str(p),
                   "--year", "1990", "--per-capita", "--out", str(out)])
@@ -786,8 +778,7 @@ def argv_files(tmp_path_factory, income_csv):
         files["{" + name + "}"].write_text(text)
     files["{latin1}"] = base / "latin1.csv"
     files["{latin1}"].write_bytes(b"country,year,value\nCura\xe7ao,2005,1\n")
-    files["{energy}"], files["{population}"] = base / "energy.csv", base / "population.csv"
-    write_fixture_csvs(files["{energy}"], files["{population}"])
+    files["{energy}"], files["{population}"] = WRI_FIXTURE
     return files
 
 
@@ -848,8 +839,7 @@ def test_ci_recipe_data_files_keep_their_bytes(tmp_path, capsys):
     income = tmp_path / "income.csv"
     income.write_text("level_kusd,returns_at_or_above\n" + "".join(
         f"{level!r},{count}\n" for level, count in zip(table.levels.tolist(), comp.tolist())))
-    energy, population = tmp_path / "energy.csv", tmp_path / "population.csv"
-    write_fixture_csvs(energy, population)
+    energy, population = WRI_FIXTURE
     simulate = ["simulate", "--agents", "100", "--money", "5000", "--seed", "3"]
     recipes = {
         "fp": (["fp", "--kind", "additive", "--a0", "1", "--b0", "40"], ["solution.csv"]),

@@ -5,12 +5,11 @@ import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 import ineqstats.energy as energy_module
-from conftest import requires_wri, wri_data_dir
+from conftest import (FIXTURE_YEARS, WORLD_AVERAGE_KW, WRI_FIXTURE, fixture_year,
+                      requires_wri, wri_data_dir)
 from ineqstats import (CountryRecord, DegenerateCurveError, DomainError,
                        EmptyJoinError, FormatError, LorenzCurve, ingest_wri,
                        per_capita_kw, slope_profile, weighted_cdf)
-from ineqstats.wri_fixture import (FIXTURE_YEARS, WORLD_AVERAGE_KW,
-                                   fixture_records, write_fixture_csvs)
 
 
 def rec(name, eps, pop, year=2005, per_capita=True):
@@ -96,10 +95,8 @@ class TestIngest:
         with pytest.raises(FormatError, match="energy.csv:2"):
             ingest_wri(e, p, 2005)
 
-    def test_fixture_csv_round_trip(self, tmp_path):
-        e, p = tmp_path / "e.csv", tmp_path / "p.csv"
-        write_fixture_csvs(e, p)
-        records, drops = ingest_wri(e, p, 2005, per_capita=True)
+    def test_fixture_csv_round_trip(self):
+        records, drops = ingest_wri(*WRI_FIXTURE, 2005, per_capita=True)
         assert len(records) == 22
         assert drops.n_dropped == 0
         by_name = {r.name: r for r in records}
@@ -313,9 +310,8 @@ class TestPlainScan:
             assert energy_module._year_rows_plain(path.read_bytes(), year) is not None
         assert ingest_outcome(*paths, year) == reference_ingest(*paths, year)
 
-    def test_plain_file_is_read_without_the_csv_reader(self, tmp_path, monkeypatch):
-        e, p = tmp_path / "e.csv", tmp_path / "p.csv"
-        write_fixture_csvs(e, p)
+    def test_plain_file_is_read_without_the_csv_reader(self, monkeypatch):
+        e, p = WRI_FIXTURE
         want = ingest_outcome(e, p, 2005)
 
         def refuse(path):
@@ -369,18 +365,17 @@ class TestWeightedCdf:
         assert cdf.complementary.tolist() == [1.0, 0.5]
 
     def test_fixture_ratios_to_world_average(self):
-        records = fixture_records(2005)
-        by_label = {r.label: per_capita_kw(r) for r in records}
+        by_name = {r.name: per_capita_kw(r) for r in fixture_year(2005)}
         world = WORLD_AVERAGE_KW[2005]
-        assert 4.0 < by_label["USA"] / world < 5.0
-        assert 0.2 < by_label["IND"] / world < 0.3
+        assert 4.0 < by_name["United States"] / world < 5.0
+        assert 0.2 < by_name["India"] / world < 0.3
 
     def test_world_average_small_case(self):
         assert weighted_cdf([rec("A", 1.0, 5.0), rec("B", 3.0, 5.0)]).mean == 2.0
 
     def test_fixture_world_average_oracle(self):
         # independent spreadsheet-style sum over the fixture rows
-        records = fixture_records(2005)
+        records = fixture_year(2005)
         num = sum(r.energy * r.population for r in records)
         den = sum(r.population for r in records)
         assert weighted_cdf(records).mean == pytest.approx(num / den, rel=1e-12)
@@ -401,7 +396,7 @@ class TestLorenzEnergy:
             weighted_cdf([rec("A", 0.0, 1.0), rec("B", 0.0, 2.0)]).lorenz()
 
     def test_permutation_invariance(self):
-        records = fixture_records(2005)
+        records = fixture_year(2005)
         rng = np.random.default_rng(0)
         shuffled = list(records)
         rng.shuffle(shuffled)
@@ -414,12 +409,12 @@ class TestLorenzEnergy:
                                   getattr(weighted_cdf(shuffled), name))
 
     def test_convexity(self):
-        curve = weighted_cdf(fixture_records(1990)).lorenz()
+        curve = weighted_cdf(fixture_year(1990)).lorenz()
         slopes = np.diff(curve.y) / np.diff(curve.x)
         assert np.all(np.diff(slopes) > -1e-9)
 
     def test_fixture_gini_trend_decreases(self):
-        ginis = [weighted_cdf(fixture_records(y)).lorenz().gini for y in FIXTURE_YEARS]
+        ginis = [weighted_cdf(fixture_year(y)).lorenz().gini for y in FIXTURE_YEARS]
         assert ginis[0] > ginis[1] > ginis[2]
 
 
@@ -441,7 +436,7 @@ class TestSlopeProfile:
         # on the 22-country fixture the largest jump sits at the small
         # high-consumption states near x = 1; the developing/developed
         # grouping statement needs the full country set (gated below)
-        profile = slope_profile(weighted_cdf(fixture_records(1990)).lorenz())
+        profile = slope_profile(weighted_cdf(fixture_year(1990)).lorenz())
         assert profile.kink_x > 0.7
         assert profile.max_jump > 0.5
 

@@ -1,4 +1,6 @@
 import json
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -201,6 +203,21 @@ class TestTransient:
         with pytest.raises(ConfigurationError, match="positivity bound"):
             evolve_transient(stat, spec, dt, 10)
 
+    @pytest.mark.parametrize("dt", [1e308, np.inf])
+    def test_huge_step_refused_with_the_bound_and_no_warning(self, drift_dominated, dt):
+        # dt = 1e308 overflowed with four warnings and named the bound 0;
+        # dt = inf gave an invalid-value warning
+        spec, grid, stat = drift_dominated
+
+        def bound(dt):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ConfigurationError) as excinfo:
+                    evolve_transient(stat, spec, dt, 1)
+            return float(re.search(r"positivity bound (\S+) ", str(excinfo.value))[1])
+
+        assert bound(dt) == bound(1.0) > 0
+
     def test_largest_accepted_step_keeps_density_non_negative(self, drift_dominated):
         spec, grid, stat = drift_dominated
         lo, hi = 0.0, 0.4 * (grid[1] - grid[0]) ** 2
@@ -274,6 +291,14 @@ class TestDiagnostics:
         # a NaN once came back as the rate
         with pytest.raises(DomainError, match="income must be finite"):
             delta_r2_diagnostic(r, DriftDiffusionSpec.additive(a0=2.0, b0=80.0))
+
+    @pytest.mark.parametrize("r", [1e308, [1.0, 1e308]])
+    def test_rate_beyond_float_refused(self, r):
+        # 2 (B - r A) overflowed with numpy's warning and came back as -inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="overflows"):
+                delta_r2_diagnostic(r, DriftDiffusionSpec.additive(1, 40))
 
     def test_subcritical_drift_grows_quadratically(self):
         a, b = 0.5, 2.0

@@ -408,6 +408,15 @@ class TestTemperatureAndPotential:
         with pytest.raises(DomainError):
             temperature_and_potential(AgentEnsemble([10, 10]), m_star)
 
+    @pytest.mark.parametrize("ens, m_star", [
+        pytest.param(init_ensemble(10, 100), 1e308, id="T-overflows"),     # gave (inf, -inf)
+        pytest.param(AgentEnsemble([10 ** 10]), 1.7e298, id="mu-overflows"),   # mu = -inf
+        pytest.param(AgentEnsemble([1, 0]), 5e-324, id="T-underflows"),    # log(0) ValueError
+    ])
+    def test_temperature_or_potential_beyond_float_refused(self, ens, m_star):
+        with pytest.raises(DomainError):
+            temperature_and_potential(ens, m_star)
+
 
 def _equilibrated(n, t_quanta, seed):
     ens = init_ensemble(n, n * t_quanta)
@@ -554,6 +563,12 @@ class TestCycle:
         dict(p1=2, p2=1, v1=5, v2=5, t1=3, t2=2),     # v2 must exceed v1
         dict(p1=2, p2=1, v1=0, v2=5, t1=3, t2=0),     # t2 positive
         dict(p1=2, p2=1, v1=-1, v2=5, t1=3, t2=2),    # v1 non-negative
+        # accepted before: an infinite field, or a profit or rate beyond a float
+        pytest.param(dict(p1=math.inf, p2=1, v1=0, v2=5, t1=3, t2=2), id="p1-inf"),
+        pytest.param(dict(p1=2, p2=1, v1=0, v2=math.inf, t1=3, t2=2), id="v2-inf"),
+        pytest.param(dict(p1=2, p2=1, v1=0, v2=5, t1=math.inf, t2=2), id="t1-inf"),
+        pytest.param(dict(p1=1e308, p2=1, v1=0, v2=1e308, t1=100, t2=50), id="profit-inf"),
+        pytest.param(dict(p1=2, p2=1, v1=0, v2=5, t1=1e308, t2=1e-308), id="rate-inf"),
     ])
     def test_invalid_cycles_rejected(self, kwargs):
         with pytest.raises(DomainError):

@@ -6,6 +6,7 @@ import types
 from pathlib import Path
 
 import ineqstats
+from conftest import WRI_FIXTURE
 from ineqstats import (CoupledConfig, DriftDiffusionSpec, GridDistribution,
                        IncomeBinTable, LorenzCurve, SimulationConfig, Trajectory,
                        TwoClassModel, WeightedCDF, cli, distributions, energy,
@@ -54,14 +55,19 @@ def test_removed_aliases_are_gone():
         assert "rng" not in inspect.signature(fn).parameters
 
 
-# Imports the package and runs one tiny job per subcommand in a fresh
-# interpreter, then prints on its last line every top-level module that
-# this loaded.
+# Imports the package, checks that this loaded every module in it, and
+# runs one tiny job per subcommand (the energy job on the WRI fixture pair
+# named by argv) in a fresh interpreter, then prints on its last line
+# every top-level module that this loaded.
 _RUNTIME_SCRIPT = """
 import sys
 before = set(sys.modules)
+import pkgutil
 import numpy as np
-import ineqstats, ineqstats.cli, ineqstats.wri_fixture
+import ineqstats, ineqstats.cli
+unloaded = [m.name for m in pkgutil.iter_modules(ineqstats.__path__)
+            if "ineqstats." + m.name not in sys.modules]
+assert unloaded == [], f"modules no runtime import reaches: {unloaded}"
 from ineqstats import TwoClassModel, sample_income_table
 from ineqstats.cli import dispatch
 table = sample_income_table(TwoClassModel(48.0, 1.34, 113.0), 10_000,
@@ -69,12 +75,11 @@ table = sample_income_table(TwoClassModel(48.0, 1.34, 113.0), 10_000,
 with open("income.csv", "w") as fh:
     fh.write("level_kusd,returns_in_bin\\n")
     fh.writelines(f"{l!r},{c}\\n" for l, c in zip(table.levels.tolist(), table.counts.tolist()))
-ineqstats.wri_fixture.write_fixture_csvs("energy.csv", "population.csv")
 runs = [
     ["simulate", "--agents", "10", "--money", "100", "--steps", "100", "--seed", "1"],
     ["fp", "--kind", "additive", "--a0", "1", "--b0", "40", "--points-per-decade", "10"],
     ["fit-income", "--input", "income.csv", "--mode", "in-bin"],
-    ["energy", "--energy", "energy.csv", "--population", "population.csv",
+    ["energy", "--energy", sys.argv[1], "--population", sys.argv[2],
      "--year", "2005", "--per-capita"],
 ]
 for k, argv in enumerate(runs):
@@ -85,12 +90,13 @@ print(" ".join(sorted({name.partition(".")[0] for name in set(sys.modules) - bef
 
 def test_runtime_needs_only_numpy_and_the_stdlib(tmp_path):
     # the test extras (scipy, hypothesis) are installed wherever this runs,
-    # so a stray import of one would pass every other test
+    # so a stray import of one would pass every other test; and a module
+    # that only tests use belongs under tests/, not in the package
     src = str(Path(ineqstats.__file__).parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-c", _RUNTIME_SCRIPT], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=120)
+    done = subprocess.run([sys.executable, "-c", _RUNTIME_SCRIPT, *map(str, WRI_FIXTURE)],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     loaded = done.stdout.splitlines()[-1].split()
     assert "numpy" in loaded and "ineqstats" in loaded
