@@ -12,8 +12,8 @@ from ineqstats import ingest_wri
 # in the source dataset for 1990/2000/2005, as a country,year,value pair
 # with energy in kW per capita (read it with per_capita=True).  The
 # populations are approximate mid-year figures, used only as weights.
-WRI_FIXTURE = (Path(__file__).parent / "data" / "wri_fixture_energy.csv",
-               Path(__file__).parent / "data" / "wri_fixture_population.csv")
+_DATA = Path(__file__).parent / "data"
+WRI_FIXTURE = (_DATA / "wri_fixture_energy.csv", _DATA / "wri_fixture_population.csv")
 FIXTURE_YEARS = (1990, 2000, 2005)
 # Published population-weighted world averages, kW per capita.
 WORLD_AVERAGE_KW = {1990: 2.2, 2000: 2.2, 2005: 2.3}

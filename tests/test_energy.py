@@ -467,8 +467,8 @@ class TestFullWriDataset:
         ordered = sorted(records, key=lambda r: (per_capita_kw(r), r.label, r.name))
         x_cum = np.cumsum([r.population for r in ordered]) / sum(
             r.population for r in ordered)
-        position = {r.label: x for r, x in zip(ordered, x_cum)}
-        for developing in ("MEX", "BRA", "CHN", "IND"):
+        position = {r.name: x for r, x in zip(ordered, x_cum)}
+        for developing in ("Mexico", "Brazil", "China", "India"):
             assert position[developing] <= profile.kink_x + 1e-9
-        for developed in ("GBR", "FRA", "AUS", "RUS", "USA"):
+        for developed in ("United Kingdom", "France", "Australia", "Russia", "United States"):
             assert position[developed] > profile.kink_x - 1e-9
