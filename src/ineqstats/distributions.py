@@ -225,8 +225,10 @@ class LevelQuadrature:
         # with no positive level every C is 1, and any node set gives that
         positive = levels[levels > 0] if np.any(levels > 0) else np.ones(1)
         top = min(_TOP_FACTOR * float(positive.max()), sys.float_info.max)
-        breaks = np.unique(np.concatenate([[_LOW_FRACTION * positive.min()],
-                                           positive, [top]]))
+        # sorted and deduplicated by hand: np.unique imports numpy.ma on
+        # first use, about 10 ms of every fresh fit-income process
+        breaks = np.sort(np.concatenate([[_LOW_FRACTION * positive.min()], positive, [top]]))
+        breaks = breaks[np.concatenate([[True], breaks[1:] != breaks[:-1]])]
         ln_breaks = np.log(breaks)
         span = np.diff(ln_breaks)
         splits = np.ceil(span / _PANEL_WIDTH).astype(int)

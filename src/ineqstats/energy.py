@@ -105,10 +105,10 @@ def _year_rows_csv(path, year: int):
 def _year_rows_plain(data: bytes, year: int):
     """The rows ``_year_rows_csv`` yields, found by one numpy scan of the
     file's bytes, or None unless the file is plain: UTF-8 with no quote,
-    CR or NUL byte, ending in a newline, no line longer than the CSV field
-    limit, and every line after the header of three cells, the year of 1-9
-    ASCII digits.  Such a file has one record per line, split at its
-    commas, so only the requested year's lines are decoded."""
+    CR or NUL byte, ending in a newline, no blank line, no line longer than
+    the CSV field limit, and every line after the header of three cells,
+    the year of 1-9 ASCII digits.  Such a file has one record per line,
+    split at its commas, so only the requested year's lines are decoded."""
     if b'"' in data or b"\r" in data or b"\0" in data or not data.endswith(b"\n"):
         return None
     if not data.isascii():
@@ -118,7 +118,8 @@ def _year_rows_plain(data: bytes, year: int):
             return None
     buf = np.frombuffer(data, np.uint8)
     ends = np.flatnonzero(buf == ord("\n"))
-    if np.diff(ends, prepend=-1).max() - 1 > csv.field_size_limit():
+    gaps = np.diff(ends, prepend=-1)   # line lengths, newline included
+    if gaps.min() < 2 or gaps.max() - 1 > csv.field_size_limit():
         return None
     commas = np.flatnonzero(buf[ends[0]:] == ord(",")) + ends[0]
     first, second = commas[0::2], commas[1::2]
@@ -168,8 +169,15 @@ def _read_country_year_csv(path, year: int) -> dict[str, float | None]:
 
 
 def _label_for(name: str) -> str:
-    letters = [ch for ch in name.upper() if ch.isalpha()]
-    return "".join(letters[:3]) if letters else name[:3].upper()
+    """The first three letters of the upper-cased name, or its first three
+    characters upper-cased when it has no letter."""
+    label = ""
+    for ch in name.upper():
+        if ch.isalpha():
+            label += ch
+            if len(label) == 3:
+                return label
+    return label or name[:3].upper()
 
 
 def ingest_wri(energy_csv, population_csv, year: int,

@@ -13,8 +13,9 @@ Chang & Cooper 1970), whose zero-flux condition Q[i+1]/Q[i] = e^{-h s}
 on Q = B P is the trapezoid drift integral; so the quadrature stationary
 solution is an exact fixed point of the discrete evolution, and "start
 stationary, stay stationary" holds to rounding error rather than to
-truncation error.  The flux rates are computed once per call, and a step
-is refused unless it keeps every cell's mass non-negative.
+truncation error.  The flux rates, and from them a band of the many-step
+operator, are computed once per call, and a step is refused unless it
+keeps every cell's mass non-negative.
 """
 
 from __future__ import annotations
@@ -287,6 +288,76 @@ def _bernoulli(x: np.ndarray) -> np.ndarray:
         return np.divide(x, np.expm1(x), out=np.ones_like(x), where=x != 0)
 
 
+JUMP_STEPS = 32   # the most steps one jump of the transient advances
+_BAND_BUDGET = 2 ** 26   # bytes the band build of one call may hold
+
+
+def _jump_width(steps: int, points: int) -> int:
+    """Steps per jump for ``steps`` steps on ``points`` cells.  A k-step
+    band takes k banded products to build, each about as dear as a jump,
+    so k = sqrt(steps) spends least on the build and the steps/k jumps
+    together; at most JUMP_STEPS, and narrower where the build, about 10 k
+    floats a cell, would pass _BAND_BUDGET.  One step is the floor."""
+    return max(1, min(JUMP_STEPS, math.isqrt(steps), _BAND_BUDGET // (80 * points)))
+
+
+def _flux_band(powers: np.ndarray, n: int, k: int) -> np.ndarray:
+    """The (n - 1, 2k) band whose row i, dotted with the masses of cells
+    i-k+1 .. i+k, is the net mass that k steps move from cell i+1 and
+    above into cell i and below.  ``powers`` is A^k diagonal-major:
+    row k+d, column l holds A^k[l+d, l], the fraction of cell l's mass
+    that ends in cell l+d.  Each coefficient is a tail sum of one column
+    of non-negative fractions, so no cancellation loses the small ones:
+    -sum over d >= i-l+1 for l <= i, sum over d <= i-l for l > i."""
+    mid = powers.shape[0] // 2
+    width = n + 2 * k
+    # column k+l of row p holds the coefficient of cell l for window slot p
+    coef = np.zeros((2 * k + 1, width))
+    np.cumsum(powers[mid + k:mid:-1], axis=0, out=coef[:k, k:k + n])
+    np.negative(coef[:k], out=coef[:k])
+    np.cumsum(powers[mid - k:mid], axis=0, out=coef[2 * k - 1:k - 1:-1, k:k + n])
+    # rows of length width + 1 skew slot p of interface i onto column i+p+1
+    skew = coef.ravel()[1:1 + 2 * k * (width + 1)].reshape(2 * k, width + 1)
+    return np.ascontiguousarray(skew[:, :n - 1].T)
+
+
+def _flux_bands(left: np.ndarray, right: np.ndarray, widths) -> dict[int, np.ndarray]:
+    """Flux bands of each width in ``widths``, from the one-step fractions:
+    a step moves ``left[i]`` of cell i+1's mass into cell i and
+    ``right[i]`` of cell i's into cell i+1.  A^(j+1) = A^j A, where A
+    keeps the rest of a cell's mass in place, takes A^j's columns l-1, l
+    and l+1 into column l; diagonal-major, those are one flat buffer read
+    at offsets n-1, 0 and 1-n."""
+    n = left.size + 1
+    top = max(widths)
+    rows = 2 * top + 3   # diagonals -top-1 .. top+1; the outer two stay zero
+    mid = top + 1
+    into = np.zeros((3, n))   # A[l+1, l], A[l, l] and A[l-1, l] by column
+    into[0, :-1] = right
+    into[2, 1:] = left
+    # 1 - (the cell's outflow), summed as the positivity check sums it, so >= 0
+    into[1] = 1.0 - (into[0] + into[2])
+    power = np.zeros((rows, n))
+    power[mid - 1:mid + 2] = into[::-1]
+    spare = np.zeros((rows, n))
+    bands = {}
+    for j in range(1, top + 1):
+        if j in widths:
+            bands[j] = _flux_band(power[mid - j:mid + j + 1], n, j)
+        if j < top:
+            # the neighbours of diagonals -j-1 .. j+1 lie in rows mid-j-2 ..
+            # mid+j+2, inside the buffer; a column's wrap into the next
+            # row meets a zero of ``into``
+            flat = power.ravel()
+            step = flat.strides[0]
+            neighbours = np.lib.stride_tricks.as_strided(
+                flat[(mid - j - 2) * n + 1:], shape=(3, 2 * j + 3, n),
+                strides=((n - 1) * step, n * step, step), writeable=False)
+            np.einsum("krl,kl->rl", neighbours, into, out=spare[mid - j - 1:mid + j + 2])
+            power, spare = spare, power
+    return bands
+
+
 def evolve_transient(p0: GridDistribution, spec: DriftDiffusionSpec,
                      dt: float, steps: int) -> GridDistribution:
     """Advance the diffusion equation with explicit Euler steps on the
@@ -295,10 +366,20 @@ def evolve_transient(p0: GridDistribution, spec: DriftDiffusionSpec,
 
     The flux from cell i+1 into cell i is the linear Scharfetter-Gummel
     flux F = d Q[i+1] - c Q[i] on Q = B P, with x = h (s[i] + s[i+1])/2,
-    s = A/B, c = x/(e^x - 1)/h and d = x/(1 - e^-x)/h.  Each flux leaves
+    s = A/B, c = x/(e^x - 1)/h and d = x/(1 - e^-x)/h.  Requires the
+    positivity bound dt <= 1 / (largest rate at which a cell's mass flows
+    out), about 0.5 h^2 / B where diffusion dominates.
+
+    The steps are taken k at a time: each jump dots a precomputed band of
+    the k-step operator A^k with the 2k masses around every interface,
+    which gives the net mass k steps move across it, and that mass leaves
     one cell and enters its neighbour, so mass is conserved to rounding
-    error.  Requires the positivity bound dt <= 1 / (largest rate at which
-    a cell's mass flows out), about 0.5 h^2 / B where diffusion dominates.
+    error.  ``steps`` = q k + r takes q jumps of k steps and one of r.
+    The width k is sqrt(steps), so that the k banded products that build
+    the band cost no more than the jumps; at most JUMP_STEPS = 32, and
+    narrower where the build would hold more than 64 MiB, about 10 k
+    floats a cell, down to single steps on the largest grids.  The result
+    equals single steps to rounding error.
     """
     steps = whole_number(steps, "steps")
     if steps < 1:
@@ -329,16 +410,22 @@ def evolve_transient(p0: GridDistribution, spec: DriftDiffusionSpec,
             f"dt={dt:g} violates the positivity bound {1 / largest_rate:g} "
             "(1 / largest cell outflow rate)")
 
-    m = p0.density * w
-    hi, lo = m[1:], m[:-1]   # views, so each step writes into m
+    k = _jump_width(steps, grid.size)
+    jumps, rest = divmod(steps, k)
+    schedule = {k: jumps, rest: 1} if rest else {k: jumps}
+    bands = _flux_bands(left, right, schedule)
+    padded = np.zeros(grid.size + 2 * k - 2)   # k-1 empty cells at each end
+    m = padded[k - 1:k - 1 + grid.size]
+    np.multiply(p0.density, w, out=m)
+    hi, lo = m[1:], m[:-1]   # views, so each jump writes into m
     flux = np.empty_like(left)
-    back = np.empty_like(left)
-    for _ in range(steps):
-        np.multiply(left, hi, out=flux)
-        np.multiply(right, lo, out=back)
-        flux -= back
-        lo += flux
-        hi -= flux
+    for width, times in schedule.items():
+        windows = np.lib.stride_tricks.sliding_window_view(
+            padded[k - width:padded.size - k + width], 2 * width)
+        for _ in range(times):
+            np.vecdot(bands[width], windows, out=flux)
+            lo += flux
+            hi -= flux
     return GridDistribution(grid, m / w)
 
 

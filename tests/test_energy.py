@@ -61,6 +61,14 @@ class TestIngest:
         assert drops.n_dropped == 0
         assert records[0].label == "UNI"
 
+    @settings(max_examples=500, deadline=None)
+    @given(name=st.one_of(st.text(), st.text("ßﬁŉǰΐ…1 -'")))
+    def test_label_is_the_first_three_letters(self, name):
+        # the whole-name definition; "ß" and "ﬁ" grow when upper-cased
+        letters = [ch for ch in name.upper() if ch.isalpha()]
+        want = "".join(letters[:3]) if letters else name[:3].upper()
+        assert energy_module._label_for(name) == want
+
     def test_join_semantics_missing_side(self, tmp_path):
         e, p = write_pair(tmp_path, ["United States,2005,2340000"],
                           ["France,2005,61000000"])

@@ -1,9 +1,11 @@
 import json
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import loglog_slope
 from ineqstats import fokker_planck
@@ -13,6 +15,8 @@ from ineqstats import (ConfigurationError, DomainError, DriftDiffusionSpec,
                        delta_r2_diagnostic,
                        evolve_transient, make_grid, stationary_solution)
 
+K = fokker_planck.JUMP_STEPS
+
 
 def cell_widths(grid):
     w = np.empty_like(grid)
@@ -20,6 +24,38 @@ def cell_widths(grid):
     w[0] = 0.5 * (grid[1] - grid[0])
     w[-1] = 0.5 * (grid[-1] - grid[-2])
     return w
+
+
+def dense_generator(spec, grid):
+    """The stepper's generator on cell masses as a dense matrix: the flux
+    from cell i+1 into cell i is d_i B_{i+1} m_{i+1}/w_{i+1} - c_i B_i m_i/w_i.
+    Written for drift A > 0, so that x > 0 and e^-x cannot overflow."""
+    w = cell_widths(grid)
+    B = spec.diffusion(grid)
+    s = spec.drift(grid) / B
+    h = np.diff(grid)
+    x = 0.5 * (s[1:] + s[:-1]) * h
+    d = x / -np.expm1(-x) / h
+    c = d * np.exp(-x)
+    into_left = d * B[1:] / w[1:]
+    into_right = c * B[:-1] / w[:-1]
+    G = np.zeros((grid.size, grid.size))
+    i = np.arange(grid.size - 1)
+    G[i, i + 1] += into_left
+    G[i + 1, i + 1] -= into_left
+    G[i + 1, i] += into_right
+    G[i, i] -= into_right
+    return G
+
+
+def dense_transient(spec, grid, dt, steps, m0):
+    """m0 after ``steps`` steps of I + dt G by a dense matrix power in long
+    double.  In float64 the columns of I + dt G sum to 1 only to rounding,
+    so the oracle itself would drift by up to about 1e-16 of the mass a
+    step; the tolerance allows for platforms whose long double is float64."""
+    step = np.eye(grid.size, dtype=np.longdouble) + np.longdouble(dt) * dense_generator(spec, grid)
+    want = (np.linalg.matrix_power(step, steps) @ m0).astype(float)
+    return want, 2 * steps * float(np.finfo(np.longdouble).eps)
 
 
 class TestSpec:
@@ -260,6 +296,87 @@ class TestTransient:
         out = evolve_transient(GridDistribution(grid, m0 / w), spec, dt, 50)
         want = np.linalg.matrix_power(np.eye(grid.size) + dt * G, 50) @ m0
         assert np.abs(out.density * w - want).max() < 1e-13
+
+    @pytest.mark.parametrize("steps", [
+        1, K - 1, K, K + 1, 3 * K + 5,          # narrow jumps, as the width rule gives
+        K * K, K * K + K - 1, 2 * K * K + 3])    # full jumps, with and without a rest
+    def test_jumps_match_dense_matrix_power(self, steps):
+        spec = DriftDiffusionSpec.combined(a0=1.0, a=0.5, b0=1.0, b=0.25)
+        grid = 15.0 * np.linspace(0.0, 1.0, 41) ** 1.5
+        w = cell_widths(grid)
+        dt = 0.9 / np.max(-np.diag(dense_generator(spec, grid)))
+        m0 = np.exp(-0.5 * ((grid - 5.0) / 1.0) ** 2) * w
+        m0 /= m0.sum()
+        out = evolve_transient(GridDistribution(grid, m0 / w), spec, dt, steps)
+        want, drift = dense_transient(spec, grid, dt, steps, m0)
+        assert np.abs(out.density * w - want).max() < 1e-13 + drift
+
+    @settings(max_examples=80, deadline=None)
+    @given(kind=st.sampled_from(["additive", "multiplicative", "combined"]),
+           log_coefs=st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4),
+           points=st.integers(5, 200), shape=st.floats(1.0, 3.0),
+           at_bound=st.booleans(), fraction=st.floats(0.01, 1.0),
+           steps=st.integers(1, 2500), seed=st.integers(0, 2 ** 32 - 1))
+    def test_jumps_keep_density_non_negative_and_mass(self, kind, log_coefs, points, shape,
+                                                      at_bound, fraction, steps, seed):
+        a0, a, b0, b = 10.0 ** np.array(log_coefs)
+        if kind == "multiplicative":
+            spec = DriftDiffusionSpec.multiplicative(a, b)
+            grid = np.geomspace(1.0, 10.0 ** (0.5 + 1.25 * (shape - 1.0)), points)
+        else:
+            spec = (DriftDiffusionSpec.additive(a0, b0) if kind == "additive"
+                    else DriftDiffusionSpec.combined(a0, a, b0, b))
+            grid = 20.0 * spec.scale() * np.linspace(0.0, 1.0, points) ** shape
+        rng = np.random.default_rng(seed)
+        density = rng.random(points) ** 4 * (rng.random(points) < 0.7)
+        density[points // 2] = 1.0
+        w = cell_widths(grid)
+        density /= np.sum(density * w)
+        start = GridDistribution(grid, density)
+        # the largest dt the positivity check accepts, found by bisection
+        lo, hi = 0.0, 2.0 / np.max(-np.diag(dense_generator(spec, grid)))
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            try:
+                evolve_transient(start, spec, mid, 1)
+                lo = mid
+            except ConfigurationError:
+                hi = mid
+        dt = lo if at_bound else fraction * lo
+        out = evolve_transient(start, spec, dt, steps)
+        assert out.density.min() >= 0.0
+        assert abs(np.sum(out.density * w) - 1.0) <= 1e-14
+        if points <= 60:
+            want, drift = dense_transient(spec, grid, dt, steps, density * w)
+            assert np.abs(out.density * w - want).max() <= 1e-13 + drift
+
+    def test_jump_width_rule(self):
+        width, budget = fokker_planck._jump_width, fokker_planck._BAND_BUDGET
+        # few steps: sqrt(steps), so the build costs no more than the jumps
+        assert [width(n, 401) for n in (1, 3, 4, 10, K * K - 1, K * K, 10 ** 9)] == \
+            [1, 1, 2, 3, K - 1, K, K]
+        # a huge grid: narrower, down to single steps on the largest make_grid allows
+        assert width(10 ** 9, 10 ** 5) == budget // (80 * 10 ** 5) < K
+        assert width(10 ** 9, fokker_planck.MAX_GRID_POINTS) == 1
+
+    def test_band_build_stays_within_its_memory_budget(self, monkeypatch):
+        # where the budget sets the width, the call's peak allocation is
+        # the budget plus a few arrays of the grid's size
+        monkeypatch.setattr(fokker_planck, "_BAND_BUDGET", 2 ** 21)
+        points = 5000
+        spec = DriftDiffusionSpec.additive(a0=1.0, b0=1.0)
+        grid = np.linspace(0.0, 15.0, points)
+        start = stationary_solution(spec, grid)
+        dt = 0.4 * (grid[1] - grid[0]) ** 2
+        assert 1 < fokker_planck._jump_width(1000, points) < K
+        tracemalloc.start()
+        try:
+            out = evolve_transient(start, spec, dt, 1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 ** 21 + 20 * 8 * points
+        assert out.l1_distance(start) < 1e-12
 
     def test_relaxation_rate_is_slowest_mode(self, additive_setup):
         # additive kind on [0, L]: slowest mode a0^2/(4 b0) + b0 (pi/L)^2

@@ -104,3 +104,27 @@ def test_runtime_needs_only_numpy_and_the_stdlib(tmp_path):
     allowed = set(sys.stdlib_module_names) | {"numpy", "ineqstats", "cython_runtime"}
     assert [name for name in loaded
             if name not in allowed and not name.startswith("_cython_")] == []
+
+
+def test_fit_income_never_imports_numpy_ma(tmp_path):
+    # numpy.ma takes about 10 ms to import, and np.unique imports it on
+    # first use
+    script = """
+import sys
+import numpy as np
+from ineqstats import TwoClassModel, sample_income_table
+from ineqstats.cli import dispatch
+table = sample_income_table(TwoClassModel(48, 1.34, 113), 10_000, np.random.default_rng(1))
+with open("income.csv", "w") as fh:
+    fh.write("level_kusd,returns_in_bin\\n")
+    fh.writelines(f"{l!r},{c}\\n" for l, c in zip(table.levels.tolist(), table.counts.tolist()))
+assert dispatch(["fit-income", "--input", "income.csv", "--mode", "in-bin", "--out", "out"]) == 0
+print("numpy.ma" in sys.modules)
+"""
+    src = str(Path(ineqstats.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"
