@@ -301,21 +301,22 @@ def _jump_width(steps: int, points: int) -> int:
     return max(1, min(JUMP_STEPS, math.isqrt(steps), _BAND_BUDGET // (80 * points)))
 
 
-def _flux_band(powers: np.ndarray, n: int, k: int) -> np.ndarray:
+def _flux_band(powers: np.ndarray) -> np.ndarray:
     """The (n - 1, 2k) band whose row i, dotted with the masses of cells
     i-k+1 .. i+k, is the net mass that k steps move from cell i+1 and
-    above into cell i and below.  ``powers`` is A^k diagonal-major:
-    row k+d, column l holds A^k[l+d, l], the fraction of cell l's mass
-    that ends in cell l+d.  Each coefficient is a tail sum of one column
-    of non-negative fractions, so no cancellation loses the small ones:
-    -sum over d >= i-l+1 for l <= i, sum over d <= i-l for l > i."""
-    mid = powers.shape[0] // 2
+    above into cell i and below.  ``powers`` is A^k diagonal-major, of
+    shape (2k + 1, n): row k+d, column l holds A^k[l+d, l], the fraction
+    of cell l's mass that ends in cell l+d.  Each coefficient is a tail
+    sum of one column of non-negative fractions, so no cancellation loses
+    the small ones: -sum over d >= i-l+1 for l <= i, sum over d <= i-l
+    for l > i."""
+    k, n = powers.shape[0] // 2, powers.shape[1]
     width = n + 2 * k
     # column k+l of row p holds the coefficient of cell l for window slot p
     coef = np.zeros((2 * k + 1, width))
-    np.cumsum(powers[mid + k:mid:-1], axis=0, out=coef[:k, k:k + n])
+    np.cumsum(powers[2 * k:k:-1], axis=0, out=coef[:k, k:k + n])
     np.negative(coef[:k], out=coef[:k])
-    np.cumsum(powers[mid - k:mid], axis=0, out=coef[2 * k - 1:k - 1:-1, k:k + n])
+    np.cumsum(powers[:k], axis=0, out=coef[2 * k - 1:k - 1:-1, k:k + n])
     # rows of length width + 1 skew slot p of interface i onto column i+p+1
     skew = coef.ravel()[1:1 + 2 * k * (width + 1)].reshape(2 * k, width + 1)
     return np.ascontiguousarray(skew[:, :n - 1].T)
@@ -343,7 +344,7 @@ def _flux_bands(left: np.ndarray, right: np.ndarray, widths) -> dict[int, np.nda
     bands = {}
     for j in range(1, top + 1):
         if j in widths:
-            bands[j] = _flux_band(power[mid - j:mid + j + 1], n, j)
+            bands[j] = _flux_band(power[mid - j:mid + j + 1])
         if j < top:
             # the neighbours of diagonals -j-1 .. j+1 lie in rows mid-j-2 ..
             # mid+j+2, inside the buffer; a column's wrap into the next
