@@ -24,10 +24,16 @@ N//2 + k, so agent order after a run is a random relabelling.  Within a
 round the pairs share no agent, so the round is equivalent to N//2
 sequential steps; the batching exists purely so that 1e8 attempts
 vectorise to seconds.  The amounts are drawn a block of rounds at a time.
-``couple_systems`` runs its events one at a time, but draws their random
-numbers up front, a block of events at a time.  Both take ``seed`` as an
-int, None or a ``numpy.random.Generator``; a Generator is used as given,
-so one generator can drive several calls in turn.
+Between checkpoints the balances are held lifted by -floor and read as
+uint64, so that a round is the shuffle and four in-place ufuncs on views
+bound once per run: accept where amount <= payer's lifted balance (into one
+bool buffer), zero the rejected amounts, debit the payers, credit the
+receivers.  ``couple_systems`` runs its events one at a time, but draws
+their random numbers up front, a block of events at a time; its loop keeps
+both system sizes in locals and writes out one branch per payer side and
+per migration direction.  Both take ``seed`` as an int, None or a
+``numpy.random.Generator``; a Generator is used as given, so one generator
+can drive several calls in turn.
 
 Balances are int64.  Rules and ensembles whose reachable balances would
 not fit are rejected up front, so no balance can wrap.
@@ -160,17 +166,6 @@ def _draw_amounts(rule: ExchangeRule, rng: np.random.Generator,
     if rule.kind == RULE_FIXED:
         return np.full(size, rule.delta, dtype=np.int64)
     return rng.integers(1, rule.delta + 1, size=size)
-
-
-def _run_round(balances: np.ndarray, amounts: np.ndarray, floor: int,
-               rng: np.random.Generator) -> None:
-    """Shuffle the balances, then position k pays amounts[k] (overwritten) to N//2 + k."""
-    rng.shuffle(balances)
-    half = amounts.size
-    paid = balances[:half]
-    amounts *= paid - amounts >= floor   # a rejected transfer moves 0
-    paid -= amounts
-    balances[half:2 * half] += amounts
 
 
 @dataclass
@@ -406,6 +401,14 @@ def run_simulation(ens: AgentEnsemble, rule: ExchangeRule, steps: int,
     block_rounds = max(1, _BLOCK_AMOUNTS // per_round)
     total_before = ens.total
     balances = ens.balances
+    # A burst runs on the same bytes read as uint64 and lifted by -floor, so
+    # a payer can pay when amount <= balance - floor.  That fits: 0 <=
+    # balance - floor <= total - n*floor = reach - floor < 2**64, since the
+    # headroom check keeps reach < 2**63 and ExchangeRule keeps -floor < 2**63.
+    lifted = balances.view(np.uint64)
+    lift = np.uint64(-rule.floor)
+    paid, received = lifted[:per_round], lifted[per_round:2 * per_round]
+    accepted = np.empty(per_round, dtype=bool)
 
     records: list[tuple[int, float, float]] = []
     done = 0
@@ -415,11 +418,18 @@ def run_simulation(ens: AgentEnsemble, rule: ExchangeRule, steps: int,
         if done == n_rounds:
             break
         burst = min(checkpoint_rounds, n_rounds - done)
+        lifted += lift
         for start in range(0, burst, block_rounds):
             rounds = min(block_rounds, burst - start)
-            for amounts in _draw_amounts(rule, rng, (rounds, per_round)):
-                _run_round(balances, amounts, rule.floor, rng)
+            for amounts in _draw_amounts(rule, rng, (rounds, per_round)).view(np.uint64):
+                # position k pays amounts[k] to position N//2 + k
+                rng.shuffle(balances)
+                np.less_equal(amounts, paid, out=accepted)
+                amounts *= accepted   # a rejected transfer moves 0
+                paid -= amounts
+                received += amounts
             del amounts   # the last row holds the block; free it before the next
+        lifted -= lift
         done += burst
         if ens.total != total_before:
             raise ConfigurationError("money conservation violated; this is a bug")
@@ -513,21 +523,24 @@ def couple_systems(ens1: AgentEnsemble, ens2: AgentEnsemble,
     steps = whole_number(steps, "steps")
     if steps < 1:
         raise DomainError("need at least one event")
+    if np.shares_memory(ens1.balances, ens2.balances):
+        raise DomainError("the two systems share their balances; couple two "
+                          "distinct ensembles")
     rng = _generator(seed)
 
     b1 = ens1.balances.tolist()
     b2 = ens2.balances.tolist()
+    n1, n2 = len(b1), len(b2)
     m1_0, m2_0 = sum(b1), sum(b2)
-    t1_0, t2_0 = m1_0 / len(b1), m2_0 / len(b2)
+    t1_0, t2_0 = m1_0 / n1, m2_0 / n2
     if t1_0 <= 0 or t2_0 <= 0:
         raise DomainError("both systems need positive money temperatures")
 
-    _check_headroom(m1_0 + m2_0, len(b1) + len(b2), rule.floor)
+    n_total = n1 + n2
+    _check_headroom(m1_0 + m2_0, n_total, rule.floor)
 
-    # s is the source side of a move; sign[s] makes it a flux from 1 to 2
-    systems = (b1, b2)
-    sign = (1, -1)
-    n_total = len(b1) + len(b2)
+    # one branch per source side, each written out so that the hot loop
+    # reads only locals; fluxes count 1 -> 2 positive
     floor = rule.floor
     d_money = 0
     d_agents = 0
@@ -541,32 +554,49 @@ def couple_systems(ens1: AgentEnsemble, ens2: AgentEnsemble,
         for migrate, x0, x1, x2, amount in zip(migrates, u0, u1, u2, amounts):
             if migrate:
                 k = int(x0 * n_total)
-                s = int(k >= len(b1))
-                src, dst = systems[s], systems[1 - s]
-                if len(src) < 2:
-                    continue
                 # money only ever changes system as flux, so the current
                 # totals are M1 = M1(0) - dM and M2 = M2(0) + dM
-                t = ((m1_0 - d_money) / len(b1), (m2_0 + d_money) / len(b2))
-                ds = _migration_entropy(t[s], t[1 - s])
-                if ds >= 0 or x1 < math.exp(ds):
-                    i = k - s * len(b1)
-                    m = src[i]
-                    src[i] = src[-1]
-                    src.pop()
-                    dst.append(m)
-                    d_agents += sign[s]
-                    d_money += sign[s] * m
-                    n_migrations += 1
+                if k < n1:
+                    if n1 < 2:
+                        continue
+                    ds = _migration_entropy((m1_0 - d_money) / n1, (m2_0 + d_money) / n2)
+                    if ds >= 0 or x1 < math.exp(ds):
+                        m = b1[k]
+                        b1[k] = b1[-1]
+                        b1.pop()
+                        b2.append(m)
+                        n1, n2 = n1 - 1, n2 + 1
+                        d_agents += 1
+                        d_money += m
+                        n_migrations += 1
+                else:
+                    if n2 < 2:
+                        continue
+                    ds = _migration_entropy((m2_0 + d_money) / n2, (m1_0 - d_money) / n1)
+                    if ds >= 0 or x1 < math.exp(ds):
+                        i = k - n1
+                        m = b2[i]
+                        b2[i] = b2[-1]
+                        b2.pop()
+                        b1.append(m)
+                        n1, n2 = n1 + 1, n2 - 1
+                        d_agents -= 1
+                        d_money -= m
+                        n_migrations += 1
+            # ordered cross pair, uniform: the payer side is a fair coin
+            elif x0 < 0.5:
+                i = int(x1 * n1)
+                if b1[i] - amount >= floor:
+                    b1[i] -= amount
+                    b2[int(x2 * n2)] += amount
+                    d_money += amount
+                    n_exchanges += 1
             else:
-                # ordered cross pair, uniform: payer side is a fair coin
-                s = 0 if x0 < 0.5 else 1
-                src, dst = systems[s], systems[1 - s]
-                i = int(x1 * len(src))
-                if src[i] - amount >= floor:
-                    src[i] -= amount
-                    dst[int(x2 * len(dst))] += amount
-                    d_money += sign[s] * amount
+                i = int(x1 * n2)
+                if b2[i] - amount >= floor:
+                    b2[i] -= amount
+                    b1[int(x2 * n1)] += amount
+                    d_money -= amount
                     n_exchanges += 1
         # release this block's draws before the next block's exist, so the
         # extra memory stays one block for any number of events
@@ -581,8 +611,8 @@ def couple_systems(ens1: AgentEnsemble, ens2: AgentEnsemble,
         delta_entropy_estimate=ds_est,
         t1_initial=t1_0,
         t2_initial=t2_0,
-        t1_final=(m1_0 - d_money) / len(b1),
-        t2_final=(m2_0 + d_money) / len(b2),
+        t1_final=(m1_0 - d_money) / n1,
+        t2_final=(m2_0 + d_money) / n2,
         events=steps,
         exchanges_accepted=n_exchanges,
         migrations_accepted=n_migrations,

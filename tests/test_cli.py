@@ -823,8 +823,12 @@ CI_RECIPE_DIGESTS = {
     "single/histogram.csv": "d17f8c3f898a8950fb3366c1e85ac9932aeb3561bbae40a19d73912f1d2c76d3",
     "debt/trajectory.csv": "b792b1b1cc458490751e194e2f87306ac815ccc693c86ffb3cf3061e481d0a72",
     "debt/histogram.csv": "291acbef8607178c395dfaf325eeb171d273e79d9cdeb1db2c3f040019934e9b",
+    "coupled/flux.json": "529e88886733ebdd26efe2af29cdf341f4f6ca3dd027e0c31e0375707f10dcf5",
     "coupled/histogram1.csv": "029e3c9df267132ffc52604ff6bda5c9f7f19ef20f98c1aea74edd3a9db9ffca",
     "coupled/histogram2.csv": "74e79389dd487c2d7b907ce96856dc961e52dbb299cdd0ee5eef4cd2c8aeb750",
+    "coupled-debt/flux.json": "90a655c329f42ab5f030a34ba1dd182a02eb5b79b5366d3630078a00ca1fa5d2",
+    "coupled-debt/histogram1.csv": "59a909ab53567ebfa7c30a13a95dc555bb609447d92b1ee761d148b73e88f2a4",
+    "coupled-debt/histogram2.csv": "464e0560ed79e915c624e32e37dde497d16b55262cdc40e3fb307f1c17b76ced",
     "energy/cdf.csv": "69ddfc9f908c3b7e0352c3cf31d3f4fa703787d22076b43a47f046b8550bd6db",
     "energy/lorenz.csv": "af1db48dcc3a13c5a24cc28811dd6183f3b06d4f51b200b89e0009ece13dfacf",
     "fit-income/lorenz.csv": "705ac8fb7822acc18157ea68067b31191b3b4bd19f96a3310fb90d2fa52fe3da",
@@ -841,15 +845,19 @@ def test_ci_recipe_data_files_keep_their_bytes(tmp_path, capsys):
         f"{level!r},{count}\n" for level, count in zip(table.levels.tolist(), comp.tolist())))
     energy, population = WRI_FIXTURE
     simulate = ["simulate", "--agents", "100", "--money", "5000", "--seed", "3"]
+    coupled = ["--agents2", "100", "--money2", "2000", "--steps", "5000", "--events", "500",
+               "--migration-rate", "0.3"]
     recipes = {
         "fp": (["fp", "--kind", "additive", "--a0", "1", "--b0", "40"], ["solution.csv"]),
         "single": (simulate + ["--steps", "20000", "--checkpoint-every", "2000"],
                    ["trajectory.csv", "histogram.csv"]),
         "debt": (simulate + ["--steps", "20000", "--checkpoint-every", "2000",
                              "--floor", "-20"], ["trajectory.csv", "histogram.csv"]),
-        "coupled": (simulate + ["--agents2", "100", "--money2", "2000", "--steps", "5000",
-                                "--events", "500", "--migration-rate", "0.3"],
-                    ["histogram1.csv", "histogram2.csv"]),
+        "coupled": (simulate + coupled, ["flux.json", "histogram1.csv", "histogram2.csv"]),
+        # odd N, a debt floor and both coupling channels
+        "coupled-debt": (["simulate", "--agents", "101", "--money", "5000", "--seed", "3",
+                          "--floor", "-20"] + coupled,
+                         ["flux.json", "histogram1.csv", "histogram2.csv"]),
         "energy": (["energy", "--energy", str(energy), "--population", str(population),
                     "--per-capita", "--year", "2005"], ["cdf.csv", "lorenz.csv"]),
         "fit-income": (["fit-income", "--input", str(income), "--year", "2007"],

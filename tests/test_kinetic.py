@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -228,28 +229,70 @@ def _reference_round(balances, amounts, floor, rng):
     return perm
 
 
+def _reference_run(balances, rule, steps, checkpoint_every, rng):
+    """run_simulation as first written: the same block-drawn amounts, each
+    round applied by _reference_round and its result read through the
+    permutation it drew.  Returns the checkpoint records, the last
+    histogram and the final balances."""
+    per_round = balances.size // 2
+    n_rounds = -(-steps // per_round)
+    checkpoint_rounds = (n_rounds if checkpoint_every is None
+                         else max(1, checkpoint_every // per_round))
+    block_rounds = max(1, kinetic._BLOCK_AMOUNTS // per_round)
+    records = []
+    done = 0
+    while True:
+        hist = BinnedHistogram.from_ensemble(AgentEnsemble(balances), rule.floor)
+        records.append((done * per_round, entropy(hist), int(balances.sum()) / balances.size))
+        if done == n_rounds:
+            return records, hist, balances
+        burst = min(checkpoint_rounds, n_rounds - done)
+        for start in range(0, burst, block_rounds):
+            rounds = min(block_rounds, burst - start)
+            for amounts in kinetic._draw_amounts(rule, rng, (rounds, per_round)):
+                perm = _reference_round(balances, amounts, rule.floor, rng)
+                balances = balances[perm]
+        done += burst
+
+
 class TestRound:
     @settings(max_examples=150, deadline=None)
     @given(n=st.integers(2, 300), money_per_agent=st.integers(0, 60),
            kind=st.sampled_from([RULE_FIXED, RULE_UNIFORM]),
-           delta=st.integers(1, 50), floor=st.integers(-20, 0),
-           rounds=st.integers(1, 50), seed=st.integers(0, 2**32 - 1))
-    def test_matches_reference_round(self, n, money_per_agent, kind, delta,
-                                     floor, rounds, seed):
+           delta=st.integers(1, 50),
+           floor=st.one_of(st.integers(-20, 0), st.just(-2**54)),
+           start_at_floor=st.booleans(), rounds=st.integers(1, 50),
+           checkpoint_every=st.one_of(st.none(), st.integers(1, 1000)),
+           block_amounts=st.one_of(st.just(kinetic._BLOCK_AMOUNTS), st.integers(1, 400)),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_reference_round(self, n, money_per_agent, kind, delta, floor,
+                                     start_at_floor, rounds, checkpoint_every,
+                                     block_amounts, seed):
         # Generator.shuffle draws what Generator.permutation draws and
-        # leaves balances[perm], so the shuffled round equals the reference
-        # round with the same amounts, read through its permutation.
+        # leaves balances[perm], so a whole run equals the reference rounds
+        # on the same block-drawn amounts, read through each permutation.
+        # Balances from a floor of -2**54 up are negative int64s whose
+        # uint64 bytes wrap when the run lifts them by -floor (they start at
+        # that floor, as a histogram from 0 down to it would take 2**54 bins).
         rule = ExchangeRule(kind, delta, floor)
-        balances = init_ensemble(n, n * money_per_agent).balances
+        start = init_ensemble(n, n * money_per_agent).balances
+        if start_at_floor or floor < -20:
+            start += floor
+        steps = rounds * (n // 2) - (seed % (n // 2))
         rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        amount_rng = np.random.default_rng([seed, 1])
-        for _ in range(rounds):
-            amounts = kinetic._draw_amounts(rule, amount_rng, n // 2)
-            reference = balances.copy()
-            perm = _reference_round(reference, amounts, floor, reference_rng)
-            kinetic._run_round(balances, amounts.copy(), floor, rng)
-            assert np.array_equal(balances, reference[perm])
-            assert rng.bit_generator.state == reference_rng.bit_generator.state
+        with mock.patch.object(kinetic, "_BLOCK_AMOUNTS", block_amounts):
+            records, hist, reference = _reference_run(start.copy(), rule, steps,
+                                                      checkpoint_every, reference_rng)
+            traj = run_simulation(AgentEnsemble(start), rule, steps, checkpoint_every,
+                                  seed=rng)
+        assert np.array_equal(traj.ensemble.balances, reference)
+        steps_at, entropies, temperatures = map(np.array, zip(*records))
+        assert np.array_equal(traj.steps, steps_at)
+        assert np.array_equal(traj.entropy, entropies)
+        assert np.array_equal(traj.temperature, temperatures)
+        assert np.array_equal(traj.final_histogram.counts, hist.counts)
+        assert traj.final_histogram.origin == hist.origin
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
 
 
 class TestInt64Limits:
@@ -425,6 +468,64 @@ def _equilibrated(n, t_quanta, seed):
     return ens
 
 
+def _reference_couple(ens1, ens2, rule, steps, migration_rate, *, seed):
+    """couple_systems as first written, with the systems in a tuple, a
+    len() per size and sign[s] per flux, for valid arguments and a
+    Generator ``seed``."""
+    rng = seed
+    b1 = ens1.balances.tolist()
+    b2 = ens2.balances.tolist()
+    m1_0, m2_0 = sum(b1), sum(b2)
+    t1_0, t2_0 = m1_0 / len(b1), m2_0 / len(b2)
+    if t1_0 <= 0 or t2_0 <= 0:
+        raise DomainError("both systems need positive money temperatures")
+    systems = (b1, b2)
+    sign = (1, -1)
+    n_total = len(b1) + len(b2)
+    d_money = d_agents = n_exchanges = n_migrations = 0
+    for start in range(0, steps, kinetic._BLOCK_EVENTS):
+        size = min(kinetic._BLOCK_EVENTS, steps - start)
+        migrates = (rng.random(size) < migration_rate).tolist()
+        u0, u1, u2 = rng.random((3, size)).tolist()
+        amounts = kinetic._draw_amounts(rule, rng, size).tolist()
+        for migrate, x0, x1, x2, amount in zip(migrates, u0, u1, u2, amounts):
+            if migrate:
+                k = int(x0 * n_total)
+                s = int(k >= len(b1))
+                src, dst = systems[s], systems[1 - s]
+                if len(src) < 2:
+                    continue
+                t = ((m1_0 - d_money) / len(b1), (m2_0 + d_money) / len(b2))
+                ds = kinetic._migration_entropy(t[s], t[1 - s])
+                if ds >= 0 or x1 < math.exp(ds):
+                    i = k - s * len(b1)
+                    m = src[i]
+                    src[i] = src[-1]
+                    src.pop()
+                    dst.append(m)
+                    d_agents += sign[s]
+                    d_money += sign[s] * m
+                    n_migrations += 1
+            else:
+                s = 0 if x0 < 0.5 else 1
+                src, dst = systems[s], systems[1 - s]
+                i = int(x1 * len(src))
+                if src[i] - amount >= rule.floor:
+                    src[i] -= amount
+                    dst[int(x2 * len(dst))] += amount
+                    d_money += sign[s] * amount
+                    n_exchanges += 1
+    ens1.balances = np.asarray(b1, dtype=np.int64)
+    ens2.balances = np.asarray(b2, dtype=np.int64)
+    return kinetic.FluxReport(
+        delta_money=d_money, delta_agents=d_agents,
+        delta_entropy_estimate=((1.0 / t2_0 - 1.0 / t1_0) * d_money
+                                + math.log(t2_0 / t1_0) * d_agents),
+        t1_initial=t1_0, t2_initial=t2_0,
+        t1_final=(m1_0 - d_money) / len(b1), t2_final=(m2_0 + d_money) / len(b2),
+        events=steps, exchanges_accepted=n_exchanges, migrations_accepted=n_migrations)
+
+
 class TestCoupledSystems:
     def test_money_flows_from_hot_to_cold(self):
         ens1 = _equilibrated(500, 100, seed=1)
@@ -494,6 +595,49 @@ class TestCoupledSystems:
         assert report.t2_final == ens2.total / ens2.n
         assert ens1.balances.min() >= floor and ens2.balances.min() >= floor
         assert report.exchanges_accepted + report.migrations_accepted <= events
+
+    @settings(max_examples=200, deadline=None)
+    @given(n1=st.integers(1, 30), n2=st.integers(1, 30),
+           money1=st.integers(0, 1500), money2=st.integers(0, 1500),
+           kind=st.sampled_from([RULE_FIXED, RULE_UNIFORM]),
+           delta=st.integers(1, 30), floor=st.integers(-20, 0),
+           migration_rate=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+           events=st.integers(1, 1200), block_events=st.sampled_from([kinetic._BLOCK_EVENTS, 97]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_reference_loop(self, n1, n2, money1, money2, kind, delta, floor,
+                                    migration_rate, events, block_events, seed):
+        # one-agent systems skip a migration out of them; in debt mode a
+        # system's money temperature can fall to 0 and refuse a migration
+        rule = ExchangeRule(kind, delta, floor)
+        runs = []
+        for couple in (couple_systems, _reference_couple):
+            ens1, ens2 = init_ensemble(n1, money1), init_ensemble(n2, money2)
+            rng = np.random.default_rng(seed)
+            with mock.patch.object(kinetic, "_BLOCK_EVENTS", block_events):
+                try:
+                    outcome = couple(ens1, ens2, rule, events, migration_rate,
+                                     seed=rng).to_json()
+                except DomainError as error:
+                    outcome = str(error)
+            runs.append((outcome, ens1.balances.tolist(), ens2.balances.tolist(),
+                         rng.bit_generator.state))
+        assert runs[0] == runs[1]
+
+    def test_shared_balances_refused_before_any_draw(self):
+        # the one ensemble on both sides once lost system 1's list: from
+        # 10 agents and 1000 quanta it ended with 977 quanta at rate 0,
+        # and with 13 agents and 1303 quanta at rate 0.5
+        rule = ExchangeRule(RULE_UNIFORM, 50)
+        ens = init_ensemble(10, 1000)
+        other = AgentEnsemble(ens.balances[::-1])
+        for ens1, ens2 in ((ens, ens), (ens, other)):
+            for rate in (0.0, 0.5):
+                rng = np.random.default_rng(1)
+                with pytest.raises(DomainError, match="share their balances"):
+                    couple_systems(ens1, ens2, rule, 200, rate, seed=rng)
+                assert rng.bit_generator.state == np.random.default_rng(1).bit_generator.state
+        assert ens.balances.tolist() == init_ensemble(10, 1000).balances.tolist()
+        couple_systems(ens, ens.copy(), rule, 200, 0.5, seed=1)
 
     def test_drawn_index_stays_below_length(self):
         # an index int(u * n) is drawn from u in [0, 1); the largest u that
