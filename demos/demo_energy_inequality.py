@@ -15,7 +15,7 @@ Run:  python demos/demo_energy_inequality.py
 import math
 from pathlib import Path
 
-from ineqstats import ingest_wri, per_capita_kw, slope_profile, weighted_cdf
+from ineqstats import ingest_wri, slope_profile, weighted_cdf
 from ineqstats.io import write_csv
 
 DATA = Path(__file__).parents[1] / "tests" / "data"
@@ -47,18 +47,19 @@ print("\nGini decreases 1990 -> 2000 -> 2005: the energy gap narrows "
       "as the economy globalises.")
 
 # --- 2005 in detail -------------------------------------------------------
-records = fixture_year(2005)
-cdf = weighted_cdf(records)
+table = fixture_year(2005)
+cdf = weighted_cdf(table)
 world = WORLD_AVERAGE_KW[2005]
 write_csv(OUT / "energy_cdf_2005.csv", ("epsilon_kw", "C"), (cdf.values, cdf.complementary))
 
 print(f"\n2005 ladder (world average {world} kW):")
 print(f"  {'country':<22} {'eps kW':>7} {'eps/<eps>':>9} {'C(eps)':>8} "
       f"{'exp overlay':>11}")
-for rec, comp in zip(sorted(records, key=per_capita_kw), cdf.complementary):
-    eps = per_capita_kw(rec)
+kw = table.per_capita_kw()
+ladder = sorted(zip(kw.tolist(), table.names))
+for (eps, name), comp in zip(ladder, cdf.complementary):
     overlay = math.exp(-eps / world)
-    print(f"  {rec.name:<22} {eps:7.1f} {eps / world:9.2f} {comp:8.3f} "
+    print(f"  {name:<22} {eps:7.1f} {eps / world:9.2f} {comp:8.3f} "
           f"{overlay:11.3f}")
 
 print("\nUSA sits between 4 and 5 world averages; India near one quarter.")

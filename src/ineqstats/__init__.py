@@ -13,8 +13,8 @@ from types import ModuleType as _ModuleType
 from .distributions import (TwoClassModel, LevelQuadrature, LorenzCurve,
                             lorenz_exponential, lorenz_two_class,
                             sample_lorenz_curve, tail_fraction, class_boundary)
-from .energy import (CountryRecord, DropReport, SlopeProfile, ingest_wri,
-                     per_capita_kw, weighted_cdf, slope_profile)
+from .energy import (CountryTable, DropReport, SlopeProfile, ingest_wri,
+                     weighted_cdf, slope_profile)
 from .errors import (IneqStatsError, DomainError, InsufficientDataError,
                      NoIntersectionError, SingularDiffusionError,
                      ConfigurationError, MalformedCurveError,

@@ -214,13 +214,13 @@ def _cmd_fit_income(args) -> int:
 
 
 def _cmd_energy(args) -> int:
-    records, drops = ingest_wri(args.energy, args.population, args.year,
-                                per_capita=args.per_capita)
+    table, drops = ingest_wri(args.energy, args.population, args.year,
+                              per_capita=args.per_capita)
     if drops.n_dropped:
         print(f"dropped {drops.n_dropped} rows:", file=sys.stderr)
         for name, reason in drops.dropped:
             print(f"  {name}: {reason}", file=sys.stderr)
-    cdf = weighted_cdf(records)
+    cdf = weighted_cdf(table)
     curve = cdf.lorenz()
     profile = slope_profile(curve)
     out = _out_dir(args.out)
@@ -228,7 +228,7 @@ def _cmd_energy(args) -> int:
     write_csv(out / "lorenz.csv", ("x", "y"), (curve.x, curve.y))
     write_json(out / "summary.json", {
         "year": args.year,
-        "countries": len(records),
+        "countries": len(table),
         "world_avg_kw": cdf.mean,
         "gini": curve.gini,
         "kink_x": profile.kink_x,
@@ -236,7 +236,7 @@ def _cmd_energy(args) -> int:
     emit_manifest(out, "energy", _given(args),
                   [args.energy, args.population],
                   ["cdf.csv", "lorenz.csv", "summary.json"])
-    print(f"{len(records)} countries; world average "
+    print(f"{len(table)} countries; world average "
           f"{cdf.mean:.3f} kW", file=sys.stderr)
     return 0
 

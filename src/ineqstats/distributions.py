@@ -269,10 +269,10 @@ class LevelQuadrature:
             above = np.cumsum(self._masses(T, alpha, r0))
             return above[self._last_above] / above[-1]
 
-    def _ccdf_gradient(self, T: float, alpha: float,
-                       r0: float) -> tuple[np.ndarray, np.ndarray]:
-        """``ccdf(T, alpha, r0)`` and its derivatives with respect to
-        x = (ln T, ln(alpha - 1), ln r0), one row per level.
+    def _ccdf_gradient(self, T: float, alpha: float, r0: float):
+        """``ccdf(T, alpha, r0)``, and a function that gives its derivatives
+        with respect to x = (ln T, ln(alpha - 1), ln r0), one row per
+        level, from the same node masses when called.
 
         C = S/Z, with S the mass above a level and Z the total mass, so
         dC = (dS - C dZ)/Z, where dS sums mass * d(ln mass)/dx over the
@@ -293,18 +293,23 @@ class LevelQuadrature:
             mass[0] = _tail_mass(T, alpha, r0, nodes[0])
             above = np.cumsum(mass)
             comp = above[self._last_above] / above[-1]
-            grad = np.empty((3, nodes.size))
-            grad[0] = body
-            grad[1] = np.log(spread) * (-0.5 * (alpha - 1.0))
-            # (r/T + (alpha+1) u^2)/(1+u^2), also where u^2 is inf
-            grad[2] = (nodes / T - (alpha + 1.0)) / spread + (alpha + 1.0) - body
-            grad[:, 0] = _tail_log_gradient(T, alpha, r0, nodes[0])
-            grad *= mass
-            if not mass.all():
-                grad[:, mass == 0.0] = 0.0   # not 0 * inf
-            d_above = np.cumsum(grad, axis=1)
-            d_comp = (d_above[:, self._last_above] - comp * d_above[:, -1:]) / above[-1]
-        return comp, d_comp.T
+
+        def gradient() -> np.ndarray:
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                grad = np.empty((3, nodes.size))
+                grad[0] = body
+                grad[1] = np.log(spread) * (-0.5 * (alpha - 1.0))
+                # (r/T + (alpha+1) u^2)/(1+u^2), also where u^2 is inf
+                grad[2] = (nodes / T - (alpha + 1.0)) / spread + (alpha + 1.0) - body
+                grad[:, 0] = _tail_log_gradient(T, alpha, r0, nodes[0])
+                grad *= mass
+                if not mass.all():
+                    grad[:, mass == 0.0] = 0.0   # not 0 * inf
+                d_above = np.cumsum(grad, axis=1)
+                d_comp = (d_above[:, self._last_above] - comp * d_above[:, -1:]) / above[-1]
+            return d_comp.T
+
+        return comp, gradient
 
 
 # ---------------------------------------------------------------------------

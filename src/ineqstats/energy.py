@@ -25,11 +25,10 @@ from .weighted import WeightedCDF
 __all__ = [
     "KTOE_PER_YEAR_TO_KW",
     "SECONDS_PER_YEAR",
-    "CountryRecord",
+    "CountryTable",
     "DropReport",
     "SlopeProfile",
     "ingest_wri",
-    "per_capita_kw",
     "weighted_cdf",
     "slope_profile",
 ]
@@ -42,31 +41,58 @@ KTOE_PER_YEAR_TO_KW = 1000.0 * JOULES_PER_TOE / SECONDS_PER_YEAR / 1000.0
 
 
 @dataclass(frozen=True)
-class CountryRecord:
-    """One country-year: energy in ktoe/yr, or directly in kW per capita
-    when ``per_capita`` is set."""
+class CountryTable:
+    """One year's countries as columns: the names sorted, and each
+    country's energy in ktoe/yr, or directly in kW per capita when
+    ``per_capita`` is set, and its population.  Rows given in any order
+    are sorted by name; a name given twice, a value that is not finite, a
+    population <= 0 or an energy < 0 is refused, naming the first such
+    country in name order."""
 
-    name: str
-    label: str
+    names: tuple[str, ...]
+    energy: np.ndarray
+    population: np.ndarray
     year: int
-    energy: float
-    population: float
     per_capita: bool = False
 
     def __post_init__(self):
-        if not (math.isfinite(self.energy) and math.isfinite(self.population)):
-            raise DomainError(f"{self.name}: energy and population must be finite")
-        if self.population <= 0:
-            raise DomainError(f"{self.name}: population must be positive")
-        if self.energy < 0:
-            raise DomainError(f"{self.name}: energy must be non-negative")
+        names = tuple(self.names)
+        energy = np.array(self.energy, dtype=float)
+        population = np.array(self.population, dtype=float)
+        if energy.shape != (len(names),) or population.shape != (len(names),):
+            raise DomainError(f"need one energy and one population value for each of "
+                              f"{len(names)} countries")
+        if any(a >= b for a, b in zip(names, names[1:])):
+            order = sorted(range(len(names)), key=names.__getitem__)
+            names = tuple(names[i] for i in order)
+            energy, population = energy[order], population[order]
+            for a, b in zip(names, names[1:]):
+                if a == b:
+                    raise DomainError(f"{a}: country given twice")
+        finite = np.isfinite(energy) & np.isfinite(population)
+        bad = np.flatnonzero(~finite | (population <= 0) | (energy < 0))
+        if bad.size:
+            i = bad[0]
+            if not finite[i]:
+                why = "energy and population must be finite"
+            elif population[i] <= 0:
+                why = "population must be positive"
+            else:
+                why = "energy must be non-negative"
+            raise DomainError(f"{names[i]}: {why}")
+        energy.flags.writeable = population.flags.writeable = False
+        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "energy", energy)
+        object.__setattr__(self, "population", population)
 
+    def __len__(self):
+        return len(self.names)
 
-def per_capita_kw(record: CountryRecord) -> float:
-    """Energy consumption per capita in kW."""
-    if record.per_capita:
-        return record.energy
-    return record.energy * KTOE_PER_YEAR_TO_KW / record.population
+    def per_capita_kw(self) -> np.ndarray:
+        """Energy consumption per capita in kW, one value per country."""
+        if self.per_capita:
+            return self.energy
+        return self.energy * KTOE_PER_YEAR_TO_KW / self.population
 
 
 @dataclass(frozen=True)
@@ -168,20 +194,8 @@ def _read_country_year_csv(path, year: int) -> dict[str, float | None]:
     return out
 
 
-def _label_for(name: str) -> str:
-    """The first three letters of the upper-cased name, or its first three
-    characters upper-cased when it has no letter."""
-    label = ""
-    for ch in name.upper():
-        if ch.isalpha():
-            label += ch
-            if len(label) == 3:
-                return label
-    return label or name[:3].upper()
-
-
 def ingest_wri(energy_csv, population_csv, year: int,
-               per_capita: bool = False) -> tuple[list[CountryRecord], DropReport]:
+               per_capita: bool = False) -> tuple[CountryTable, DropReport]:
     """Inner-join the energy and population files on country name for one
     year, parsing only that year's rows.  Rows with missing or non-numeric
     values on either side are dropped and reported, sorted by name; an
@@ -189,7 +203,9 @@ def ingest_wri(energy_csv, population_csv, year: int,
     energy = _read_country_year_csv(energy_csv, year)
     population = _read_country_year_csv(population_csv, year)
 
-    records: list[CountryRecord] = []
+    names: list[str] = []
+    energies: list[float] = []
+    populations: list[float] = []
     dropped: list[tuple[str, str]] = []
     for name in sorted(energy.keys() | population.keys()):
         e = energy.get(name)
@@ -207,28 +223,29 @@ def ingest_wri(energy_csv, population_csv, year: int,
         elif e < 0:
             dropped.append((name, "negative energy"))
         else:
-            records.append(CountryRecord(name, _label_for(name), year, e, p,
-                                         per_capita=per_capita))
-    if not records:
+            names.append(name)
+            energies.append(e)
+            populations.append(p)
+    if not names:
         err = EmptyJoinError(
             f"no usable country rows for {year} after joining "
             f"{energy_csv} with {population_csv} "
             f"({len(dropped)} rows dropped)")
         err.drops = DropReport(0, tuple(dropped))
         raise err
-    return records, DropReport(len(records), tuple(dropped))
+    table = CountryTable(tuple(names), energies, populations, year, per_capita)
+    return table, DropReport(len(table), tuple(dropped))
 
 
-def weighted_cdf(records) -> WeightedCDF:
+def weighted_cdf(table: CountryTable) -> WeightedCDF:
     """Population-weighted distribution of per-capita consumption: every
     resident of a country is assigned that country's value.  Its ``mean``
     is the world average and its ``lorenz()`` the Lorenz curve; countries
-    sort by (consumption, label, name), so ties break the same way for
-    any input order."""
-    recs = sorted(records, key=lambda rec: (per_capita_kw(rec), rec.label, rec.name))
-    values = np.array([per_capita_kw(r) for r in recs])
-    weights = np.array([r.population for r in recs], dtype=float)
-    return WeightedCDF(values, weights)
+    sort by (consumption, name), so ties break the same way for any input
+    order."""
+    values = table.per_capita_kw()
+    order = np.argsort(values, kind="stable")   # the names are sorted already
+    return WeightedCDF(values[order], table.population[order])
 
 
 @dataclass(frozen=True)

@@ -266,8 +266,9 @@ def _capped_step(m, g):
 def _levenberg_marquardt(residuals, x0):
     """Minimise |r(x)|^2 from x0 by damped Gauss-Newton steps.
 
-    ``residuals(x)`` gives r and its Jacobian J at x, or None where x is
-    undefined (a DomainError at x0).  Each step solves
+    ``residuals(x)`` gives r and a function that computes the Jacobian J
+    at x, or None where x is undefined (a DomainError at x0).  J is
+    computed only at accepted points, once per iteration.  Each step solves
     (J'J + lam D) dx = -J'r, with D the diagonal of J'J floored at 1e-12
     of its largest entry, with no coordinate moving by more than
     _LM_MAX_STEP (see _capped_step).  A step that does not lower the sum
@@ -278,10 +279,11 @@ def _levenberg_marquardt(residuals, x0):
     point = residuals(x)
     if point is None:
         raise DomainError("the refinement start lies where the model CDF is undefined")
-    r, jac = point
+    r, jacobian = point
     cost = float(r @ r)
     lam = _LM_DAMPING
     for _ in range(_LM_ITERATIONS):
+        jac = jacobian()
         a = jac.T @ jac
         g = jac.T @ r
         d = np.diag(a)
@@ -302,7 +304,7 @@ def _levenberg_marquardt(residuals, x0):
                 break
             lam *= 10.0
         lam /= 10.0
-        x, (r, jac), decrease, cost = x + step, trial, cost - cost_new, cost_new
+        x, (r, jacobian), decrease, cost = x + step, trial, cost - cost_new, cost_new
         if decrease <= _LM_RTOL * (cost + decrease):
             break
     return x
@@ -342,17 +344,22 @@ def refine_parameters(table: IncomeBinTable, temperature: float, alpha: float,
         alpha = 1.0 + math.exp(x[1])
         if alpha <= 1.0:   # ln(alpha - 1) so low that alpha rounds to 1
             return None
-        comp, d_comp = quadrature._ccdf_gradient(math.exp(x[0]), alpha, math.exp(x[2]))
+        comp, gradient = quadrature._ccdf_gradient(math.exp(x[0]), alpha, math.exp(x[2]))
         p = np.append(comp[:-1] - comp[1:], comp[-1])[pos]
         res = sqrt_w * (ln_q - np.log(np.maximum(p, _P_MIN)))
         # a NaN CCDF (0/0 where every density underflows) rejects the point
         if math.isnan(res.sum()):
             return None
-        dp = np.concatenate([d_comp[:-1] - d_comp[1:], d_comp[-1:]])[pos]
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            d_ln_p = dp / p[:, None]
-        d_ln_p[p < _P_MIN] = 0.0   # the residual of a clipped p does not move
-        return res, -sqrt_w[:, None] * d_ln_p
+
+        def jacobian():
+            d_comp = gradient()
+            dp = np.concatenate([d_comp[:-1] - d_comp[1:], d_comp[-1:]])[pos]
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                d_ln_p = dp / p[:, None]
+            d_ln_p[p < _P_MIN] = 0.0   # the residual of a clipped p does not move
+            return -sqrt_w[:, None] * d_ln_p
+
+        return res, jacobian
 
     x0 = [math.log(temperature), math.log(max(alpha - 1.0, 1e-3)), math.log(r0)]
     best = _levenberg_marquardt(residuals, x0)

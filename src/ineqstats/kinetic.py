@@ -21,12 +21,16 @@ offered.)
 ``run_simulation`` executes exchange attempts in rounds of N//2 disjoint
 pairs: a round shuffles the balances in place and position k pays position
 N//2 + k, so agent order after a run is a random relabelling.  Within a
-round the pairs share no agent, so the round is equivalent to N//2
-sequential steps; the batching exists purely so that 1e8 attempts
-vectorise to seconds.  The amounts are drawn a block of rounds at a time.
-Between checkpoints the balances are held lifted by -floor and read as
-uint64, so that a round is the shuffle and four in-place ufuncs on views
-bound once per run: accept where amount <= payer's lifted balance (into one
+round the pairs share no agent, so a round is N//2 exchanges that could
+be made one after another, and the round chain has the same stationary
+law as single random-pair attempts (both satisfy detailed balance).  Its
+path is not the same: in a round every agent pays or receives exactly
+once, so the trajectory a run records follows the round chain, not a
+sequence of independent random pairs.  The batching exists so that 1e8
+attempts vectorise to seconds.  The amounts are drawn a block of rounds at
+a time.  Between checkpoints the balances are held lifted by -floor and
+read as uint64, so that a round is the shuffle and four in-place ufuncs on
+views bound once per run: accept where amount <= payer's lifted balance (into one
 bool buffer), zero the rejected amounts, debit the payers, credit the
 receivers.  ``couple_systems`` runs its events one at a time, but draws
 their random numbers up front, a block of events at a time; its loop keeps
@@ -77,8 +81,7 @@ RULE_UNIFORM = "uniform"
 
 _INT64 = np.iinfo(np.int64)
 MAX_AGENTS = 10 ** 8   # 800 MB of balances; larger ensembles are refused
-# numpy refuses arrays of more than intp-max bytes
-_MAX_BINS = np.iinfo(np.intp).max // np.dtype(np.intp).itemsize
+MAX_BINS = 10 ** 8     # 800 MB of histogram counts; larger histograms are refused
 
 
 @dataclass(frozen=True)
@@ -192,9 +195,9 @@ class BinnedHistogram:
         if int(ens.balances.min()) < origin:
             raise DomainError("origin must not exceed the minimum balance")
         n_bins = int(ens.balances.max()) - origin + 1
-        if n_bins > _MAX_BINS:
-            raise DomainError(f"a histogram of {n_bins} one-quantum bins "
-                              "cannot be allocated")
+        if n_bins > MAX_BINS:
+            raise DomainError(f"a histogram of {n_bins} one-quantum bins cannot be "
+                              f"allocated: the ceiling is {MAX_BINS} bins")
         return cls(np.bincount(ens.balances - origin), float(origin))
 
     def bin_lowers(self) -> np.ndarray:

@@ -20,7 +20,7 @@ WORLD_AVERAGE_KW = {1990: 2.2, 2000: 2.2, 2005: 2.3}
 
 
 def fixture_year(year):
-    """The fixture's country records for one year, read through the ingest."""
+    """The fixture's country table for one year, read through the ingest."""
     return ingest_wri(*WRI_FIXTURE, year, per_capita=True)[0]
 
 

@@ -13,7 +13,7 @@ from conftest import (WORLD_AVERAGE_KW, WRI_FIXTURE, lattice_ks, requires_wri,
 from ineqstats import (DriftDiffusionSpec, ExchangeRule, RULE_FIXED,
                        RULE_UNIFORM, TwoClassModel, class_boundary,
                        couple_systems, delta_r2_diagnostic, fit_report,
-                       ingest_wri, init_ensemble, per_capita_kw, run_simulation,
+                       ingest_wri, init_ensemble, run_simulation,
                        sample_income_table, sample_lorenz_curve,
                        stationary_solution, weighted_cdf)
 from ineqstats.cli import dispatch
@@ -183,17 +183,17 @@ def test_criterion_08_gini_identities():
 
 def test_criterion_09_energy_fixture():
     start = time.perf_counter()
-    records, drops = ingest_wri(*WRI_FIXTURE, 2005, per_capita=True)
-    cdf_values = {rec.name: per_capita_kw(rec) for rec in records}
+    table, drops = ingest_wri(*WRI_FIXTURE, 2005, per_capita=True)
+    cdf_values = dict(zip(table.names, table.per_capita_kw().tolist()))
     world = WORLD_AVERAGE_KW[2005]
     usa = cdf_values["United States"] / world
     india = cdf_values["India"] / world
-    gini = weighted_cdf(records).lorenz().gini
+    gini = weighted_cdf(table).lorenz().gini
     elapsed = time.perf_counter() - start
-    ok = (len(records) == 22 and drops.n_dropped == 0
+    ok = (len(table) == 22 and drops.n_dropped == 0
           and 4.0 < usa < 5.0 and 0.2 < india < 0.3 and elapsed < 1.0)
     report("9[fixture]", ok,
-           f"{len(records)} countries joined (22), {drops.n_dropped} dropped (0), "
+           f"{len(table)} countries joined (22), {drops.n_dropped} dropped (0), "
            f"USA eps/<eps>={usa:.2f} (4..5), India={india:.2f} (0.2..0.3), "
            f"fixture Gini={gini:.3f}, runtime={elapsed:.2f}s (<1s)")
 
@@ -204,8 +204,8 @@ def test_criterion_09_full_wri_dataset():
     averages = {}
     ginis = {}
     for year in (1990, 2000, 2005):
-        recs, _ = ingest_wri(f"{base}/energy.csv", f"{base}/population.csv", year)
-        cdf = weighted_cdf(recs)
+        table, _ = ingest_wri(f"{base}/energy.csv", f"{base}/population.csv", year)
+        cdf = weighted_cdf(table)
         averages[year] = cdf.mean
         ginis[year] = cdf.lorenz().gini
     ok = (abs(averages[1990] - 2.2) <= 0.1 and abs(averages[2000] - 2.2) <= 0.1

@@ -7,41 +7,100 @@ from hypothesis import given, seed, settings, strategies as st
 import ineqstats.energy as energy_module
 from conftest import (FIXTURE_YEARS, WORLD_AVERAGE_KW, WRI_FIXTURE, fixture_year,
                       requires_wri, wri_data_dir)
-from ineqstats import (CountryRecord, DegenerateCurveError, DomainError,
+from ineqstats import (CountryTable, DegenerateCurveError, DomainError,
                        EmptyJoinError, FormatError, LorenzCurve, ingest_wri,
-                       per_capita_kw, slope_profile, weighted_cdf)
+                       slope_profile, weighted_cdf)
 
 
-def rec(name, eps, pop, year=2005, per_capita=True):
-    return CountryRecord(name, name[:3].upper(), year, eps, pop, per_capita)
+def countries(*rows, year=2005, per_capita=True):
+    """A table of (name, energy, population) rows."""
+    names, energy, population = zip(*rows)
+    return CountryTable(names, energy, population, year, per_capita)
+
+
+def kw_by_name(table):
+    return dict(zip(table.names, table.per_capita_kw().tolist()))
 
 
 class TestUnits:
     def test_one_toe_per_year(self):
         # 1 toe/yr over one person: 41.85e9 J / 3.15576e7 s = 1326.1 W
-        record = CountryRecord("X", "XXX", 2005, 0.001, 1.0)  # 0.001 ktoe
-        assert per_capita_kw(record) == pytest.approx(1.3261464750171115, rel=1e-12)
+        table = countries(("X", 0.001, 1.0), per_capita=False)  # 0.001 ktoe
+        assert table.per_capita_kw()[0] == pytest.approx(1.3261464750171115, rel=1e-12)
 
     def test_zero_energy(self):
-        assert per_capita_kw(CountryRecord("X", "XXX", 2005, 0.0, 5.0)) == 0.0
+        assert countries(("X", 0.0, 5.0), per_capita=False).per_capita_kw()[0] == 0.0
 
     def test_population_scaling(self):
-        one = per_capita_kw(CountryRecord("X", "XXX", 2005, 3.0, 1e6))
-        two = per_capita_kw(CountryRecord("X", "XXX", 2005, 3.0, 2e6))
+        one, two = countries(("X", 3.0, 1e6), ("Y", 3.0, 2e6), per_capita=False).per_capita_kw()
         assert two == pytest.approx(one / 2, rel=1e-12)
 
     def test_per_capita_passthrough(self):
-        assert per_capita_kw(rec("US", 10.4, 3e8)) == 10.4
+        assert countries(("US", 10.4, 3e8)).per_capita_kw()[0] == 10.4
 
     def test_bad_population(self):
         with pytest.raises(DomainError):
-            CountryRecord("X", "XXX", 2005, 1.0, 0.0)
+            countries(("X", 1.0, 0.0), per_capita=False)
 
     @pytest.mark.parametrize("energy, population", [(np.nan, 1.0), (np.inf, 1.0),
                                                     (1.0, np.nan), (1.0, np.inf)])
     def test_non_finite_refused(self, energy, population):
         with pytest.raises(DomainError, match="must be finite"):
-            CountryRecord("X", "XXX", 2005, energy, population)
+            countries(("X", energy, population), per_capita=False)
+
+
+class TestCountryTable:
+    @pytest.mark.parametrize("energy, population, why", [
+        (np.nan, 1.0, "energy and population must be finite"),
+        (-np.inf, 1.0, "energy and population must be finite"),
+        (1.0, np.inf, "energy and population must be finite"),
+        (1.0, 0.0, "population must be positive"),
+        (1.0, -5.0, "population must be positive"),
+        (-1e-300, 1.0, "energy must be non-negative"),
+    ])
+    def test_refusal_names_the_country(self, energy, population, why):
+        rows = [("Chad", 1.0, 2.0), ("Benin", energy, population), ("Angola", 3.0, 4.0)]
+        with pytest.raises(DomainError, match=f"^Benin: {why}$"):
+            countries(*rows)
+
+    def test_first_bad_country_in_name_order_is_named(self):
+        rows = [("Chad", -1.0, 2.0), ("Benin", 1.0, 0.0), ("Angola", 3.0, 4.0)]
+        with pytest.raises(DomainError, match="^Benin: population must be positive$"):
+            countries(*rows)
+
+    def test_rows_sorted_by_name(self):
+        table = countries(("C", 3.0, 30.0), ("A", 1.0, 10.0), ("B", 2.0, 20.0))
+        assert table.names == ("A", "B", "C")
+        assert table.energy.tolist() == [1.0, 2.0, 3.0]
+        assert table.population.tolist() == [10.0, 20.0, 30.0]
+        assert len(table) == 3
+
+    def test_name_given_twice_refused(self):
+        with pytest.raises(DomainError, match="^A: country given twice$"):
+            countries(("B", 1.0, 1.0), ("A", 1.0, 1.0), ("A", 2.0, 1.0))
+
+    def test_columns_must_match_the_names(self):
+        with pytest.raises(DomainError, match="for each of 2 countries"):
+            CountryTable(("A", "B"), [1.0], [1.0, 2.0], 2005)
+
+    def test_columns_are_read_only(self):
+        energy = np.array([1.0, 2.0])
+        table = CountryTable(("A", "B"), energy, [1.0, 2.0], 2005)
+        energy[0] = 9.0   # the table holds its own copy
+        assert table.energy.tolist() == [1.0, 2.0]
+        with pytest.raises(ValueError):
+            table.population[0] = 0.0
+
+    @pytest.mark.parametrize("rows", [
+        [("United States", 5.0, 300.0), ("United Kingdom", 5.0, 60.0), ("India", 0.5, 1e3)],
+        [("United Kingdom", 5.0, 60.0), ("India", 0.5, 1e3), ("United States", 5.0, 300.0)],
+        [("India", 0.5, 1e3), ("United States", 5.0, 300.0), ("United Kingdom", 5.0, 60.0)],
+    ])
+    def test_equal_consumption_ties_break_by_name(self, rows):
+        # both names once had the label "UNI"; the name alone orders them
+        cdf = weighted_cdf(countries(*rows))
+        assert cdf.values.tolist() == [0.5, 5.0, 5.0]
+        assert cdf.weights.tolist() == [1e3, 60.0, 300.0]
 
 
 def write_pair(tmp_path, energy_rows, population_rows):
@@ -56,18 +115,10 @@ class TestIngest:
     def test_single_country_join(self, tmp_path):
         e, p = write_pair(tmp_path, ["United States,2005,2340000"],
                           ["United States,2005,295500000"])
-        records, drops = ingest_wri(e, p, 2005)
-        assert len(records) == 1
+        table, drops = ingest_wri(e, p, 2005)
+        assert table.names == ("United States",)
+        assert (table.year, table.per_capita) == (2005, False)
         assert drops.n_dropped == 0
-        assert records[0].label == "UNI"
-
-    @settings(max_examples=500, deadline=None)
-    @given(name=st.one_of(st.text(), st.text("ßﬁŉǰΐ…1 -'")))
-    def test_label_is_the_first_three_letters(self, name):
-        # the whole-name definition; "ß" and "ﬁ" grow when upper-cased
-        letters = [ch for ch in name.upper() if ch.isalpha()]
-        want = "".join(letters[:3]) if letters else name[:3].upper()
-        assert energy_module._label_for(name) == want
 
     def test_join_semantics_missing_side(self, tmp_path):
         e, p = write_pair(tmp_path, ["United States,2005,2340000"],
@@ -80,8 +131,8 @@ class TestIngest:
         e, p = write_pair(tmp_path,
                           ["USA,2005,2340000", "Narnia,2005,.."],
                           ["USA,2005,295500000", "Narnia,2005,1000"])
-        records, drops = ingest_wri(e, p, 2005)
-        assert len(records) == 1
+        table, drops = ingest_wri(e, p, 2005)
+        assert len(table) == 1
         assert drops.n_dropped == 1
         assert drops.dropped[0][0] == "Narnia"
 
@@ -89,8 +140,8 @@ class TestIngest:
         e, p = write_pair(tmp_path,
                           ["A,2005,1", "B,2005,nan", "C,2005,inf", "D,2005,4"],
                           ["A,2005,10", "B,2005,10", "C,2005,10", "D,2005,nan"])
-        records, drops = ingest_wri(e, p, 2005)
-        assert [r.name for r in records] == ["A"]
+        table, drops = ingest_wri(e, p, 2005)
+        assert table.names == ("A",)
         assert drops.dropped == (("B", "non-numeric energy value"),
                                  ("C", "non-numeric energy value"),
                                  ("D", "non-numeric population value"))
@@ -104,11 +155,10 @@ class TestIngest:
             ingest_wri(e, p, 2005)
 
     def test_fixture_csv_round_trip(self):
-        records, drops = ingest_wri(*WRI_FIXTURE, 2005, per_capita=True)
-        assert len(records) == 22
+        table, drops = ingest_wri(*WRI_FIXTURE, 2005, per_capita=True)
+        assert len(table) == 22
         assert drops.n_dropped == 0
-        by_name = {r.name: r for r in records}
-        assert per_capita_kw(by_name["United States"]) == 10.4
+        assert kw_by_name(table)["United States"] == 10.4
 
     def test_bad_year_in_another_years_row_raises(self, tmp_path):
         e, p = write_pair(tmp_path, ["USA,2005,2340000", "USA,19x0,1", "USA,1990,5"],
@@ -138,8 +188,8 @@ class TestIngest:
 
     def test_rows_of_other_years_are_not_checked_for_duplicates(self, tmp_path):
         e, p = write_pair(tmp_path, ["A,1990,5", "A,2000,6", "A,2000,7"], ["A,1990,10"])
-        records, drops = ingest_wri(e, p, 1990)
-        assert [(r.name, r.energy) for r in records] == [("A", 5.0)]
+        table, drops = ingest_wri(e, p, 1990)
+        assert (table.names, table.energy.tolist()) == (("A",), [5.0])
         assert drops.n_dropped == 0
 
     @pytest.mark.parametrize("year", [2 ** 63, -2 ** 63 - 1, 10 ** 9])
@@ -211,14 +261,15 @@ def reference_ingest(energy_csv, population_csv, year):
 
 def ingest_outcome(energy_csv, population_csv, year):
     try:
-        records, drops = ingest_wri(energy_csv, population_csv, year)
+        table, drops = ingest_wri(energy_csv, population_csv, year)
     except EmptyJoinError as exc:
         return "join", [], exc.drops.dropped
     except FormatError as exc:
         return "format", str(exc)
-    assert drops.joined == len(records)
-    assert all(r.year == year for r in records)
-    return "join", [(r.name, r.energy, r.population) for r in records], drops.dropped
+    assert drops.joined == len(table)
+    assert table.year == year
+    rows = zip(table.names, table.energy.tolist(), table.population.tolist())
+    return "join", list(rows), drops.dropped
 
 
 YEARS = (1990, 2000, 2005)
@@ -364,56 +415,57 @@ def test_file_that_is_not_plain_gets_the_csv_readers_outcome(tmp_path, monkeypat
 
 class TestWeightedCdf:
     def test_single_country(self):
-        cdf = weighted_cdf([rec("A", 2.0, 10.0)])
+        cdf = weighted_cdf(countries(("A", 2.0, 10.0)))
         assert cdf.complementary.tolist() == [1.0]
 
     def test_two_equal_populations(self):
-        cdf = weighted_cdf([rec("A", 1.0, 5.0), rec("B", 3.0, 5.0)])
+        cdf = weighted_cdf(countries(("A", 1.0, 5.0), ("B", 3.0, 5.0)))
         assert cdf.values.tolist() == [1.0, 3.0]
         assert cdf.complementary.tolist() == [1.0, 0.5]
 
     def test_fixture_ratios_to_world_average(self):
-        by_name = {r.name: per_capita_kw(r) for r in fixture_year(2005)}
+        by_name = kw_by_name(fixture_year(2005))
         world = WORLD_AVERAGE_KW[2005]
         assert 4.0 < by_name["United States"] / world < 5.0
         assert 0.2 < by_name["India"] / world < 0.3
 
     def test_world_average_small_case(self):
-        assert weighted_cdf([rec("A", 1.0, 5.0), rec("B", 3.0, 5.0)]).mean == 2.0
+        assert weighted_cdf(countries(("A", 1.0, 5.0), ("B", 3.0, 5.0))).mean == 2.0
 
     def test_fixture_world_average_oracle(self):
         # independent spreadsheet-style sum over the fixture rows
-        records = fixture_year(2005)
-        num = sum(r.energy * r.population for r in records)
-        den = sum(r.population for r in records)
-        assert weighted_cdf(records).mean == pytest.approx(num / den, rel=1e-12)
-        assert weighted_cdf(records).mean == pytest.approx(2.7463022473, rel=1e-9)
+        table = fixture_year(2005)
+        rows = list(zip(table.energy.tolist(), table.population.tolist()))
+        num = sum(e * p for e, p in rows)
+        den = sum(p for _, p in rows)
+        assert weighted_cdf(table).mean == pytest.approx(num / den, rel=1e-12)
+        assert weighted_cdf(table).mean == pytest.approx(2.7463022473, rel=1e-9)
 
 
 class TestLorenzEnergy:
     def test_equal_consumption_on_diagonal(self):
-        curve = weighted_cdf([rec("A", 2.0, 5.0), rec("B", 2.0, 5.0)]).lorenz()
+        curve = weighted_cdf(countries(("A", 2.0, 5.0), ("B", 2.0, 5.0))).lorenz()
         assert curve.gini == pytest.approx(0.0, abs=1e-12)
 
     def test_concentration_limit(self):
-        curve = weighted_cdf([rec("A", 1e-9, 1e9), rec("B", 1e9, 1.0)]).lorenz()
+        curve = weighted_cdf(countries(("A", 1e-9, 1e9), ("B", 1e9, 1.0))).lorenz()
         assert curve.gini > 0.99
 
     def test_all_zero_energy_degenerate(self):
         with pytest.raises(DegenerateCurveError):
-            weighted_cdf([rec("A", 0.0, 1.0), rec("B", 0.0, 2.0)]).lorenz()
+            weighted_cdf(countries(("A", 0.0, 1.0), ("B", 0.0, 2.0))).lorenz()
 
     def test_permutation_invariance(self):
-        records = fixture_year(2005)
-        rng = np.random.default_rng(0)
-        shuffled = list(records)
-        rng.shuffle(shuffled)
-        a = weighted_cdf(records).lorenz()
+        table = fixture_year(2005)
+        rows = list(zip(table.names, table.energy, table.population))
+        np.random.default_rng(0).shuffle(rows)
+        shuffled = countries(*rows)
+        a = weighted_cdf(table).lorenz()
         b = weighted_cdf(shuffled).lorenz()
         assert np.array_equal(a.x, b.x)
         assert np.array_equal(a.y, b.y)
         for name in ("values", "complementary"):
-            assert np.array_equal(getattr(weighted_cdf(records), name),
+            assert np.array_equal(getattr(weighted_cdf(table), name),
                                   getattr(weighted_cdf(shuffled), name))
 
     def test_convexity(self):
@@ -454,28 +506,27 @@ class TestFullWriDataset:
     """Optional checks against real WRI downloads (energy.csv and
     population.csv with country,year,value rows, energy in ktoe/yr)."""
 
-    def _records(self, year):
+    def _table(self, year):
         base = wri_data_dir()
         return ingest_wri(f"{base}/energy.csv", f"{base}/population.csv", year)[0]
 
     def test_join_count_2005(self):
-        assert len(self._records(2005)) == 135
+        assert len(self._table(2005)) == 135
 
     @pytest.mark.parametrize("year,avg", [(1990, 2.2), (2000, 2.2), (2005, 2.3)])
     def test_world_averages(self, year, avg):
-        assert weighted_cdf(self._records(year)).mean == pytest.approx(avg, abs=0.1)
+        assert weighted_cdf(self._table(year)).mean == pytest.approx(avg, abs=0.1)
 
     def test_gini_trend(self):
-        ginis = [weighted_cdf(self._records(y)).lorenz().gini for y in (1990, 2000, 2005)]
+        ginis = [weighted_cdf(self._table(y)).lorenz().gini for y in (1990, 2000, 2005)]
         assert ginis[0] > ginis[1] > ginis[2]
 
     def test_kink_separates_country_groups_1990(self):
-        records = self._records(1990)
-        profile = slope_profile(weighted_cdf(records).lorenz())
-        ordered = sorted(records, key=lambda r: (per_capita_kw(r), r.label, r.name))
-        x_cum = np.cumsum([r.population for r in ordered]) / sum(
-            r.population for r in ordered)
-        position = {r.name: x for r, x in zip(ordered, x_cum)}
+        table = self._table(1990)
+        profile = slope_profile(weighted_cdf(table).lorenz())
+        order = np.argsort(table.per_capita_kw(), kind="stable")
+        x_cum = np.cumsum(table.population[order]) / table.population.sum()
+        position = {table.names[i]: x for i, x in zip(order.tolist(), x_cum)}
         for developing in ("Mexico", "Brazil", "China", "India"):
             assert position[developing] <= profile.kink_x + 1e-9
         for developed in ("United Kingdom", "France", "Australia", "Russia", "United States"):

@@ -350,6 +350,68 @@ class TestTransient:
             want, drift = dense_transient(spec, grid, dt, steps, density * w)
             assert np.abs(out.density * w - want).max() <= 1e-13 + drift
 
+    @staticmethod
+    def _count_band_builds(monkeypatch):
+        builds = []
+        flux_bands = fokker_planck._flux_bands
+
+        def counting(left, right, widths):
+            builds.append(widths)
+            return flux_bands(left, right, widths)
+
+        monkeypatch.setattr(fokker_planck, "_last_bands", None)
+        monkeypatch.setattr(fokker_planck, "_flux_bands", counting)
+        return builds
+
+    @staticmethod
+    def _pulse(grid):
+        w = cell_widths(grid)
+        m0 = np.exp(-0.5 * ((grid - 5.0) / 1.0) ** 2) * w
+        return GridDistribution(grid, m0 / m0.sum() / w)
+
+    def test_repeated_call_reuses_its_bands(self, monkeypatch):
+        builds = self._count_band_builds(monkeypatch)
+        spec = DriftDiffusionSpec.combined(a0=1.0, a=0.5, b0=1.0, b=0.25)
+        grid = 15.0 * np.linspace(0.0, 1.0, 41) ** 1.5
+        dt = 0.9 / np.max(-np.diag(dense_generator(spec, grid)))
+        start = self._pulse(grid)
+        first = evolve_transient(start, spec, dt, K * K + 3)
+        again = evolve_transient(start, spec, dt, K * K + 3)
+        assert builds == [(K, 3)]
+        assert again.density.tobytes() == first.density.tobytes()
+        # another start state on the same spec, grid and dt builds none either
+        later = evolve_transient(first, spec, dt, K * K + 3)
+        assert builds == [(K, 3)]
+        monkeypatch.setattr(fokker_planck, "_last_bands", None)
+        assert evolve_transient(first, spec, dt, K * K + 3).density.tobytes() == \
+            later.density.tobytes()
+        assert builds == [(K, 3)] * 2
+
+    @pytest.mark.parametrize("change", ["dt", "spec", "grid", "steps"])
+    def test_changed_call_misses_the_cache(self, monkeypatch, change):
+        builds = self._count_band_builds(monkeypatch)
+        spec = DriftDiffusionSpec.combined(a0=1.0, a=0.5, b0=1.0, b=0.25)
+        grid = 15.0 * np.linspace(0.0, 1.0, 41) ** 1.5
+        dt = 0.9 / np.max(-np.diag(dense_generator(spec, grid)))
+        steps = K * K + 3
+        evolve_transient(self._pulse(grid), spec, dt, steps)
+        if change == "dt":
+            dt *= 0.5
+        elif change == "spec":
+            spec = DriftDiffusionSpec.combined(a0=1.0, a=0.25, b0=1.0, b=0.25)
+            dt = 0.9 / np.max(-np.diag(dense_generator(spec, grid)))
+        elif change == "grid":   # as many cells, placed otherwise
+            grid = 15.0 * np.linspace(0.0, 1.0, 41) ** 1.4
+            dt = 0.9 / np.max(-np.diag(dense_generator(spec, grid)))
+        else:
+            steps = K * K + 5
+        start = self._pulse(grid)
+        out = evolve_transient(start, spec, dt, steps)
+        assert len(builds) == 2
+        w = cell_widths(grid)
+        want, drift = dense_transient(spec, grid, dt, steps, start.density * w)
+        assert np.abs(out.density * w - want).max() < 1e-13 + drift
+
     def test_jump_width_rule(self):
         width, budget = fokker_planck._jump_width, fokker_planck._BAND_BUDGET
         # few steps: sqrt(steps), so the build costs no more than the jumps

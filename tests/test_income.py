@@ -517,7 +517,7 @@ class TestRefinedPipeline:
     def test_singular_damped_system_is_a_refused_step(self):
         def residuals(x):   # one residual of x0 + 2 x1: collinear columns
             e = math.exp(x[0] + 2.0 * x[1])
-            return np.array([e]), np.array([[e, 2.0 * e]])
+            return np.array([e]), lambda: np.array([[e, 2.0 * e]])
 
         # every step is accepted, so lam falls below the rounding of 1 + lam
         x = income._levenberg_marquardt(residuals, [0.0, 0.0])

@@ -323,6 +323,18 @@ class TestInt64Limits:
         with pytest.raises(DomainError, match="cannot be allocated"):
             BinnedHistogram.from_ensemble(ens, origin=0)
 
+    def test_histogram_beyond_the_bin_ceiling_rejected(self):
+        # 2**54 + 1 bins fit an intp but not memory: refused, not a MemoryError
+        with pytest.raises(DomainError, match="cannot be allocated"):
+            run_simulation(AgentEnsemble([0, 0]), ExchangeRule(RULE_FIXED, 1, -2**54),
+                           2, seed=1)
+
+    def test_bin_ceiling_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(kinetic, "MAX_BINS", 1000)
+        assert BinnedHistogram.from_ensemble(AgentEnsemble([-5, 994]), -5).counts.size == 1000
+        with pytest.raises(DomainError, match="ceiling is 1000 bins"):
+            BinnedHistogram.from_ensemble(AgentEnsemble([-5, 995]), -5)
+
 
 class TestSimulationConfig:
     def test_json_schema_round_trip(self):

@@ -46,6 +46,8 @@ def test_removed_aliases_are_gone():
         (kinetic, ("multiplicity_exact",)),
         (ineqstats, ("exchange_step", "empirical_cdf_income", "fit_crossover",
                      "CrossoverFit", "multiplicity_exact")),
+        (energy, ("CountryRecord", "per_capita_kw", "_label_for")),
+        (ineqstats, ("CountryRecord", "per_capita_kw")),
     ]
     left = [f"{owner.__name__}.{name}" for owner, names in removed
             for name in names if hasattr(owner, name)]
