@@ -6,9 +6,9 @@ income diffusion solutions), ``fit-income`` (two-class fitting of a
 binned income table) and ``energy`` (per-capita consumption analytics).
 
 Every run writes its data files plus a ``manifest.json`` recording the
-configuration, SHA-256 digests of the inputs and the list of outputs, so
-a run can be reproduced and verified exactly.  Exit codes: 0 success,
-1 domain/data errors, 2 usage errors.  Diagnostics go to stderr.
+configuration, SHA-256 digests of its regular-file inputs and the list
+of outputs, so a run can be reproduced and verified exactly.  Exit codes:
+0 success, 1 domain/data errors, 2 usage errors.  Diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -39,14 +39,17 @@ __all__ = ["build_parser", "dispatch", "emit_manifest", "main"]
 
 def emit_manifest(out_dir: Path, subcommand: str, config: dict,
                   inputs: list, outputs: list[str]) -> None:
-    """Write manifest.json: config in effect, digests of the inputs given, outputs."""
+    """Write manifest.json: config in effect, digests of the inputs given,
+    outputs.  Only a regular file is read again to be hashed; any other
+    input, such as a pipe whose bytes the run has consumed, gets None."""
     manifest = {
         "tool": "ineqstats",
         "version": __version__,
         "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "subcommand": subcommand,
         "config": config,
-        "inputs": {str(p): sha256_file(p) for p in inputs if p is not None},
+        "inputs": {str(p): sha256_file(p) if Path(p).is_file() else None
+                   for p in inputs if p is not None},
         "outputs": sorted(outputs),
     }
     write_json(out_dir / "manifest.json", manifest)

@@ -264,15 +264,12 @@ class LevelQuadrature:
     def ccdf(self, T: float, alpha: float, r0: float) -> np.ndarray:
         """C(L) at each level for parameters (T, alpha, r0), in [0, 1];
         NaN only where every density underflows, as in runaway fits."""
-        _check_parameters(T, alpha, r0)
-        with np.errstate(over="ignore", invalid="ignore"):
-            above = np.cumsum(self._masses(T, alpha, r0))
-            return above[self._last_above] / above[-1]
+        return self._ccdf_gradient(T, alpha, r0)[0]
 
     def _ccdf_gradient(self, T: float, alpha: float, r0: float):
-        """``ccdf(T, alpha, r0)``, and a function that gives its derivatives
-        with respect to x = (ln T, ln(alpha - 1), ln r0), one row per
-        level, from the same node masses when called.
+        """C(L) at each level, which ``ccdf`` returns alone, and a function
+        that gives its derivatives with respect to x = (ln T, ln(alpha - 1),
+        ln r0), one row per level, from the same node masses when called.
 
         C = S/Z, with S the mass above a level and Z the total mass, so
         dC = (dS - C dZ)/Z, where dS sums mass * d(ln mass)/dx over the

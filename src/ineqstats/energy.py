@@ -19,7 +19,7 @@ import numpy as np
 
 from .distributions import LorenzCurve
 from .errors import DomainError, EmptyJoinError, FormatError
-from .io import read_csv_rows, record_line, usable_row
+from .io import read_csv_rows, usable_row
 from .weighted import WeightedCDF
 
 __all__ = [
@@ -107,25 +107,25 @@ class DropReport:
         return len(self.dropped)
 
 
-def _year_rows_csv(path, year: int):
-    """(record, name, value cell) of each ``year`` row, by the CSV reader:
-    the path for every file that ``_year_rows_plain`` cannot prove plain,
-    and the one that names a bad row's line."""
+def _year_rows_csv(path, data: bytes, year: int):
+    """(line, name, value cell) of each ``year`` row of the file ``path``,
+    whose bytes are ``data``, by the CSV reader: the path for every file
+    that ``_year_rows_plain`` cannot prove plain, and the one that finds a
+    bad row; ``line`` is the file line the row starts on."""
     years: dict[str, int] = {}
-    for record, row in read_csv_rows(path):
+    for line, row in read_csv_rows(path, data):
         try:
             row_year, cell = years[row[1]], row[2]   # a short row raises in any year
         except (KeyError, IndexError):
-            if not usable_row(path, record, row, 3, "country,year,value"):
+            if not usable_row(path, line, row, 3, "country,year,value"):
                 continue
             try:
                 row_year = years[row[1]] = int(row[1])
             except ValueError as exc:
-                raise FormatError(f"{path}:{record_line(path, record)}: "
-                                  f"bad year {row[1]!r}") from exc
+                raise FormatError(f"{path}:{line}: bad year {row[1]!r}") from exc
             cell = row[2]
         if row_year == year:
-            yield record, row[0], cell
+            yield line, row[0], cell
 
 
 def _year_rows_plain(data: bytes, year: int):
@@ -174,18 +174,22 @@ def _read_country_year_csv(path, year: int) -> dict[str, float | None]:
     is validated, so FormatError names the line of a bad row in any year,
     and a second row of one country in ``year`` is refused.  A plain file
     is scanned with numpy and any other goes to the CSV reader; the two
-    give the same result on every file both accept."""
+    give the same result on every file both accept.  The file is read
+    once, and both take its bytes."""
     with open(path, "rb") as fh:
-        rows = _year_rows_plain(fh.read(), year)
+        data = fh.read()
+    rows = _year_rows_plain(data, year)
+    if rows is None:
+        rows = _year_rows_csv(path, data, year)
+    del data   # a plain file's rows hold only their decoded cells
     out: dict[str, float | None] = {}
     first: dict[str, int] = {}
-    for record, name, cell in _year_rows_csv(path, year) if rows is None else rows:
+    for line, name, cell in rows:
         name = name.strip()
         if name in first:
-            raise FormatError(f"{path}:{record_line(path, record)}: second {year} row "
-                              f"for {name!r} (the first is on line "
-                              f"{record_line(path, first[name])})")
-        first[name] = record
+            raise FormatError(f"{path}:{line}: second {year} row for {name!r} "
+                              f"(the first is on line {first[name]})")
+        first[name] = line
         try:
             value = float(cell)
         except ValueError:

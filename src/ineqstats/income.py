@@ -40,7 +40,7 @@ import numpy as np
 from .distributions import LevelQuadrature, TwoClassModel, class_boundary, tail_fraction
 from .errors import (DomainError, FormatError, InsufficientDataError,
                      NoIntersectionError)
-from .io import read_csv_rows, record_line, usable_row, whole_number, whole_numbers
+from .io import read_csv_rows, usable_row, whole_number, whole_numbers
 from .weighted import WeightedCDF
 
 __all__ = [
@@ -119,17 +119,19 @@ class IncomeBinTable:
                  year: int | None = None) -> "IncomeBinTable":
         """Read `level_kusd,<counts>` rows; ``mode`` says whether the count
         column is per-bin or at-or-above."""
+        with open(path, "rb") as fh:
+            data = fh.read()
         levels, counts = [], []
-        for record, row in read_csv_rows(path):
+        for line, row in read_csv_rows(path, data):
             try:
                 level = float(row[0])
                 count = whole_number(float(row[1]), "count")
                 if abs(count) > _INT64.max:
                     raise ValueError(f"count {row[1]} lies beyond 64-bit counts")
             except (ValueError, IndexError) as exc:
-                if not usable_row(path, record, row, 2, "two columns"):
+                if not usable_row(path, line, row, 2, "two columns"):
                     continue
-                raise FormatError(f"{path}:{record_line(path, record)}: {exc}") from exc
+                raise FormatError(f"{path}:{line}: {exc}") from exc
             levels.append(level)
             counts.append(count)
         if not levels:

@@ -11,6 +11,7 @@ import csv
 import hashlib
 import inspect
 import json
+from io import StringIO
 from numbers import Real
 from pathlib import Path
 
@@ -19,7 +20,7 @@ import numpy as np
 from .errors import DomainError, FormatError
 
 __all__ = ["write_csv", "write_json", "sha256_file", "read_text",
-           "read_csv_rows", "record_line", "usable_row", "json_object", "build_config",
+           "read_csv_rows", "usable_row", "json_object", "build_config",
            "whole_number", "whole_numbers"]
 
 
@@ -58,61 +59,41 @@ def read_text(path) -> str:
         raise _not_utf8(path, exc) from exc
 
 
-def read_csv_rows(path):
-    """Yield (record, row) for every row of a UTF-8 CSV file after its
-    header, blank and short rows included, numbering records from 2 (the
-    header is record 1); a caller hands a row that fails to parse to
-    ``usable_row`` and names it in an error by ``record_line``.  Bytes
-    that are not UTF-8 raise FormatError, and so does a record the CSV
-    reader refuses (a cell longer than ``csv.field_size_limit()``), named
-    by the file line it starts on."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        try:
-            reader = csv.reader(fh)
-            next(reader, None)
-            yield from enumerate(reader, start=2)
-        except UnicodeDecodeError as exc:
-            raise _not_utf8(path, exc) from exc
-        except csv.Error as exc:
-            raise FormatError(f"{path}:{_refused_record_line(path)}: {exc}") from exc
+def read_csv_rows(path, data: bytes):
+    """Yield (line, row) for every record of the CSV file ``path`` after
+    its header, blank and short rows included, parsed from ``data``, the
+    file's bytes as its caller read them once; ``line`` is the file line
+    the record starts on (the header's is 1), which differs from the
+    record's place after a quoted cell that spans lines.  A caller hands a
+    row that fails to parse to ``usable_row``.  Bytes that are not UTF-8
+    raise FormatError before any row is yielded, and so does a record the
+    CSV reader refuses (a cell longer than ``csv.field_size_limit()``),
+    named by its line."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc) from exc
+    reader = csv.reader(StringIO(text, newline=""))
+    line = 1
+    try:
+        next(reader, None)
+        line = reader.line_num + 1
+        for row in reader:
+            yield line, row
+            line = reader.line_num + 1
+    except csv.Error as exc:
+        raise FormatError(f"{path}:{line}: {exc}") from exc
 
 
-def _refused_record_line(path) -> int:
-    """The file line on which the record that the CSV reader refuses
-    starts.  The file is read again, so the rows that ``read_csv_rows``
-    yields need not be counted; only an error message pays for that."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        line = 1
-        try:
-            for _ in reader:
-                line = reader.line_num + 1
-        except csv.Error:
-            pass
-        return line
-
-
-def record_line(path, record: int) -> int:
-    """The file line on which CSV record ``record`` of ``path`` starts,
-    numbered as ``read_csv_rows`` numbers records.  The two differ after
-    a quoted cell that spans lines, so the file is read again up to the
-    record; only an error message pays for that."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        for _ in range(record - 1):
-            next(reader)
-        return reader.line_num + 1
-
-
-def usable_row(path, record: int, row: list[str], n_columns: int, expected: str) -> bool:
+def usable_row(path, line: int, row: list[str], n_columns: int, expected: str) -> bool:
     """Whether a row that failed to parse is an error: False for a blank
     row, which the caller skips; ``FormatError("path:line: expected
-    <expected>")`` for a row of fewer than ``n_columns`` cells, naming the
-    file line the record starts on; else True."""
+    <expected>")`` for a row of fewer than ``n_columns`` cells, where
+    ``line`` is the file line the row starts on; else True."""
     if not "".join(row).strip():
         return False
     if len(row) < n_columns:
-        raise FormatError(f"{path}:{record_line(path, record)}: expected {expected}")
+        raise FormatError(f"{path}:{line}: expected {expected}")
     return True
 
 

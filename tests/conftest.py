@@ -1,6 +1,12 @@
 """Shared helpers for the test suite."""
 
+import builtins
+import contextlib
+import csv
+import io
 import os
+import threading
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -55,3 +61,48 @@ requires_wri = pytest.mark.skipif(
     reason="set INEQSTATS_WRI_DIR to a directory with WRI energy.csv and "
            "population.csv to run the full-dataset checks",
 )
+
+
+def quoted_crlf(path) -> bytes:
+    """The CSV file at ``path`` with every cell quoted and CRLF line ends:
+    the same rows, which the energy ingest's plain-file scan refuses."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    out = io.StringIO()
+    csv.writer(out, quoting=csv.QUOTE_ALL, lineterminator="\r\n").writerows(rows)
+    return out.getvalue().encode()
+
+
+@pytest.fixture
+def opens(monkeypatch):
+    """A Counter of the paths opened during the test, through ``open`` or
+    ``io.open`` (which pathlib calls)."""
+    counts = Counter()
+    real_open = builtins.open
+
+    def counting(file, *args, **kwargs):
+        counts[os.fsdecode(file)] += 1
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting)
+    monkeypatch.setattr(io, "open", counting)
+    return counts
+
+
+@contextlib.contextmanager
+def fifo_holding(path, data: bytes):
+    """A named pipe at ``path`` that a thread fills with ``data`` for the
+    first reader to open it, and then closes; a second open would block
+    until another writer came.  On exit the writer must have finished."""
+    os.mkfifo(path)
+    writer = threading.Thread(target=Path(path).write_bytes, args=(data,), daemon=True)
+    writer.start()
+    try:
+        yield path
+    finally:
+        writer.join(timeout=10)
+        if writer.is_alive():   # no reader came: open one so the writer can end
+            fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+            writer.join(timeout=10)
+            os.close(fd)
+    assert not writer.is_alive(), f"no reader took the bytes of {path}"

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, seed, settings, strategies as st
 
 import ineqstats
-from conftest import WRI_FIXTURE
+from conftest import WRI_FIXTURE, fifo_holding, quoted_crlf
 from ineqstats import (IneqStatsError, SimulationConfig, TwoClassModel,
                        sample_income_table)
 from ineqstats.cli import build_parser, dispatch
@@ -670,6 +670,45 @@ def test_duplicate_country_row_is_one_error_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 1
     assert err == f"error: {e}:4: second 1990 row for 'A' (the first is on line 2)\n"
+
+
+# A named pipe gives its bytes to the first open only: a reader that
+# opened an input twice would wait for a writer that never comes, so
+# these run in a fresh interpreter under run_module's timeout.
+def test_malformed_income_table_in_a_fifo_is_one_error_line(tmp_path):
+    with fifo_holding(tmp_path / "table.csv", b"level,count\n0,100\n10,50\nx,5\n") as fifo:
+        done = run_module("fit-income", "--input", str(fifo), "--out", str(tmp_path / "out"))
+    assert done.returncode == 1
+    assert done.stderr == f"error: {fifo}:4: could not convert string to float: 'x'\n"
+
+
+def test_quoted_energy_pair_in_fifos_gives_the_bytes_of_the_plain_files(tmp_path, capsys):
+    e, p = WRI_FIXTURE
+    argv = ["--per-capita", "--year", "2005", "--out"]
+    assert dispatch(["energy", "--energy", str(e), "--population", str(p), *argv,
+                     str(tmp_path / "files")]) == 0
+    with (fifo_holding(tmp_path / "energy.csv", quoted_crlf(e)) as e_fifo,
+          fifo_holding(tmp_path / "population.csv", quoted_crlf(p)) as p_fifo):
+        done = run_module("energy", "--energy", str(e_fifo), "--population", str(p_fifo),
+                          *argv, str(tmp_path / "fifos"))
+    assert done.returncode == 0, done.stderr
+    for name in ("cdf.csv", "lorenz.csv", "summary.json"):
+        assert read(tmp_path / "fifos" / name) == read(tmp_path / "files" / name), name
+    manifest = json.loads((tmp_path / "fifos" / "manifest.json").read_text())
+    assert manifest["inputs"] == {str(e_fifo): None, str(p_fifo): None}
+
+
+def test_config_in_a_fifo_is_not_read_again_for_the_manifest(tmp_path, capsys):
+    flags = tmp_path / "flags"
+    assert dispatch(["simulate", "--agents", "100", "--money", "5000", "--steps", "2000",
+                     "--seed", "3", "--out", str(flags)]) == 0
+    with fifo_holding(tmp_path / "config.json", read(flags / "config.json")) as fifo:
+        done = run_module("simulate", "--config", str(fifo), "--out", str(tmp_path / "fifo"))
+    assert done.returncode == 0, done.stderr
+    for name in ("trajectory.csv", "histogram.csv"):
+        assert read(tmp_path / "fifo" / name) == read(flags / name), name
+    manifest = json.loads((tmp_path / "fifo" / "manifest.json").read_text())
+    assert manifest["inputs"] == {str(fifo): None}
 
 
 @pytest.mark.parametrize("mode, counts, message", [

@@ -1,4 +1,5 @@
 import csv
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, seed, settings, strategies as st
 
 import ineqstats.energy as energy_module
 from conftest import (FIXTURE_YEARS, WORLD_AVERAGE_KW, WRI_FIXTURE, fixture_year,
-                      requires_wri, wri_data_dir)
+                      quoted_crlf, requires_wri, wri_data_dir)
 from ineqstats import (CountryTable, DegenerateCurveError, DomainError,
                        EmptyJoinError, FormatError, LorenzCurve, ingest_wri,
                        slope_profile, weighted_cdf)
@@ -197,6 +198,33 @@ class TestIngest:
         e, p = write_pair(tmp_path, ["A,1990,5", "B,999999999,1"], ["A,1990,10"])
         with pytest.raises(EmptyJoinError, match=f"no usable country rows for {year}"):
             ingest_wri(e, p, year)
+
+
+@pytest.mark.parametrize("population, error", [
+    pytest.param(b"A,1990,10\n", None, id="plain"),
+    pytest.param(b'"A","1990","10"\r\n', None, id="quoted"),
+    pytest.param(b"A,19x0,10\n", r":3: bad year '19x0'", id="bad-year"),
+    pytest.param(b"A,1990,10\nA,1990,11\n", r":4: second 1990 row", id="second-row"),
+    pytest.param(b'"A",1990,10\n"A",1990,11\n', r":4: second 1990 row",
+                 id="second-row-quoted"),
+    pytest.param(b"A,1990\n", r":3: expected country,year,value", id="short-row"),
+    pytest.param(b"A,1990," + b"9" * 131073 + b"\n", r":3: field larger than field limit",
+                 id="over-long-cell"),
+    pytest.param(b"A\xf4,1990,10\n", r": not UTF-8 text \(byte 0xf4\)", id="not-utf8"),
+])
+def test_ingest_opens_each_file_once(tmp_path, opens, population, error):
+    # energy is read first, so a fault in population comes after both opens
+    e, p = tmp_path / "energy.csv", tmp_path / "population.csv"
+    e.write_bytes(quoted_crlf(WRI_FIXTURE[0]) + b'"A","1990","5"\r\n')
+    p.write_bytes(b"country,year,value\nB,2000,1\n" + population)
+    opens.clear()
+    if error is None:
+        table, _ = ingest_wri(e, p, 1990)
+        assert table.names == ("A",)
+    else:
+        with pytest.raises(FormatError, match=f"^{re.escape(str(p))}{error}"):
+            ingest_wri(e, p, 1990)
+    assert opens == {str(e): 1, str(p): 1}
 
 
 def reference_ingest(energy_csv, population_csv, year):

@@ -1,5 +1,6 @@
 import csv
 import math
+import re
 
 import numpy as np
 import pytest
@@ -135,6 +136,25 @@ class TestTable:
         path.write_text('level_kusd,returns_at_or_above\n"0\n",100\n10\n')
         with pytest.raises(FormatError, match=r"bad\.csv:4: expected two columns"):
             IncomeBinTable.from_csv(path)
+
+    @pytest.mark.parametrize("rows, error", [
+        pytest.param(b"10,40\n", None, id="good"),
+        pytest.param(b"ten,40\n", r":4: could not convert", id="bad-level"),
+        pytest.param(b"10\n", r":4: expected two columns", id="short-row"),
+        pytest.param(b"10," + b"9" * 131073 + b"\n", r":4: field larger than field limit",
+                     id="over-long-cell"),
+        pytest.param(b"10,40\n\xf4,1\n", r": not UTF-8 text \(byte 0xf4\)", id="not-utf8"),
+    ])
+    def test_csv_is_opened_once(self, tmp_path, opens, rows, error):
+        path = tmp_path / "irs.csv"
+        path.write_bytes(b'level_kusd,returns_at_or_above\n"0\n",100\n' + rows)
+        opens.clear()
+        if error is None:
+            assert IncomeBinTable.from_csv(path).counts.tolist() == [60, 40]
+        else:
+            with pytest.raises(FormatError, match=f"^{re.escape(str(path))}{error}"):
+                IncomeBinTable.from_csv(path)
+        assert opens == {str(path): 1}
 
     def test_mean_income_top_bin_convention(self):
         # two bins: [0, 10) with 3 returns, [10, inf) with 1 return at the
