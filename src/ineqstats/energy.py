@@ -7,6 +7,13 @@ coefficient, and the slope profile used to locate the developed /
 developing kink.  The same operations accept any non-negative per-capita
 quantity (CO2 works identically), supplied directly with the per-capita
 flag.
+
+A plain input file's year index (its newline offsets and the year of
+each line) is kept for the latest two such files, keyed on their exact
+bytes, so reading several years of one file pair in one process scans
+each file once; each entry, file and index, holds at most 16 MiB.  A
+quoted, CRLF or otherwise irregular file and a process that reads one
+year gain nothing.
 """
 
 from __future__ import annotations
@@ -128,13 +135,14 @@ def _year_rows_csv(path, data: bytes, year: int):
             yield line, row[0], cell
 
 
-def _year_rows_plain(data: bytes, year: int):
-    """The rows ``_year_rows_csv`` yields, found by one numpy scan of the
-    file's bytes, or None unless the file is plain: UTF-8 with no quote,
-    CR or NUL byte, ending in a newline, no blank line, no line longer than
-    the CSV field limit, and every line after the header of three cells,
-    the year of 1-9 ASCII digits.  Such a file has one record per line,
-    split at its commas, so only the requested year's lines are decoded."""
+def _plain_index(data: bytes):
+    """The line index of the file whose bytes are ``data``, or None unless
+    the file is plain: UTF-8 with no quote, CR or NUL byte, ending in a
+    newline, no blank line, no line longer than the CSV field limit, and
+    every line after the header of three cells, the year of 1-9 ASCII
+    digits.  Such a file has one record per line, split at its two
+    commas.  The index is (ends, years): the offset of every newline and
+    the year of every line after the header, 16 bytes a line."""
     if b'"' in data or b"\r" in data or b"\0" in data or not data.endswith(b"\n"):
         return None
     if not data.isascii():
@@ -162,10 +170,38 @@ def _year_rows_plain(data: bytes, year: int):
         if np.any(live & (digit > 9)):
             return None
         years = np.where(live, 10 * years + digit, years)
+    return ends, years
+
+
+_PLAIN_BUDGET = 2 ** 24   # bytes one kept plain file may hold, its index included
+_plain_indexes = ()   # ((bytes, index), ...) of the latest two plain files, newest first
+
+
+def _year_rows_plain(data: bytes, year: int):
+    """The rows ``_year_rows_csv`` yields, or None unless the file whose
+    bytes are ``data`` is plain (see ``_plain_index``); only the requested
+    year's lines are decoded.  The indexes of the latest two plain files
+    are kept, keyed on their exact bytes, so a later year of the same
+    bytes needs no second scan; an entry of more than _PLAIN_BUDGET bytes,
+    file and index, is not kept."""
+    global _plain_indexes
+    for i, (kept, index) in enumerate(_plain_indexes):
+        if kept == data:
+            _plain_indexes = (_plain_indexes[i],) + _plain_indexes[:i] + _plain_indexes[i + 1:]
+            break
+    else:
+        index = _plain_index(data)
+        if index is None:
+            return None
+        if len(data) + sum(a.nbytes for a in index) <= _PLAIN_BUDGET:
+            _plain_indexes = ((data, index),) + _plain_indexes[:1]
+    ends, years = index
     hits = np.flatnonzero(years == year)
-    cuts = np.column_stack((ends[hits] + 1, first[hits], second[hits] + 1, ends[hits + 1]))
-    return [(k + 2, data[a:b].decode(), data[c:d].decode())
-            for k, (a, b, c, d) in zip(hits.tolist(), cuts.tolist())]
+    rows = []
+    for k, a, b in zip(hits.tolist(), (ends[hits] + 1).tolist(), ends[hits + 1].tolist()):
+        name, _, cell = data[a:b].decode().split(",")
+        rows.append((k + 2, name, cell))
+    return rows
 
 
 def _read_country_year_csv(path, year: int) -> dict[str, float | None]:
@@ -175,7 +211,10 @@ def _read_country_year_csv(path, year: int) -> dict[str, float | None]:
     and a second row of one country in ``year`` is refused.  A plain file
     is scanned with numpy and any other goes to the CSV reader; the two
     give the same result on every file both accept.  The file is read
-    once, and both take its bytes."""
+    once, and both take its bytes.  The scan's index of the latest two
+    plain files is kept, keyed on their exact bytes, not their size or
+    mtime, so a later year of an unchanged file skips the scan and a file
+    rewritten in place is scanned again."""
     with open(path, "rb") as fh:
         data = fh.read()
     rows = _year_rows_plain(data, year)

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ineqstats import ingest_wri
+from ineqstats import energy, fokker_planck, ingest_wri
 
 # The offline stand-in for the WRI downloads: the 22 countries tabulated
 # in the source dataset for 1990/2000/2005, as a country,year,value pair
@@ -61,6 +61,15 @@ requires_wri = pytest.mark.skipif(
     reason="set INEQSTATS_WRI_DIR to a directory with WRI energy.csv and "
            "population.csv to run the full-dataset checks",
 )
+
+
+@pytest.fixture(autouse=True)
+def empty_caches(monkeypatch):
+    """Every test starts with the module-level caches empty, so no test
+    sees what another left behind: the transient's flux bands and the
+    energy ingest's plain-file indexes."""
+    monkeypatch.setattr(fokker_planck, "_last_bands", None)
+    monkeypatch.setattr(energy, "_plain_indexes", ())
 
 
 def quoted_crlf(path) -> bytes:

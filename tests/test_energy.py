@@ -1,5 +1,8 @@
 import csv
+import os
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -227,6 +230,120 @@ def test_ingest_opens_each_file_once(tmp_path, opens, population, error):
     assert opens == {str(e): 1, str(p): 1}
 
 
+class TestPlainIndexMemo:
+    """The indexes of the latest two plain files are kept, keyed on their
+    exact bytes, so later years of one pair scan neither file again."""
+
+    @staticmethod
+    def _count_builds(monkeypatch):
+        builds = []
+        plain_index = energy_module._plain_index
+
+        def counting(data):
+            builds.append(data)
+            return plain_index(data)
+
+        monkeypatch.setattr(energy_module, "_plain_index", counting)
+        return builds
+
+    def test_all_years_of_one_pair_build_one_index_per_file(self, monkeypatch):
+        e, p = WRI_FIXTURE
+        years = FIXTURE_YEARS + (1980,)
+        want = [reference_ingest(e, p, year) for year in years]
+        builds = self._count_builds(monkeypatch)
+        for _ in range(2):
+            assert [ingest_outcome(e, p, year) for year in years] == want
+        assert builds == [e.read_bytes(), p.read_bytes()]
+
+    def test_file_rewritten_in_place_gives_its_new_rows(self, tmp_path):
+        # same length, same mtime: only the bytes tell the two apart
+        e, p = tmp_path / "energy.csv", tmp_path / "population.csv"
+        e.write_text("country,year,value\nA,1990,5\nB,1990,6\n")
+        p.write_text("country,year,value\nA,1990,10\nB,1990,20\n")
+        assert kw_by_name(ingest_wri(e, p, 1990, per_capita=True)[0]) == {"A": 5.0, "B": 6.0}
+        stat = e.stat()
+        e.write_text("country,year,value\nA,1990,7\nB,2000,6\n")
+        os.utime(e, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        assert e.stat().st_size == stat.st_size and e.stat().st_mtime_ns == stat.st_mtime_ns
+        table, drops = ingest_wri(e, p, 1990, per_capita=True)
+        assert kw_by_name(table) == {"A": 7.0}
+        assert drops.dropped == (("B", "missing from energy file"),)
+
+    def test_file_that_is_not_plain_is_never_kept(self, tmp_path, monkeypatch):
+        e, p = tmp_path / "energy.csv", tmp_path / "population.csv"
+        e.write_bytes(quoted_crlf(WRI_FIXTURE[0]))
+        p.write_bytes(WRI_FIXTURE[1].read_bytes())
+        builds = self._count_builds(monkeypatch)
+        for year in FIXTURE_YEARS:
+            assert ingest_outcome(e, p, year) == ingest_outcome(*WRI_FIXTURE, year)
+        # newest first: the plain fixture pair, read last
+        assert [kept for kept, _ in energy_module._plain_indexes] == \
+            [p.read_bytes(), WRI_FIXTURE[0].read_bytes()]
+        # the quoted file is tried at each of its three reads, and refused
+        assert builds.count(e.read_bytes()) == 3
+
+    def test_at_most_two_entries_and_none_above_the_budget(self, tmp_path, monkeypatch):
+        files = []
+        for k in range(3):
+            path = tmp_path / f"file{k}.csv"
+            path.write_text("country,year,value\n" + f"A,1990,{k}\n" * (1 + 100 * k))
+            files.append(path.read_bytes())
+        for data in files:
+            energy_module._year_rows_plain(data, 1990)
+        assert [kept for kept, _ in energy_module._plain_indexes] == files[:0:-1]
+        # a hit moves its entry to the front, so the other is dropped first
+        energy_module._year_rows_plain(files[1], 1990)
+        energy_module._year_rows_plain(files[0], 1990)
+        assert [kept for kept, _ in energy_module._plain_indexes] == [files[0], files[1]]
+
+        def size(entry):
+            kept, index = entry
+            return len(kept) + sum(a.nbytes for a in index)
+
+        budget = size(energy_module._plain_indexes[1])
+        assert size(energy_module._plain_indexes[0]) < budget
+        monkeypatch.setattr(energy_module, "_PLAIN_BUDGET", budget)
+        monkeypatch.setattr(energy_module, "_plain_indexes", ())
+        for data in files:
+            assert len(energy_module._year_rows_plain(data, 1990)) == data.count(b"\n") - 1
+        assert [kept for kept, _ in energy_module._plain_indexes] == files[1::-1]
+        assert all(size(entry) <= budget for entry in energy_module._plain_indexes)
+
+    def test_threads_sharing_the_memo_get_their_own_rows(self, tmp_path):
+        # a race can drop an entry, never pair one file's bytes with another's index
+        e, p = WRI_FIXTURE
+        scaled = tmp_path / "scaled.csv"
+        scaled.write_text(e.read_text().replace(".", "1."))
+        quoted = tmp_path / "quoted.csv"
+        quoted.write_bytes(quoted_crlf(e))
+        pairs = [(e, p), (scaled, p), (quoted, p), (scaled, e)]
+        want = {pair: [ingest_outcome(*pair, year) for year in FIXTURE_YEARS] for pair in pairs}
+        failures = []
+
+        def read(pair):
+            for _ in range(20):
+                got = [ingest_outcome(*pair, year) for year in FIXTURE_YEARS]
+                if got != want[pair]:
+                    failures.append(pair)
+
+        threads = [threading.Thread(target=read, args=(pair,), daemon=True) for pair in pairs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        assert len(energy_module._plain_indexes) <= 2
+        for kept, (ends, years) in energy_module._plain_indexes:
+            fresh_ends, fresh_years = energy_module._plain_index(kept)
+            assert np.array_equal(ends, fresh_ends) and np.array_equal(years, fresh_years)
+
+
 def reference_ingest(energy_csv, population_csv, year):
     """The whole-file join that ``ingest_wri`` must match: parse every row
     of both files into (name, year) keys, then keep the requested year.
@@ -341,9 +458,11 @@ class TestIngestMatchesWholeFileParse:
     @seed(20261018)
     @settings(max_examples=250, deadline=None)
     @given(energy_rows=wri_file_rows(), population_rows=wri_file_rows(),
-           year=st.sampled_from(YEARS))
+           years=st.lists(st.sampled_from(YEARS), min_size=2, max_size=4))
     def test_same_records_drops_and_errors(self, tmp_path_factory, energy_rows,
-                                           population_rows, year):
+                                           population_rows, years):
+        """Each pair is read for several years in a row, so a plain file's
+        later years come from its kept index."""
         base = tmp_path_factory.mktemp("ingest")
         paths = []
         for name, rows in (("energy.csv", energy_rows), ("population.csv", population_rows)):
@@ -353,7 +472,8 @@ class TestIngestMatchesWholeFileParse:
                 writer.writerow(["country", "year", "value"])
                 writer.writerows(rows)
             paths.append(path)
-        assert ingest_outcome(*paths, year) == reference_ingest(*paths, year)
+        for year in years:
+            assert ingest_outcome(*paths, year) == reference_ingest(*paths, year)
 
 
 # Plain files, which the numpy scan reads: digit-only years, names with no

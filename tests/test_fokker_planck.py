@@ -359,7 +359,6 @@ class TestTransient:
             builds.append(widths)
             return flux_bands(left, right, widths)
 
-        monkeypatch.setattr(fokker_planck, "_last_bands", None)
         monkeypatch.setattr(fokker_planck, "_flux_bands", counting)
         return builds
 
