@@ -8,25 +8,24 @@ developing kink.  The same operations accept any non-negative per-capita
 quantity (CO2 works identically), supplied directly with the per-capita
 flag.
 
-A plain input file's year index (its newline offsets and the year of
-each line) is kept for the latest two such files, keyed on their exact
-bytes, so reading several years of one file pair in one process scans
-each file once; each entry, file and index, holds at most 16 MiB.  A
-quoted, CRLF or otherwise irregular file and a process that reads one
-year gain nothing.
+Each input file is parsed once into a table of its rows by year, and
+the tables of the latest two files read without error are kept, keyed
+on their exact bytes, so reading several years of one file pair in one
+process parses each file once; each entry, file and table, holds at
+most 16 MiB.  A process that reads one year gains nothing.
 """
 
 from __future__ import annotations
 
-import csv
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
 from .distributions import LorenzCurve
 from .errors import DomainError, EmptyJoinError, FormatError
-from .io import read_csv_rows, usable_row
+from .io import read_csv_rows, usable_row, whole_number
 from .weighted import WeightedCDF
 
 __all__ = [
@@ -54,7 +53,7 @@ class CountryTable:
     ``per_capita`` is set, and its population.  Rows given in any order
     are sorted by name; a name given twice, a value that is not finite, a
     population <= 0 or an energy < 0 is refused, naming the first such
-    country in name order."""
+    country in name order.  ``year`` is a whole number, kept as an int."""
 
     names: tuple[str, ...]
     energy: np.ndarray
@@ -63,6 +62,7 @@ class CountryTable:
     per_capita: bool = False
 
     def __post_init__(self):
+        object.__setattr__(self, "year", whole_number(self.year, "year"))
         names = tuple(self.names)
         energy = np.array(self.energy, dtype=float)
         population = np.array(self.population, dtype=float)
@@ -114,135 +114,89 @@ class DropReport:
         return len(self.dropped)
 
 
-def _year_rows_csv(path, data: bytes, year: int):
-    """(line, name, value cell) of each ``year`` row of the file ``path``,
-    whose bytes are ``data``, by the CSV reader: the path for every file
-    that ``_year_rows_plain`` cannot prove plain, and the one that finds a
-    bad row; ``line`` is the file line the row starts on."""
-    years: dict[str, int] = {}
-    for line, row in read_csv_rows(path, data):
-        try:
-            row_year, cell = years[row[1]], row[2]   # a short row raises in any year
-        except (KeyError, IndexError):
-            if not usable_row(path, line, row, 3, "country,year,value"):
-                continue
+def _year_table(path, data: bytes):
+    """The rows of the `country,year,value` file ``path``, whose bytes are
+    ``data``, parsed once by the CSV reader and grouped by year, and the
+    FormatError of its first bad row or None.  ``table[year]`` is (lines,
+    names, values): each row's file line, its name stripped (one str
+    object per distinct name) and its value as a float, NaN where the cell
+    is not a number.  A file with a bad row is parsed up to that row."""
+    table: dict[int, tuple[array, list[str], array]] = {}
+    by_cell: dict[str, tuple[array, list[str], array]] = {}   # keyed on the year cell
+    names: dict[str, str] = {}
+    try:
+        for line, row in read_csv_rows(path, data):
             try:
-                row_year = years[row[1]] = int(row[1])
-            except ValueError as exc:
-                raise FormatError(f"{path}:{line}: bad year {row[1]!r}") from exc
-            cell = row[2]
-        if row_year == year:
-            yield line, row[0], cell
+                rows, cell = by_cell[row[1]], row[2]   # a short row raises in any year
+            except (KeyError, IndexError):
+                if not usable_row(path, line, row, 3, "country,year,value"):
+                    continue
+                try:
+                    year = int(row[1])
+                except ValueError as exc:
+                    raise FormatError(f"{path}:{line}: bad year {row[1]!r}") from exc
+                rows = by_cell[row[1]] = table.setdefault(year, (array("q"), [], array("d")))
+                cell = row[2]
+            try:
+                value = float(cell)
+            except ValueError:
+                value = math.nan
+            name = row[0].strip()
+            rows[0].append(line)
+            rows[1].append(names.setdefault(name, name))
+            rows[2].append(value)
+    except FormatError as exc:
+        return table, exc
+    return table, None
 
 
-def _plain_index(data: bytes):
-    """The line index of the file whose bytes are ``data``, or None unless
-    the file is plain: UTF-8 with no quote, CR or NUL byte, ending in a
-    newline, no blank line, no line longer than the CSV field limit, and
-    every line after the header of three cells, the year of 1-9 ASCII
-    digits.  Such a file has one record per line, split at its two
-    commas.  The index is (ends, years): the offset of every newline and
-    the year of every line after the header, 16 bytes a line."""
-    if b'"' in data or b"\r" in data or b"\0" in data or not data.endswith(b"\n"):
-        return None
-    if not data.isascii():
-        try:
-            data.decode("utf-8")
-        except UnicodeDecodeError:
-            return None
-    buf = np.frombuffer(data, np.uint8)
-    ends = np.flatnonzero(buf == ord("\n"))
-    gaps = np.diff(ends, prepend=-1)   # line lengths, newline included
-    if gaps.min() < 2 or gaps.max() - 1 > csv.field_size_limit():
-        return None
-    commas = np.flatnonzero(buf[ends[0]:] == ord(",")) + ends[0]
-    first, second = commas[0::2], commas[1::2]
-    if (commas.size != 2 * (ends.size - 1) or np.any(first <= ends[:-1])
-            or np.any(second >= ends[1:])):
-        return None
-    width = second - first - 1
-    if width.min(initial=1) < 1 or width.max(initial=0) > 9:
-        return None
-    years = np.zeros(width.size, np.int64)
-    for j in range(width.max(initial=0)):
-        live = j < width
-        digit = buf[np.minimum(first + 1 + j, second)] - ord("0")   # uint8: wraps below '0'
-        if np.any(live & (digit > 9)):
-            return None
-        years = np.where(live, 10 * years + digit, years)
-    return ends, years
-
-
-_PLAIN_BUDGET = 2 ** 24   # bytes one kept plain file may hold, its index included
-_plain_indexes = ()   # ((bytes, index), ...) of the latest two plain files, newest first
-
-
-def _year_rows_plain(data: bytes, year: int):
-    """The rows ``_year_rows_csv`` yields, or None unless the file whose
-    bytes are ``data`` is plain (see ``_plain_index``); only the requested
-    year's lines are decoded.  The indexes of the latest two plain files
-    are kept, keyed on their exact bytes, so a later year of the same
-    bytes needs no second scan; an entry of more than _PLAIN_BUDGET bytes,
-    file and index, is not kept."""
-    global _plain_indexes
-    for i, (kept, index) in enumerate(_plain_indexes):
-        if kept == data:
-            _plain_indexes = (_plain_indexes[i],) + _plain_indexes[:i] + _plain_indexes[i + 1:]
-            break
-    else:
-        index = _plain_index(data)
-        if index is None:
-            return None
-        if len(data) + sum(a.nbytes for a in index) <= _PLAIN_BUDGET:
-            _plain_indexes = ((data, index),) + _plain_indexes[:1]
-    ends, years = index
-    hits = np.flatnonzero(years == year)
-    rows = []
-    for k, a, b in zip(hits.tolist(), (ends[hits] + 1).tolist(), ends[hits + 1].tolist()):
-        name, _, cell = data[a:b].decode().split(",")
-        rows.append((k + 2, name, cell))
-    return rows
+_TABLE_BUDGET = 2 ** 24   # bytes one kept file may hold, 24 a row of its table included
+_year_tables = ()   # ((bytes, table), ...) of the latest two files read, newest first
 
 
 def _read_country_year_csv(path, year: int) -> dict[str, float | None]:
     """Values of ``year`` in `country,year,value` rows, keyed by country
     name; None when missing, non-numeric or not finite.  Every row's year
     is validated, so FormatError names the line of a bad row in any year,
-    and a second row of one country in ``year`` is refused.  A plain file
-    is scanned with numpy and any other goes to the CSV reader; the two
-    give the same result on every file both accept.  The file is read
-    once, and both take its bytes.  The scan's index of the latest two
-    plain files is kept, keyed on their exact bytes, not their size or
-    mtime, so a later year of an unchanged file skips the scan and a file
-    rewritten in place is scanned again."""
+    and a second row of one country in ``year`` is refused; ``year``'s
+    rows before a bad row are checked for a second row first.  The file is
+    read once and parsed by ``_year_table``.  The tables of the latest two
+    files read without error are kept, keyed on their exact bytes, not
+    their size or mtime, so a later year of an unchanged file is a lookup
+    and a file rewritten in place is parsed again; an entry of more than
+    _TABLE_BUDGET bytes, file and table, is not kept."""
+    global _year_tables
     with open(path, "rb") as fh:
         data = fh.read()
-    rows = _year_rows_plain(data, year)
-    if rows is None:
-        rows = _year_rows_csv(path, data, year)
-    del data   # a plain file's rows hold only their decoded cells
-    out: dict[str, float | None] = {}
+    kept = next((entry for entry in _year_tables if entry[0] == data), None)
+    table, error = (kept[1], None) if kept else _year_table(path, data)
+    lines, names, values = table.get(year, ((), (), ()))
     first: dict[str, int] = {}
-    for line, name, cell in rows:
-        name = name.strip()
+    for line, name in zip(lines, names):
         if name in first:
             raise FormatError(f"{path}:{line}: second {year} row for {name!r} "
                               f"(the first is on line {first[name]})")
         first[name] = line
-        try:
-            value = float(cell)
-        except ValueError:
-            value = math.nan
-        out[name] = value if math.isfinite(value) else None
-    return out
+    if error is not None:
+        raise error
+    if kept is None:
+        size = len(data) + 24 * sum(len(rows[1]) for rows in table.values())
+        kept = (data, table) if size <= _TABLE_BUDGET else None
+    if kept is not None:
+        _year_tables = (kept,) + tuple(entry for entry in _year_tables if entry is not kept)[:1]
+    return {name: value if math.isfinite(value) else None
+            for name, value in zip(names, values)}
 
 
 def ingest_wri(energy_csv, population_csv, year: int,
                per_capita: bool = False) -> tuple[CountryTable, DropReport]:
     """Inner-join the energy and population files on country name for one
-    year, parsing only that year's rows.  Rows with missing or non-numeric
-    values on either side are dropped and reported, sorted by name; an
-    empty join raises."""
+    year, a whole number (FormatError otherwise, before either file is
+    opened).  Every row of both files is parsed, and the tables of the
+    latest two files are kept, so a later year of the same bytes needs no
+    second parse.  Rows with missing or non-numeric values on either side
+    are dropped and reported, sorted by name; an empty join raises."""
+    year = whole_number(year, "year")
     energy = _read_country_year_csv(energy_csv, year)
     population = _read_country_year_csv(population_csv, year)
 

@@ -67,14 +67,15 @@ requires_wri = pytest.mark.skipif(
 def empty_caches(monkeypatch):
     """Every test starts with the module-level caches empty, so no test
     sees what another left behind: the transient's flux bands and the
-    energy ingest's plain-file indexes."""
+    energy ingest's kept year tables."""
     monkeypatch.setattr(fokker_planck, "_last_bands", None)
-    monkeypatch.setattr(energy, "_plain_indexes", ())
+    monkeypatch.setattr(energy, "_year_tables", ())
 
 
 def quoted_crlf(path) -> bytes:
     """The CSV file at ``path`` with every cell quoted and CRLF line ends:
-    the same rows, which the energy ingest's plain-file scan refuses."""
+    the same rows in other bytes, which the energy ingest parses and
+    keeps as a file of its own."""
     with open(path, newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
     out = io.StringIO()

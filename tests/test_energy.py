@@ -87,6 +87,15 @@ class TestCountryTable:
         with pytest.raises(DomainError, match="for each of 2 countries"):
             CountryTable(("A", "B"), [1.0], [1.0, 2.0], 2005)
 
+    @pytest.mark.parametrize("year", ["x", "2005", 2005.5, True, None])
+    def test_year_must_be_a_whole_number(self, year):
+        with pytest.raises(FormatError, match="^year must be a whole number"):
+            CountryTable(("A",), [1.0], [1.0], year)
+
+    def test_integral_float_year_is_an_int(self):
+        year = CountryTable(("A",), [1.0], [1.0], 2005.0).year
+        assert year == 2005 and type(year) is int
+
     def test_columns_are_read_only(self):
         energy = np.array([1.0, 2.0])
         table = CountryTable(("A", "B"), energy, [1.0, 2.0], 2005)
@@ -196,7 +205,21 @@ class TestIngest:
         assert (table.names, table.energy.tolist()) == (("A",), [5.0])
         assert drops.n_dropped == 0
 
-    @pytest.mark.parametrize("year", [2 ** 63, -2 ** 63 - 1, 10 ** 9])
+    @pytest.mark.parametrize("year", ["2005", 2005.5, True])
+    def test_year_that_is_not_a_whole_number_refused_before_any_open(self, tmp_path, opens,
+                                                                     year):
+        e, p = write_pair(tmp_path, ["A,2005,5"], ["A,2005,10"])
+        opens.clear()
+        with pytest.raises(FormatError, match=f"^year must be a whole number; got {year!r}$"):
+            ingest_wri(e, p, year)
+        assert not opens
+
+    def test_integral_float_year_is_an_int(self, tmp_path):
+        e, p = write_pair(tmp_path, ["A,2005,5"], ["A,2005,10"])
+        table, _ = ingest_wri(e, p, 2005.0)
+        assert table.year == 2005 and type(table.year) is int
+
+    @pytest.mark.parametrize("year", [2 ** 63, -2 ** 63 - 1, 10 ** 9, 2 ** 70])
     def test_year_beyond_any_cell_is_an_empty_join(self, tmp_path, year):
         e, p = write_pair(tmp_path, ["A,1990,5", "B,999999999,1"], ["A,1990,10"])
         with pytest.raises(EmptyJoinError, match=f"no usable country rows for {year}"):
@@ -230,30 +253,34 @@ def test_ingest_opens_each_file_once(tmp_path, opens, population, error):
     assert opens == {str(e): 1, str(p): 1}
 
 
-class TestPlainIndexMemo:
-    """The indexes of the latest two plain files are kept, keyed on their
-    exact bytes, so later years of one pair scan neither file again."""
+class TestKeptYearTable:
+    """The tables of the latest two files read without error are kept,
+    keyed on their exact bytes, so later years of one pair parse neither
+    file again."""
 
     @staticmethod
-    def _count_builds(monkeypatch):
-        builds = []
-        plain_index = energy_module._plain_index
+    def _count_parses(monkeypatch):
+        parses = []
+        year_table = energy_module._year_table
 
-        def counting(data):
-            builds.append(data)
-            return plain_index(data)
+        def counting(path, data):
+            parses.append(path)
+            return year_table(path, data)
 
-        monkeypatch.setattr(energy_module, "_plain_index", counting)
-        return builds
+        monkeypatch.setattr(energy_module, "_year_table", counting)
+        return parses
 
-    def test_all_years_of_one_pair_build_one_index_per_file(self, monkeypatch):
-        e, p = WRI_FIXTURE
+    def test_all_years_of_a_pair_parse_each_file_once(self, tmp_path, monkeypatch):
+        quoted = tmp_path / "energy.csv", tmp_path / "population.csv"
+        for path, source in zip(quoted, WRI_FIXTURE):
+            path.write_bytes(quoted_crlf(source))
         years = FIXTURE_YEARS + (1980,)
-        want = [reference_ingest(e, p, year) for year in years]
-        builds = self._count_builds(monkeypatch)
-        for _ in range(2):
-            assert [ingest_outcome(e, p, year) for year in years] == want
-        assert builds == [e.read_bytes(), p.read_bytes()]
+        parses = self._count_parses(monkeypatch)
+        for pair in (WRI_FIXTURE, quoted):
+            want = [reference_ingest(*pair, year) for year in years]
+            for _ in range(2):
+                assert [ingest_outcome(*pair, year) for year in years] == want
+        assert parses == [*WRI_FIXTURE, *quoted]
 
     def test_file_rewritten_in_place_gives_its_new_rows(self, tmp_path):
         # same length, same mtime: only the bytes tell the two apart
@@ -269,48 +296,60 @@ class TestPlainIndexMemo:
         assert kw_by_name(table) == {"A": 7.0}
         assert drops.dropped == (("B", "missing from energy file"),)
 
-    def test_file_that_is_not_plain_is_never_kept(self, tmp_path, monkeypatch):
-        e, p = tmp_path / "energy.csv", tmp_path / "population.csv"
-        e.write_bytes(quoted_crlf(WRI_FIXTURE[0]))
-        p.write_bytes(WRI_FIXTURE[1].read_bytes())
-        builds = self._count_builds(monkeypatch)
-        for year in FIXTURE_YEARS:
-            assert ingest_outcome(e, p, year) == ingest_outcome(*WRI_FIXTURE, year)
-        # newest first: the plain fixture pair, read last
-        assert [kept for kept, _ in energy_module._plain_indexes] == \
-            [p.read_bytes(), WRI_FIXTURE[0].read_bytes()]
-        # the quoted file is tried at each of its three reads, and refused
-        assert builds.count(e.read_bytes()) == 3
+    @pytest.mark.parametrize("rows, error", [
+        pytest.param("A,1990,5\nA,19x0,6\n", r":3: bad year '19x0'", id="bad-year"),
+        pytest.param("A,1990,5\nA,1990,6\n", r":3: second 1990 row", id="second-row"),
+        # the year's rows before a bad row are checked first
+        pytest.param("A,1990,5\nA,1990,6\nA,19x0,7\n", r":3: second 1990 row",
+                     id="second-row-then-bad-year"),
+    ])
+    def test_file_with_a_bad_row_is_never_kept(self, tmp_path, monkeypatch, rows, error):
+        # the same bytes at two paths: each read parses its file, and its error names its path
+        paths = [tmp_path / "one.csv", tmp_path / "two.csv"]
+        for path in paths:
+            path.write_text("country,year,value\n" + rows)
+        parses = self._count_parses(monkeypatch)
+        for path in paths * 2:
+            with pytest.raises(FormatError, match=f"^{re.escape(str(path))}{error}"):
+                ingest_wri(path, WRI_FIXTURE[1], 1990)
+        assert parses == paths * 2
+        assert energy_module._year_tables == ()
 
     def test_at_most_two_entries_and_none_above_the_budget(self, tmp_path, monkeypatch):
-        files = []
+        paths = []
         for k in range(3):
             path = tmp_path / f"file{k}.csv"
-            path.write_text("country,year,value\n" + f"A,1990,{k}\n" * (1 + 100 * k))
-            files.append(path.read_bytes())
-        for data in files:
-            energy_module._year_rows_plain(data, 1990)
-        assert [kept for kept, _ in energy_module._plain_indexes] == files[:0:-1]
+            path.write_text("country,year,value\n" +
+                            "".join(f"A{i},1990,{k}\n" for i in range(1 + 100 * k)))
+            paths.append(path)
+        files = [path.read_bytes() for path in paths]
+
+        def kept():
+            return [data for data, _ in energy_module._year_tables]
+
+        for path in paths:
+            energy_module._read_country_year_csv(path, 1990)
+        assert kept() == files[:0:-1]
         # a hit moves its entry to the front, so the other is dropped first
-        energy_module._year_rows_plain(files[1], 1990)
-        energy_module._year_rows_plain(files[0], 1990)
-        assert [kept for kept, _ in energy_module._plain_indexes] == [files[0], files[1]]
+        energy_module._read_country_year_csv(paths[1], 1990)
+        energy_module._read_country_year_csv(paths[0], 1990)
+        assert kept() == [files[0], files[1]]
 
-        def size(entry):
-            kept, index = entry
-            return len(kept) + sum(a.nbytes for a in index)
+        def size(entry):   # the file, and 24 bytes a row: line, name reference and value
+            data, table = entry
+            return len(data) + 24 * sum(len(names) for _, names, _ in table.values())
 
-        budget = size(energy_module._plain_indexes[1])
-        assert size(energy_module._plain_indexes[0]) < budget
-        monkeypatch.setattr(energy_module, "_PLAIN_BUDGET", budget)
-        monkeypatch.setattr(energy_module, "_plain_indexes", ())
-        for data in files:
-            assert len(energy_module._year_rows_plain(data, 1990)) == data.count(b"\n") - 1
-        assert [kept for kept, _ in energy_module._plain_indexes] == files[1::-1]
-        assert all(size(entry) <= budget for entry in energy_module._plain_indexes)
+        budget = size(energy_module._year_tables[1])
+        assert size(energy_module._year_tables[0]) < budget
+        monkeypatch.setattr(energy_module, "_TABLE_BUDGET", budget)
+        monkeypatch.setattr(energy_module, "_year_tables", ())
+        for path, data in zip(paths, files):
+            assert len(energy_module._read_country_year_csv(path, 1990)) == data.count(b"\n") - 1
+        assert kept() == files[1::-1]
+        assert all(size(entry) <= budget for entry in energy_module._year_tables)
 
     def test_threads_sharing_the_memo_get_their_own_rows(self, tmp_path):
-        # a race can drop an entry, never pair one file's bytes with another's index
+        # a race can drop an entry, never pair one file's bytes with another's table
         e, p = WRI_FIXTURE
         scaled = tmp_path / "scaled.csv"
         scaled.write_text(e.read_text().replace(".", "1."))
@@ -338,10 +377,9 @@ class TestPlainIndexMemo:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert failures == []
-        assert len(energy_module._plain_indexes) <= 2
-        for kept, (ends, years) in energy_module._plain_indexes:
-            fresh_ends, fresh_years = energy_module._plain_index(kept)
-            assert np.array_equal(ends, fresh_ends) and np.array_equal(years, fresh_years)
+        assert len(energy_module._year_tables) <= 2
+        for kept, table in energy_module._year_tables:
+            assert (table, None) == energy_module._year_table("kept", kept)
 
 
 def reference_ingest(energy_csv, population_csv, year):
@@ -350,11 +388,20 @@ def reference_ingest(energy_csv, population_csv, year):
     Returns ("format", message) or ("join", [(name, energy, population)],
     dropped).  A row is named by the file line it starts on: each earlier
     row took one line plus one per line break inside its cells.  A second
-    row of one country in the requested year is refused."""
+    row of one country in the requested year is refused.  Bytes that are
+    not UTF-8 and a record the CSV reader refuses are FormatErrors too,
+    the latter after the rows before it."""
     def parse(path):
         out, first = {}, {}
+        rows, refused = [], None
         with open(path, newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
+            try:
+                rows.extend(csv.reader(fh))   # keeps the rows before a refused record
+            except UnicodeDecodeError as exc:
+                raise FormatError(f"{path}: not UTF-8 text "
+                                  f"(byte 0x{exc.object[exc.start]:02x})") from None
+            except csv.Error as exc:
+                refused = exc
             starts = np.cumsum([1] + [1 + "".join(row).count("\n") for row in rows])
             for lineno, row in zip(starts[1:], rows[1:]):
                 if not any(cell.strip() for cell in row):
@@ -377,6 +424,8 @@ def reference_ingest(energy_csv, population_csv, year):
                                       f"(the first is on line {first[key]})")
                 first[key] = lineno
                 out[key] = value
+        if refused is not None:
+            raise FormatError(f"{path}:{starts[-1]}: {refused}")
         return out
 
     try:
@@ -418,7 +467,10 @@ def ingest_outcome(energy_csv, population_csv, year):
 
 
 YEARS = (1990, 2000, 2005)
-_NAME_LIST = ["A", " A ", "B", "Korea, Rep.", "Côte d'Ivoire", "Saint\nLucia"]
+# besides a quoted line break: Unicode line separators, which the CSV reader keeps
+# inside a cell, a tab that strips away, and an empty name
+_NAME_LIST = ["A", " A ", "B", "Korea, Rep.", "Côte d'Ivoire", "Saint\nLucia",
+              "\u2028C\x85", "D\t", ""]
 _NAMES = st.sampled_from(_NAME_LIST)
 
 
@@ -426,7 +478,9 @@ def _year_cells(year):
     return st.sampled_from([str(year), f" {year} ", f"{year} "])
 
 
-_YEAR_CELLS = st.sampled_from(YEARS).flatmap(_year_cells)
+# now and then a year that no ingest here requests: 0, or the largest of nine digits
+_YEAR_CELLS = st.one_of(*map(st.just, YEARS),
+                        st.sampled_from(YEARS + (0, 999_999_999))).flatmap(_year_cells)
 _VALUES = st.sampled_from(["12", "7", " 4.5 ", "1e6", "2.5e-1", "0", "-3", "n/a",
                            "", "..", " ", "x1", "nan", "inf", "-inf"])
 _DATA_ROW = st.tuples(_NAMES, _YEAR_CELLS, _VALUES).map(list)
@@ -461,8 +515,8 @@ class TestIngestMatchesWholeFileParse:
            years=st.lists(st.sampled_from(YEARS), min_size=2, max_size=4))
     def test_same_records_drops_and_errors(self, tmp_path_factory, energy_rows,
                                            population_rows, years):
-        """Each pair is read for several years in a row, so a plain file's
-        later years come from its kept index."""
+        """Each pair is read for several years in a row, so a file's later
+        years come from its kept table."""
         base = tmp_path_factory.mktemp("ingest")
         paths = []
         for name, rows in (("energy.csv", energy_rows), ("population.csv", population_rows)):
@@ -476,89 +530,31 @@ class TestIngestMatchesWholeFileParse:
             assert ingest_outcome(*paths, year) == reference_ingest(*paths, year)
 
 
-# Plain files, which the numpy scan reads: digit-only years, names with no
-# comma, quote, CR, newline or NUL (but other Unicode line separators, which
-# the CSV reader keeps inside a cell), and no blank rows.
-_PLAIN_NAMES = st.sampled_from(["A", " A ", "B", "Korea Rep.", "Côte d'Ivoire",
-                                "\u2028C\x85", "D\t", ""])
-_PLAIN_VALUES = st.one_of(st.sampled_from(["12", "7", " 4.5 ", "1e6"]), _VALUES)
-_PLAIN_YEARS = YEARS + (0, 999_999_999)
-_PLAIN_YEAR_CELLS = st.one_of(*[st.just(str(y)) for y in YEARS],
-                              st.sampled_from([str(y) for y in _PLAIN_YEARS]))
+_REGULAR_ENERGY = "country,year,value\nA,1990,5\nCôte d'Ivoire,1990,7\nB,2000,3\n"
 
 
-@st.composite
-def plain_file_rows(draw):
-    rows = draw(st.lists(st.tuples(_PLAIN_NAMES, _PLAIN_YEAR_CELLS, _PLAIN_VALUES),
-                         min_size=3, max_size=16,
-                         unique_by=lambda row: (row[0].strip(), row[1])))
-    if rows and draw(st.integers(0, 3)) == 3:   # a second row of one country and year
-        name, year, _ = draw(st.sampled_from(rows))
-        rows.insert(draw(st.integers(0, len(rows))), (name, year, draw(_PLAIN_VALUES)))
-    return rows
-
-
-def write_plain(path, rows):
-    path.write_text("".join(f"{name},{year},{value}\n" for name, year, value in
-                            [("country", "year", "value"), *rows]), encoding="utf-8")
-
-
-class TestPlainScan:
-    @seed(20261019)
-    @settings(max_examples=250, deadline=None)
-    @given(energy_rows=plain_file_rows(), population_rows=plain_file_rows(),
-           year=st.one_of(st.sampled_from(YEARS), st.sampled_from(_PLAIN_YEARS + (2 ** 70,))))
-    def test_scan_matches_whole_file_parse(self, tmp_path_factory, energy_rows,
-                                           population_rows, year):
-        base = tmp_path_factory.mktemp("plain")
-        paths = base / "energy.csv", base / "population.csv"
-        for path, rows in zip(paths, (energy_rows, population_rows)):
-            write_plain(path, rows)
-            assert energy_module._year_rows_plain(path.read_bytes(), year) is not None
-        assert ingest_outcome(*paths, year) == reference_ingest(*paths, year)
-
-    def test_plain_file_is_read_without_the_csv_reader(self, monkeypatch):
-        e, p = WRI_FIXTURE
-        want = ingest_outcome(e, p, 2005)
-
-        def refuse(path):
-            raise AssertionError(f"csv reader opened {path}")
-
-        monkeypatch.setattr(energy_module, "read_csv_rows", refuse)
-        assert ingest_outcome(e, p, 2005) == want
-        assert len(want[1]) == 22
-
-
-_PLAIN_ENERGY = "country,year,value\nA,1990,5\nCôte d'Ivoire,1990,7\nB,2000,3\n"
-
-
-@pytest.mark.parametrize("energy, plain", [
-    pytest.param(_PLAIN_ENERGY.replace("A,1990", '"A",1990'), False, id="quoted-name"),
-    pytest.param(_PLAIN_ENERGY.replace("\n", "\r\n"), False, id="crlf"),
-    pytest.param(_PLAIN_ENERGY.replace("5\n", "5\n\n"), False, id="blank-line"),
-    pytest.param(_PLAIN_ENERGY.replace("A,1990,5", "A,1990,5,x"), False, id="fourth-column"),
-    pytest.param(_PLAIN_ENERGY.replace("A,1990", "A, 1990"), False, id="space-in-year"),
-    pytest.param(_PLAIN_ENERGY.replace("A,1990", "A,01990"), True, id="leading-zero-year"),
-    pytest.param(_PLAIN_ENERGY.replace("B,2000", "B,1234567890"), False, id="ten-digit-year"),
-    pytest.param(_PLAIN_ENERGY.rstrip("\n"), False, id="no-final-newline"),
-    pytest.param(_PLAIN_ENERGY.replace("B,", "B\0,"), False, id="nul-byte"),
-    pytest.param(_PLAIN_ENERGY.encode().replace(b"\xc3\xb4", b"\xf4"), False, id="not-utf8"),
-    pytest.param(_PLAIN_ENERGY.replace("B,", "B" * 131070 + ","), False,
-                 id="over-long-line"),
-    pytest.param(_PLAIN_ENERGY.replace("B,", "B" * 131073 + ","), False,
-                 id="over-long-cell"),
+@pytest.mark.parametrize("energy", [
+    pytest.param(_REGULAR_ENERGY.replace("A,1990", '"A",1990'), id="quoted-name"),
+    pytest.param(_REGULAR_ENERGY.replace("\n", "\r\n"), id="crlf"),
+    pytest.param(_REGULAR_ENERGY.replace("5\n", "5\n\n"), id="blank-line"),
+    pytest.param(_REGULAR_ENERGY.replace("A,1990,5", "A,1990,5,x"), id="fourth-column"),
+    pytest.param(_REGULAR_ENERGY.replace("A,1990", "A, 1990"), id="space-in-year"),
+    pytest.param(_REGULAR_ENERGY.replace("A,1990", "A,01990"), id="leading-zero-year"),
+    pytest.param(_REGULAR_ENERGY.replace("B,2000", "B,1234567890"), id="ten-digit-year"),
+    pytest.param(_REGULAR_ENERGY.rstrip("\n"), id="no-final-newline"),
+    pytest.param(_REGULAR_ENERGY.replace("B,", "B\0,"), id="nul-byte"),
+    pytest.param(_REGULAR_ENERGY.encode().replace(b"\xc3\xb4", b"\xf4"), id="not-utf8"),
+    pytest.param(_REGULAR_ENERGY.replace("B,", "B" * 131070 + ","), id="over-long-line"),
+    pytest.param(_REGULAR_ENERGY.replace("B,", "B" * 131073 + ","), id="over-long-cell"),
 ])
-def test_file_that_is_not_plain_gets_the_csv_readers_outcome(tmp_path, monkeypatch,
-                                                             energy, plain):
-    """Each file differs from a plain one in one way.  All but the
-    leading-zero year, which is still 1-9 digits, go to the CSV reader."""
+def test_file_that_is_not_plain_gets_the_csv_readers_outcome(tmp_path, energy):
+    """Each irregular file gives ``reference_ingest``'s outcome, the CSV
+    reader's parse of the whole file: each differs in one way from a file
+    of one unquoted, LF-ended record per line."""
     e, p = tmp_path / "energy.csv", tmp_path / "population.csv"
     e.write_bytes(energy if isinstance(energy, bytes) else energy.encode())
     p.write_text("country,year,value\nA,1990,10\nCôte d'Ivoire,1990,20\n")
-    assert (energy_module._year_rows_plain(e.read_bytes(), 1990) is not None) == plain
-    outcome = ingest_outcome(e, p, 1990)
-    monkeypatch.setattr(energy_module, "_year_rows_plain", lambda data, year: None)
-    assert outcome == ingest_outcome(e, p, 1990)
+    assert ingest_outcome(e, p, 1990) == reference_ingest(e, p, 1990)
 
 
 class TestWeightedCdf:
