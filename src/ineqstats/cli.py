@@ -6,8 +6,11 @@ income diffusion solutions), ``fit-income`` (two-class fitting of a
 binned income table) and ``energy`` (per-capita consumption analytics).
 
 Every run writes its data files plus a ``manifest.json`` recording the
-configuration, SHA-256 digests of its regular-file inputs and the list
-of outputs, so a run can be reproduced and verified exactly.  Exit codes:
+configuration, the SHA-256 digest of the bytes it read from each input
+(a pipe's too), the Python, numpy and machine that made its bytes, and
+the list of outputs, so a run can be reproduced and verified exactly.
+Each input is opened once: its digest is taken from the bytes the run
+read, not from the path again once the outputs are written.  Exit codes:
 0 success, 1 domain/data errors, 2 usage errors.  Diagnostics go to stderr.
 """
 
@@ -17,6 +20,7 @@ import argparse
 import functools
 import inspect
 import json
+import platform
 import sys
 import time
 from dataclasses import MISSING, asdict, fields
@@ -29,7 +33,8 @@ from .energy import ingest_wri, slope_profile, weighted_cdf
 from .errors import IneqStatsError
 from .fokker_planck import DriftDiffusionSpec, make_grid, stationary_solution
 from .income import IncomeBinTable, fit_report
-from .io import build_config, json_object, read_text, sha256_file, write_csv, write_json
+from .io import (build_config, inputs_read, json_object, read_text, recording_inputs,
+                 write_csv, write_json)
 from .kinetic import (BinnedHistogram, CoupledConfig, SimulationConfig,
                       couple_systems, init_ensemble, run_from_config,
                       run_simulation)
@@ -38,18 +43,21 @@ __all__ = ["build_parser", "dispatch", "emit_manifest", "main"]
 
 
 def emit_manifest(out_dir: Path, subcommand: str, config: dict,
-                  inputs: list, outputs: list[str]) -> None:
-    """Write manifest.json: config in effect, digests of the inputs given,
-    outputs.  Only a regular file is read again to be hashed; any other
-    input, such as a pipe whose bytes the run has consumed, gets None."""
+                  outputs: list[str]) -> None:
+    """Write manifest.json: config in effect, the SHA-256 of the bytes
+    read from each input, as the readers entered it in the run's record
+    (``dispatch`` opens one; no input is opened again), the Python, numpy
+    and machine that made the outputs, and the outputs."""
     manifest = {
         "tool": "ineqstats",
         "version": __version__,
         "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "subcommand": subcommand,
         "config": config,
-        "inputs": {str(p): sha256_file(p) if Path(p).is_file() else None
-                   for p in inputs if p is not None},
+        "inputs": inputs_read(),
+        "python": sys.version,
+        "numpy": np.__version__,
+        "machine": platform.machine(),
         "outputs": sorted(outputs),
     }
     write_json(out_dir / "manifest.json", manifest)
@@ -162,7 +170,7 @@ def _cmd_simulate(args) -> int:
     outputs = (_run_coupled if coupled else _run_single)(args.out, config)
     out = Path(args.out)
     (out / "config.json").write_text(json.dumps(asdict(config)) + "\n", encoding="utf-8")
-    emit_manifest(out, "simulate", asdict(config), [args.config], outputs + ["config.json"])
+    emit_manifest(out, "simulate", asdict(config), outputs + ["config.json"])
     return 0
 
 
@@ -183,8 +191,7 @@ def _cmd_fp(args) -> int:
     out = _out_dir(args.out)
     write_csv(out / "solution.csv", ("r", "density"), (dist.grid, dist.density))
     (out / "spec.json").write_text(spec.to_json() + "\n", encoding="utf-8")
-    emit_manifest(out, "fp", {**asdict(spec), **grid_args}, [args.spec_json],
-                  ["solution.csv", "spec.json"])
+    emit_manifest(out, "fp", {**asdict(spec), **grid_args}, ["solution.csv", "spec.json"])
     print(f"stationary solution on {grid.size} grid points", file=sys.stderr)
     return 0
 
@@ -207,7 +214,7 @@ def _cmd_fit_income(args) -> int:
     write_csv(out / "lorenz.csv", ("x", "y"), (curve.x, curve.y))
     print(report.table_row())
     emit_manifest(out, "fit-income", {"input": args.input, **read_args, **fit_args},
-                  [args.input], ["report.json", "lorenz.csv"])
+                  ["report.json", "lorenz.csv"])
     return 0
 
 
@@ -236,9 +243,7 @@ def _cmd_energy(args) -> int:
         "gini": curve.gini,
         "kink_x": profile.kink_x,
     })
-    emit_manifest(out, "energy", _given(args),
-                  [args.energy, args.population],
-                  ["cdf.csv", "lorenz.csv", "summary.json"])
+    emit_manifest(out, "energy", _given(args), ["cdf.csv", "lorenz.csv", "summary.json"])
     print(f"{len(table)} countries; world average "
           f"{cdf.mean:.3f} kW", file=sys.stderr)
     return 0
@@ -333,7 +338,8 @@ def dispatch(argv) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.subcommand](args)
+        with recording_inputs():
+            return _COMMANDS[args.subcommand](args)
     except (IneqStatsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -12,11 +12,15 @@ Each input file is parsed once into a table of its rows by year, and
 the tables of the latest two files read without error are kept, keyed
 on their exact bytes, so reading several years of one file pair in one
 process parses each file once; each entry, file and table, holds at
-most 16 MiB.  A process that reads one year gains nothing.
+most 16 MiB.  A process that reads one year gains nothing.  An entry
+also holds the SHA-256 of its bytes, taken when the file is parsed, which
+each read enters in the running CLI command's record of its inputs: a
+read that finds its bytes kept hashes nothing.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 from array import array
 from dataclasses import dataclass
@@ -25,7 +29,7 @@ import numpy as np
 
 from .distributions import LorenzCurve
 from .errors import DomainError, EmptyJoinError, FormatError
-from .io import read_csv_rows, usable_row, whole_number
+from .io import read_csv_rows, record_input, usable_row, whole_number
 from .weighted import WeightedCDF
 
 __all__ = [
@@ -151,7 +155,7 @@ def _year_table(path, data: bytes):
 
 
 _TABLE_BUDGET = 2 ** 24   # bytes one kept file may hold, 24 a row of its table included
-_year_tables = ()   # ((bytes, table), ...) of the latest two files read, newest first
+_year_tables = ()   # ((bytes, table, sha256), ...) of the latest two files read, newest first
 
 
 def _read_country_year_csv(path, year: int) -> dict[str, float | None]:
@@ -160,10 +164,11 @@ def _read_country_year_csv(path, year: int) -> dict[str, float | None]:
     is validated, so FormatError names the line of a bad row in any year,
     and a second row of one country in ``year`` is refused; ``year``'s
     rows before a bad row are checked for a second row first.  The file is
-    read once and parsed by ``_year_table``.  The tables of the latest two
-    files read without error are kept, keyed on their exact bytes, not
-    their size or mtime, so a later year of an unchanged file is a lookup
-    and a file rewritten in place is parsed again; an entry of more than
+    read once and parsed by ``_year_table``, and the digest of its bytes
+    is recorded.  The tables of the latest two files read without error
+    are kept with their digests, keyed on their exact bytes, not their
+    size or mtime, so a later year of an unchanged file is a lookup and a
+    file rewritten in place is parsed again; an entry of more than
     _TABLE_BUDGET bytes, file and table, is not kept."""
     global _year_tables
     with open(path, "rb") as fh:
@@ -180,10 +185,13 @@ def _read_country_year_csv(path, year: int) -> dict[str, float | None]:
     if error is not None:
         raise error
     if kept is None:
+        kept = (data, table, hashlib.sha256(data).hexdigest())
         size = len(data) + 24 * sum(len(rows[1]) for rows in table.values())
-        kept = (data, table) if size <= _TABLE_BUDGET else None
-    if kept is not None:
+        if size <= _TABLE_BUDGET:
+            _year_tables = (kept,) + _year_tables[:1]
+    else:
         _year_tables = (kept,) + tuple(entry for entry in _year_tables if entry is not kept)[:1]
+    record_input(path, data, kept[2])
     return {name: value if math.isfinite(value) else None
             for name, value in zip(names, values)}
 

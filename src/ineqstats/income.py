@@ -40,7 +40,7 @@ import numpy as np
 from .distributions import LevelQuadrature, TwoClassModel, class_boundary, tail_fraction
 from .errors import (DomainError, FormatError, InsufficientDataError,
                      NoIntersectionError)
-from .io import read_csv_rows, usable_row, whole_number, whole_numbers
+from .io import read_csv_rows, read_input, usable_row, whole_number, whole_numbers
 from .weighted import WeightedCDF
 
 __all__ = [
@@ -118,9 +118,9 @@ class IncomeBinTable:
     def from_csv(cls, path, mode: str = MODE_AT_OR_ABOVE,
                  year: int | None = None) -> "IncomeBinTable":
         """Read `level_kusd,<counts>` rows; ``mode`` says whether the count
-        column is per-bin or at-or-above."""
-        with open(path, "rb") as fh:
-            data = fh.read()
+        column is per-bin or at-or-above.  The file is read in one open,
+        and the run's record of its inputs gets the digest of its bytes."""
+        data = read_input(path)
         levels, counts = [], []
         for line, row in read_csv_rows(path, data):
             try:

@@ -3,14 +3,23 @@
 CSV files are written by column: each cell is str() of a Python value,
 so a float is its shortest round-trip repr ('.' decimal separator), and
 identical data produces byte-identical files.
+
+Each input is opened once.  Its reader enters the SHA-256 of the bytes
+it read in the record of the running CLI command, which
+``recording_inputs`` opens for one ``with`` block in one thread or task;
+outside such a block nothing is recorded.  A manifest takes its digests
+from that record, so they are those of the bytes the run used, a pipe's
+included, never of what the path holds once the outputs are written.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import inspect
 import json
+from contextvars import ContextVar
 from io import StringIO
 from numbers import Real
 from pathlib import Path
@@ -19,19 +28,28 @@ import numpy as np
 
 from .errors import DomainError, FormatError
 
-__all__ = ["write_csv", "write_json", "sha256_file", "read_text",
-           "read_csv_rows", "usable_row", "json_object", "build_config",
-           "whole_number", "whole_numbers"]
+__all__ = ["write_csv", "write_json", "sha256_file", "recording_inputs",
+           "inputs_read", "record_input", "read_input", "read_text", "read_csv_rows",
+           "usable_row", "json_object", "build_config", "whole_number", "whole_numbers"]
 
 
 def write_csv(path, header, columns) -> None:
     """Write equal-length numpy arrays or lists as the columns of a CSV
-    file: each cell is str() of a Python value (an array's ``tolist()``,
-    so numpy numbers print as Python's); ragged columns raise ValueError."""
-    cells = [map(str, col.tolist() if isinstance(col, np.ndarray) else col)
-             for col in columns]
-    lines = map(",".join, zip(*cells, strict=True))
-    Path(path).write_text("\n".join([",".join(header), *lines]) + "\n", encoding="utf-8")
+    file, formatted in one ``%`` operation under the header (its ``%``
+    doubled): each cell is ``%s``, that is str(), of a Python value (an
+    array's ``tolist()``, so numpy numbers print as Python's).  Ragged
+    columns raise ValueError before the file is created; no rows give the
+    header alone."""
+    cols = [col.tolist() if isinstance(col, np.ndarray) else list(col) for col in columns]
+    rows = len(cols[0]) if cols else 0
+    if any(len(col) != rows for col in cols):
+        raise ValueError(f"columns of unequal length: {[len(col) for col in cols]}")
+    cells = [None] * (rows * len(cols))
+    for j, col in enumerate(cols):
+        cells[j::len(cols)] = col
+    row = ",".join(["%s"] * len(cols)) + "\n"
+    form = ",".join(header).replace("%", "%%") + "\n" + row * rows
+    Path(path).write_text(form % tuple(cells), encoding="utf-8")
 
 
 def write_json(path, obj) -> None:
@@ -40,6 +58,9 @@ def write_json(path, obj) -> None:
 
 
 def sha256_file(path) -> str:
+    """SHA-256 of the file at ``path`` as it is now: what a manifest's
+    digest of an input that is a regular file should equal while the file
+    is unchanged."""
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 16), b""):
@@ -51,10 +72,49 @@ def _not_utf8(path, exc: UnicodeDecodeError) -> FormatError:
     return FormatError(f"{path}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x})")
 
 
-def read_text(path) -> str:
-    """Contents of a UTF-8 text file; other bytes raise FormatError."""
+_inputs: ContextVar[dict[str, str] | None] = ContextVar("ineqstats_inputs", default=None)
+
+
+@contextlib.contextmanager
+def recording_inputs():
+    """Open a record of the inputs read for the ``with`` block, in this
+    thread or task only; ``inputs_read`` returns it."""
+    token = _inputs.set({})
     try:
-        return Path(path).read_text(encoding="utf-8")
+        yield
+    finally:
+        _inputs.reset(token)
+
+
+def inputs_read() -> dict[str, str]:
+    """SHA-256 of the bytes read from each input path in the open record;
+    empty outside ``recording_inputs``."""
+    return dict(_inputs.get() or {})
+
+
+def record_input(path, data: bytes, digest: str | None = None) -> None:
+    """Enter the SHA-256 of ``data``, the bytes read from input ``path``,
+    in the open record; ``digest``, when the caller holds it already,
+    spares the hashing.  Outside ``recording_inputs`` this does nothing."""
+    record = _inputs.get()
+    if record is not None:
+        record[str(path)] = digest or hashlib.sha256(data).hexdigest()
+
+
+def read_input(path) -> bytes:
+    """The bytes of the input file ``path``, read in one open and recorded."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    record_input(path, data)
+    return data
+
+
+def read_text(path) -> str:
+    """Contents of a UTF-8 text input, read by ``read_input``; other bytes
+    raise FormatError."""
+    data = read_input(path)
+    try:
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise _not_utf8(path, exc) from exc
 

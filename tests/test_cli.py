@@ -1,8 +1,10 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 import warnings
@@ -31,6 +33,10 @@ def run_module(*argv):
 
 def read(path):
     return path.read_bytes()
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
 class TestSimulate:
@@ -695,20 +701,85 @@ def test_quoted_energy_pair_in_fifos_gives_the_bytes_of_the_plain_files(tmp_path
     for name in ("cdf.csv", "lorenz.csv", "summary.json"):
         assert read(tmp_path / "fifos" / name) == read(tmp_path / "files" / name), name
     manifest = json.loads((tmp_path / "fifos" / "manifest.json").read_text())
-    assert manifest["inputs"] == {str(e_fifo): None, str(p_fifo): None}
+    assert manifest["inputs"] == {str(e_fifo): sha256(quoted_crlf(e)),
+                                  str(p_fifo): sha256(quoted_crlf(p))}
 
 
 def test_config_in_a_fifo_is_not_read_again_for_the_manifest(tmp_path, capsys):
     flags = tmp_path / "flags"
     assert dispatch(["simulate", "--agents", "100", "--money", "5000", "--steps", "2000",
                      "--seed", "3", "--out", str(flags)]) == 0
-    with fifo_holding(tmp_path / "config.json", read(flags / "config.json")) as fifo:
+    config = read(flags / "config.json")
+    with fifo_holding(tmp_path / "config.json", config) as fifo:
         done = run_module("simulate", "--config", str(fifo), "--out", str(tmp_path / "fifo"))
     assert done.returncode == 0, done.stderr
     for name in ("trajectory.csv", "histogram.csv"):
         assert read(tmp_path / "fifo" / name) == read(flags / name), name
     manifest = json.loads((tmp_path / "fifo" / "manifest.json").read_text())
-    assert manifest["inputs"] == {str(fifo): None}
+    assert manifest["inputs"] == {str(fifo): sha256(config)}
+
+
+def test_config_rerun_in_place_records_the_config_it_read(tmp_path, capsys):
+    run = tmp_path / "run"
+    assert dispatch(["simulate", "--agents", "100", "--money", "5000", "--steps", "2000",
+                     "--seed", "3", "--out", str(run)]) == 0
+    config = run / "config.json"
+    given = json.dumps(json.loads(config.read_text()), indent=1).encode()
+    config.write_bytes(given)   # the same values in other bytes than the run writes back
+    assert dispatch(["simulate", "--config", str(config), "--out", str(run)]) == 0
+    assert read(config) != given
+    manifest = json.loads((run / "manifest.json").read_text())
+    assert manifest["inputs"] == {str(config): sha256(given)}
+
+
+def test_table_overwritten_by_its_own_fit_is_digested_as_read(tmp_path, capsys, income_csv):
+    out = tmp_path / "out"
+    out.mkdir()
+    table = out / "lorenz.csv"
+    table.write_bytes(read(income_csv))
+    assert dispatch(["fit-income", "--input", str(table), "--out", str(out)]) == 0
+    assert read(table) != read(income_csv)   # now the run's Lorenz curve
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["inputs"] == {str(table): sha256(read(income_csv))}
+
+
+def one_run_of_each(tmp_path, income_csv):
+    """Per subcommand, the argv of a run that reads input files, and those
+    files; the config documents are written under ``tmp_path``."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"n_agents": 100, "total_money_quanta": 5000,
+                                  "steps": 2000, "seed": 3}))
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"kind": "additive", "a0": 1, "b0": 40}))
+    e, p = WRI_FIXTURE
+    return {
+        "simulate": (["simulate", "--config", str(config)], [config]),
+        "fp": (["fp", "--spec-json", str(spec)], [spec]),
+        "fit-income": (["fit-income", "--input", str(income_csv)], [income_csv]),
+        "energy": (["energy", "--energy", str(e), "--population", str(p), "--per-capita",
+                    "--year", "2005"], [e, p]),
+    }
+
+
+@pytest.mark.parametrize("subcommand", ["simulate", "fp", "fit-income", "energy"])
+def test_each_input_is_opened_once_and_digested_as_read(tmp_path, capsys, opens,
+                                                         income_csv, subcommand):
+    argv, inputs = one_run_of_each(tmp_path, income_csv)[subcommand]
+    opens.clear()
+    assert dispatch(argv + ["--out", str(tmp_path / "out")]) == 0
+    assert {str(path): opens[str(path)] for path in inputs} == {str(path): 1 for path in inputs}
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["inputs"] == {str(path): sha256(read(path)) for path in inputs}
+
+
+@pytest.mark.parametrize("subcommand", ["simulate", "fp", "fit-income", "energy"])
+def test_manifest_names_the_python_numpy_and_machine(tmp_path, capsys, income_csv,
+                                                      subcommand):
+    argv, _ = one_run_of_each(tmp_path, income_csv)[subcommand]
+    assert dispatch(argv + ["--out", str(tmp_path / "out")]) == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert (manifest["python"], manifest["numpy"], manifest["machine"]) == (
+        sys.version, np.__version__, platform.machine())
 
 
 @pytest.mark.parametrize("mode, counts, message", [

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import os
 import re
 import sys
@@ -14,6 +15,7 @@ from conftest import (FIXTURE_YEARS, WORLD_AVERAGE_KW, WRI_FIXTURE, fixture_year
 from ineqstats import (CountryTable, DegenerateCurveError, DomainError,
                        EmptyJoinError, FormatError, LorenzCurve, ingest_wri,
                        slope_profile, weighted_cdf)
+from ineqstats.io import inputs_read, recording_inputs
 
 
 def countries(*rows, year=2005, per_capita=True):
@@ -325,7 +327,7 @@ class TestKeptYearTable:
         files = [path.read_bytes() for path in paths]
 
         def kept():
-            return [data for data, _ in energy_module._year_tables]
+            return [data for data, _, _ in energy_module._year_tables]
 
         for path in paths:
             energy_module._read_country_year_csv(path, 1990)
@@ -336,7 +338,7 @@ class TestKeptYearTable:
         assert kept() == [files[0], files[1]]
 
         def size(entry):   # the file, and 24 bytes a row: line, name reference and value
-            data, table = entry
+            data, table, _ = entry
             return len(data) + 24 * sum(len(names) for _, names, _ in table.values())
 
         budget = size(energy_module._year_tables[1])
@@ -347,6 +349,7 @@ class TestKeptYearTable:
             assert len(energy_module._read_country_year_csv(path, 1990)) == data.count(b"\n") - 1
         assert kept() == files[1::-1]
         assert all(size(entry) <= budget for entry in energy_module._year_tables)
+        assert_digests_are_of_the_kept_bytes()
 
     def test_threads_sharing_the_memo_get_their_own_rows(self, tmp_path):
         # a race can drop an entry, never pair one file's bytes with another's table
@@ -378,8 +381,34 @@ class TestKeptYearTable:
         assert not any(thread.is_alive() for thread in threads)
         assert failures == []
         assert len(energy_module._year_tables) <= 2
-        for kept, table in energy_module._year_tables:
+        for kept, table, _ in energy_module._year_tables:
             assert (table, None) == energy_module._year_table("kept", kept)
+        assert_digests_are_of_the_kept_bytes()
+
+    def test_reading_every_year_twice_hashes_each_file_once(self, monkeypatch):
+        hashed = []
+        sha256 = hashlib.sha256
+
+        def counting(data=b"", **kwargs):
+            hashed.append(bytes(data))
+            return sha256(data, **kwargs)
+
+        monkeypatch.setattr(hashlib, "sha256", counting)
+        files = [path.read_bytes() for path in WRI_FIXTURE]
+        with recording_inputs():
+            for _ in range(2):
+                for year in FIXTURE_YEARS:
+                    ingest_wri(*WRI_FIXTURE, year, per_capita=True)
+            recorded = inputs_read()
+        assert hashed == files
+        assert recorded == {str(path): sha256(data).hexdigest()
+                            for path, data in zip(WRI_FIXTURE, files)}
+        assert_digests_are_of_the_kept_bytes()
+
+
+def assert_digests_are_of_the_kept_bytes():
+    assert all(digest == hashlib.sha256(data).hexdigest()
+               for data, _, digest in energy_module._year_tables)
 
 
 def reference_ingest(energy_csv, population_csv, year):

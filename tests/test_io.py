@@ -1,8 +1,13 @@
+import hashlib
+import threading
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ineqstats import FormatError
-from ineqstats.io import read_csv_rows, usable_row, write_csv
+from ineqstats.io import (inputs_read, read_csv_rows, read_text, recording_inputs,
+                          usable_row, write_csv)
 
 
 @pytest.mark.parametrize("row", [[], [""], [" ", "\t"], ["", "", "", ""]])
@@ -55,6 +60,70 @@ def test_ragged_columns_are_refused(tmp_path):
     with pytest.raises(ValueError):
         write_csv(tmp_path / "t.csv", ("x", "y"), (np.arange(3), np.arange(2)))
     assert not (tmp_path / "t.csv").exists()
+
+
+def reference_csv(header, columns) -> str:
+    """The CSV ``write_csv`` must write, joined str() by str(), row by row."""
+    cols = [col.tolist() if isinstance(col, np.ndarray) else col for col in columns]
+    lines = [",".join(header)]
+    for i in range(len(cols[0])):
+        lines.append(",".join(str(col[i]) for col in cols))
+    return "\n".join(lines) + "\n"
+
+
+_FLOATS = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True) | st.sampled_from(
+    [float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 2.2e-308, 1e16, 1e-5])
+_INT64 = st.integers(-2 ** 63, 2 ** 63 - 1) | st.sampled_from([-2 ** 63, 2 ** 63 - 1])
+_UINT64 = st.integers(0, 2 ** 64 - 1) | st.sampled_from([2 ** 64 - 1])
+
+
+@st.composite
+def _columns(draw):
+    rows = draw(st.integers(0, 50))
+    columns = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["float64", "int64", "uint64", "list"]))
+        if kind == "list":
+            cells = st.one_of(_FLOATS, _INT64, st.booleans())
+            columns.append(draw(st.lists(cells, min_size=rows, max_size=rows)))
+        else:
+            cells = {"float64": _FLOATS, "int64": _INT64, "uint64": _UINT64}[kind]
+            columns.append(np.array(draw(st.lists(cells, min_size=rows, max_size=rows)),
+                                    dtype=kind))
+    return columns
+
+
+@given(_columns())
+@settings(max_examples=200, deadline=None)
+def test_writer_matches_a_cell_by_cell_join(tmp_path_factory, columns):
+    header = [f"c{j}%s" for j in range(len(columns))]   # a header cell is no format
+    path = tmp_path_factory.getbasetemp() / "writer.csv"
+    write_csv(path, header, columns)
+    assert path.read_bytes() == reference_csv(header, columns).encode()
+
+
+def test_each_thread_records_the_inputs_it_read(tmp_path):
+    paths = [tmp_path / f"{i}.json" for i in range(2)]
+    for i, path in enumerate(paths):
+        path.write_text(f'{{"thread": {i}}}')
+    both_read = threading.Barrier(2, timeout=10)
+    records = {}
+
+    def run(path):
+        with recording_inputs():
+            read_text(path)
+            both_read.wait()   # each thread has read before either looks at its record
+            records[path] = inputs_read()
+
+    threads = [threading.Thread(target=run, args=(path,)) for path in paths]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=10)
+    assert records == {path: {str(path): hashlib.sha256(path.read_bytes()).hexdigest()}
+                       for path in paths}
+    read_text(paths[0])
+    assert inputs_read() == {}   # outside a record nothing is entered
 
 
 def test_over_long_cell_names_the_line_its_record_starts_on():
