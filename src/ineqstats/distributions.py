@@ -62,10 +62,14 @@ def _check_parameters(T, alpha, r0) -> None:
 
 
 def _raw_density(r, T, alpha, r0):
-    """The two-class density without its normalisation constant c.  Far
-    beyond r0, x, x*x and its power overflow, which callers ignore."""
-    x = r / r0
-    return np.exp(-(r0 / T) * np.arctan(x)) / (1.0 + x * x) ** ((alpha + 1.0) / 2.0)
+    """The two-class density without its normalisation constant c, and
+    the terms (r0/T) atan u and 1 + u^2, u = r/r0, it is made of, which
+    its derivatives share.  Far beyond r0, u, u*u and its power overflow,
+    which callers ignore."""
+    u = r / r0
+    body = (r0 / T) * np.arctan(u)
+    spread = 1.0 + u * u
+    return np.exp(-body) / spread ** ((alpha + 1.0) / 2.0), body, spread
 
 
 def _tail_mass(T, alpha, r0, R) -> float:
@@ -115,7 +119,7 @@ class TwoClassModel:
         quadrature = LevelQuadrature([self.T, self.r0])
         nodes = quadrature._nodes
         with np.errstate(all="ignore"):
-            mass = quadrature._masses(self.T, self.alpha, self.r0)
+            mass = quadrature._masses(self.T, self.alpha, self.r0)[0]
             self.c = 1.0 / mass.sum()
             # beyond R = nodes[0] the density is the power law, whose first
             # moment is R alpha / (alpha - 1) times its mass
@@ -130,7 +134,7 @@ class TwoClassModel:
         """Probability density P(r); accepts scalars or arrays, r >= 0."""
         arr, scalar = _incomes(r)
         with np.errstate(over="ignore"):
-            out = self.c * _raw_density(arr, self.T, self.alpha, self.r0)
+            out = self.c * _raw_density(arr, self.T, self.alpha, self.r0)[0]
         return float(out) if scalar else out
 
     def cdf(self, r):
@@ -255,11 +259,13 @@ class LevelQuadrature:
                          8 * (1 + first_panel[np.searchsorted(breaks, levels)]), 0)
         self._last_above = self._nodes.size - 1 - below
 
-    def _masses(self, T: float, alpha: float, r0: float) -> np.ndarray:
-        """Unnormalised mass of each node, the slot at R included."""
-        mass = _raw_density(self._nodes, T, alpha, r0) * self._weights
+    def _masses(self, T: float, alpha: float, r0: float):
+        """Unnormalised mass of each node, the slot at R included, and the
+        density's terms at each node, as ``_raw_density`` gives them."""
+        density, body, spread = _raw_density(self._nodes, T, alpha, r0)
+        mass = density * self._weights
         mass[0] = _tail_mass(T, alpha, r0, self._nodes[0])
-        return mass
+        return mass, body, spread
 
     def ccdf(self, T: float, alpha: float, r0: float) -> np.ndarray:
         """C(L) at each level for parameters (T, alpha, r0), in [0, 1];
@@ -282,12 +288,7 @@ class LevelQuadrature:
         _check_parameters(T, alpha, r0)
         nodes = self._nodes
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            # the masses of _masses, from terms the derivatives share
-            u = nodes / r0
-            body = (r0 / T) * np.arctan(u)
-            spread = 1.0 + u * u
-            mass = np.exp(-body) / spread ** ((alpha + 1.0) / 2.0) * self._weights
-            mass[0] = _tail_mass(T, alpha, r0, nodes[0])
+            mass, body, spread = self._masses(T, alpha, r0)
             above = np.cumsum(mass)
             comp = above[self._last_above] / above[-1]
 

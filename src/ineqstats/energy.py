@@ -248,9 +248,8 @@ def weighted_cdf(table: CountryTable) -> WeightedCDF:
     is the world average and its ``lorenz()`` the Lorenz curve; countries
     sort by (consumption, name), so ties break the same way for any input
     order."""
-    values = table.per_capita_kw()
-    order = np.argsort(values, kind="stable")   # the names are sorted already
-    return WeightedCDF(values[order], table.population[order])
+    # the rows come in name order, and WeightedCDF's stable sort keeps it among ties
+    return WeightedCDF(table.per_capita_kw(), table.population)
 
 
 @dataclass(frozen=True)

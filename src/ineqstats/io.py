@@ -28,9 +28,9 @@ import numpy as np
 
 from .errors import DomainError, FormatError
 
-__all__ = ["write_csv", "write_json", "sha256_file", "recording_inputs",
-           "inputs_read", "record_input", "read_input", "read_text", "read_csv_rows",
-           "usable_row", "json_object", "build_config", "whole_number", "whole_numbers"]
+__all__ = ["write_csv", "write_json", "recording_inputs", "inputs_read", "record_input",
+           "read_input", "read_text", "read_csv_rows", "usable_row", "json_object",
+           "build_config", "whole_number", "whole_numbers"]
 
 
 def write_csv(path, header, columns) -> None:
@@ -55,17 +55,6 @@ def write_csv(path, header, columns) -> None:
 def write_json(path, obj) -> None:
     Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n",
                           encoding="utf-8")
-
-
-def sha256_file(path) -> str:
-    """SHA-256 of the file at ``path`` as it is now: what a manifest's
-    digest of an input that is a regular file should equal while the file
-    is unchanged."""
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 16), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
 
 
 def _not_utf8(path, exc: UnicodeDecodeError) -> FormatError:

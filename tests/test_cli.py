@@ -15,19 +15,23 @@ import pytest
 from hypothesis import HealthCheck, example, given, seed, settings, strategies as st
 
 import ineqstats
-from conftest import WRI_FIXTURE, fifo_holding, quoted_crlf
+from conftest import FIXTURE_YEARS, WRI_FIXTURE, fifo_holding, quoted_crlf
 from ineqstats import (IneqStatsError, SimulationConfig, TwoClassModel,
                        sample_income_table)
 from ineqstats.cli import build_parser, dispatch
 from ineqstats.io import build_config, json_object, write_csv
 
 
+def package_env():
+    """This process's environment, with this package first on PYTHONPATH."""
+    src = Path(ineqstats.__file__).parents[1]
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+
+
 def run_module(*argv):
     """``python -m ineqstats.cli`` in a fresh interpreter, on this package."""
-    src = Path(ineqstats.__file__).parents[1]
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
-    return subprocess.run([sys.executable, "-m", "ineqstats.cli", *argv], env=env,
+    return subprocess.run([sys.executable, "-m", "ineqstats.cli", *argv], env=package_env(),
                           capture_output=True, text=True, timeout=120)
 
 
@@ -260,8 +264,7 @@ class TestEnergy:
                   "--year", "1990", "--per-capita", "--out", str(out)])
         manifest = json.loads((out / "manifest.json").read_text())
         assert str(e) in manifest["inputs"]
-        from ineqstats.io import sha256_file
-        assert manifest["inputs"][str(e)] == sha256_file(e)
+        assert manifest["inputs"][str(e)] == sha256(read(e))
         assert manifest["config"] == {"energy": str(e), "population": str(p),
                                       "year": 1990, "per_capita": True}
 
@@ -726,8 +729,10 @@ def test_config_rerun_in_place_records_the_config_it_read(tmp_path, capsys):
     config = run / "config.json"
     given = json.dumps(json.loads(config.read_text()), indent=1).encode()
     config.write_bytes(given)   # the same values in other bytes than the run writes back
+    data = {name: read(run / name) for name in ("trajectory.csv", "histogram.csv")}
     assert dispatch(["simulate", "--config", str(config), "--out", str(run)]) == 0
     assert read(config) != given
+    assert {name: read(run / name) for name in data} == data
     manifest = json.loads((run / "manifest.json").read_text())
     assert manifest["inputs"] == {str(config): sha256(given)}
 
@@ -923,12 +928,138 @@ def test_fp_coefficient_overflow_is_one_error_line(tmp_path, capsys, argv):
     assert not out.exists()
 
 
-# The CI recipes' data files, by SHA-256.  Reruns on one commit cannot
-# see a formatting change, so these pin the bytes across commits; a numpy
-# whose exp or log rounds differently in the last place changes the fp and
-# simulate digests too.
+# The CI recipes: per name, the argv of a run without its --out, and the
+# data files it writes.  They run in order, in one fresh interpreter whose
+# working directory holds their outputs and the income table.
+_SIMULATE = ["simulate", "--agents", "100", "--money", "5000", "--seed", "3"]
+_COUPLED = ["--agents2", "100", "--money2", "2000", "--steps", "5000", "--events", "500",
+            "--migration-rate", "0.3"]
+
+
+def energy_argv(energy, population, year):
+    return ["energy", "--energy", str(energy), "--population", str(population),
+            "--per-capita", "--year", str(year)]
+
+
+CI_RECIPES = {
+    "fp": (["fp", "--kind", "additive", "--a0", "1", "--b0", "40"], ["solution.csv"]),
+    "single": (_SIMULATE + ["--steps", "20000", "--checkpoint-every", "2000"],
+               ["trajectory.csv", "histogram.csv"]),
+    "debt": (_SIMULATE + ["--steps", "20000", "--checkpoint-every", "2000", "--floor", "-20"],
+             ["trajectory.csv", "histogram.csv"]),
+    "coupled": (_SIMULATE + _COUPLED, ["flux.json", "histogram1.csv", "histogram2.csv"]),
+    # odd N, a debt floor and both coupling channels
+    "coupled-debt": (["simulate", "--agents", "101", "--money", "5000", "--seed", "3",
+                      "--floor", "-20"] + _COUPLED,
+                     ["flux.json", "histogram1.csv", "histogram2.csv"]),
+    "energy": (energy_argv(*WRI_FIXTURE, 2005), ["cdf.csv", "lorenz.csv"]),
+    "fit-income": (["fit-income", "--input", "income.csv", "--year", "2007"], ["lorenz.csv"]),
+}
+# each simulate and fp recipe again, from the config.json or spec.json it wrote
+_RERUNS = {f"{name}-rerun": ["simulate", "--config", f"{name}/config.json"]
+           for name in ("single", "debt", "coupled", "coupled-debt")}
+_RERUNS["fp-rerun"] = ["fp", "--spec-json", "fp/spec.json"]
+# every fixture year of the plain pair and of its quoted CRLF copy, twice,
+# and each year once more in a process of its own
+_ENERGY_PAIRS = {"plain": WRI_FIXTURE, "quoted": ("energy-quoted.csv", "population-quoted.csv")}
+_ENERGY_RUNS = {f"energy-{year}-{pair}{run}": energy_argv(*files, year)
+                for pair, files in _ENERGY_PAIRS.items() for run in (1, 2)
+                for year in FIXTURE_YEARS}
+_ONE_SHOT_YEARS = {f"energy-{year}": energy_argv(*WRI_FIXTURE, year) for year in FIXTURE_YEARS}
+
+# the income table is drawn here too, as its levels come from numpy's exp
+_RUN_IN_ORDER = """
+import json, sys
+import numpy as np
+from ineqstats import TwoClassModel, sample_income_table
+from ineqstats.cli import dispatch
+table = sample_income_table(TwoClassModel(48, 1.34, 113), 100000, np.random.default_rng(1),
+                            year=2007)
+comp = table.counts[::-1].cumsum()[::-1]
+with open("income.csv", "w") as fh:
+    fh.write("level_kusd,returns_at_or_above\\n")
+    fh.writelines(f"{level!r},{count}\\n" for level, count in zip(table.levels.tolist(),
+                                                                  comp.tolist()))
+for argv in json.loads(sys.argv[1]):
+    if dispatch(argv):
+        sys.exit(f"failed: {argv}")
+"""
+
+
+@pytest.fixture(scope="module")
+def ci_recipes(tmp_path_factory):
+    """The directory that the CI recipes wrote to, and the finished
+    processes that wrote it: one per fixture year of the energy pair, and
+    one that draws the income table and then runs every recipe, rerun and
+    energy year in order.  Each is ``python -W error``, so that a warning
+    anywhere fails its run, with numpy's dispatch held to the baseline of
+    its build.  numpy picks its float64 exp, log, power and arctan loops
+    by CPU feature when it is imported, and an AVX-512 loop can round a
+    last place otherwise than the AVX2 or baseline one: on its default
+    path an AVX-512 CPU writes other fp and fit-income bytes than other
+    x86-64 CPUs.  With every dispatch target above the baseline masked,
+    every x86-64 CPU takes one path; another numpy build may still round
+    otherwise."""
+    out = tmp_path_factory.mktemp("ci")
+    for quoted, plain in zip(_ENERGY_PAIRS["quoted"], WRI_FIXTURE):
+        (out / quoted).write_bytes(quoted_crlf(plain))
+    runs = {name: argv for name, (argv, _) in CI_RECIPES.items()}
+    runs["fit-income-staged"] = CI_RECIPES["fit-income"][0] + ["--no-refine"]
+    runs.update(_RERUNS)
+    runs.update(_ENERGY_RUNS)
+    env = package_env()
+    env.pop("NPY_DISABLE_CPU_FEATURES", None)   # numpy refuses it beside the variable below
+    env["NPY_ENABLE_CPU_FEATURES"] = " ".join(
+        np.show_config(mode="dicts")["SIMD Extensions"]["baseline"])
+
+    def python(*argv):
+        return subprocess.run([sys.executable, "-W", "error", *argv], cwd=out, env=env,
+                              capture_output=True, text=True, timeout=600)
+
+    done = [python("-m", "ineqstats.cli", *argv, "--out", name)
+            for name, argv in _ONE_SHOT_YEARS.items()]
+    done.append(python("-c", _RUN_IN_ORDER,
+                       json.dumps([argv + ["--out", name] for name, argv in runs.items()])))
+    return out, done
+
+
+def test_ci_recipes_run_with_every_warning_an_error(ci_recipes):
+    for done in ci_recipes[1]:
+        assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("name", ["fp", "single", "debt", "coupled", "coupled-debt"])
+def test_ci_recipe_rerun_from_the_config_it_wrote_gives_its_bytes(ci_recipes, name):
+    out, _ = ci_recipes
+    for file in CI_RECIPES[name][1]:
+        assert read(out / f"{name}-rerun" / file) == read(out / name / file), file
+
+
+def test_energy_years_run_twice_in_one_process_give_the_one_shot_bytes(ci_recipes):
+    # in that process the plain pair's year tables are kept from the energy
+    # recipe, and the quoted pair's are parsed on its first read and kept
+    out, _ = ci_recipes
+    for name, argv in _ENERGY_RUNS.items():
+        for file in ("cdf.csv", "lorenz.csv", "summary.json"):
+            assert read(out / name / file) == read(out / f"energy-{argv[-1]}" / file), (
+                name, file)
+
+
+def test_ci_table_fit_recovers_the_model(ci_recipes):
+    out, _ = ci_recipes
+    report = json.loads((out / "fit-income" / "report.json").read_text())
+    # bounds hold on all of 200 seeded draws of this model; 2/5/10% fail on half
+    for key, truth, tol in (("temperature", 48, 0.10), ("alpha", 1.34, 0.15), ("r0", 113, 0.20)):
+        assert abs(report[key] / truth - 1) <= tol, (key, report[key], truth)
+    assert report["refined"] and not report["degenerate_tail"], report
+    assert not json.loads((out / "fit-income-staged" / "report.json").read_text())["refined"]
+
+
+# The CI recipes' data files, by SHA-256, as the ci_recipes processes
+# write them on numpy 2.4.6 at its X86_V2 baseline.  Reruns on one commit
+# cannot see a formatting change, so these pin the bytes across commits.
 CI_RECIPE_DIGESTS = {
-    "fp/solution.csv": "9d8a27fcceee58df929cde2f7956ab807add8ff6ad0a4b88b1dc8eb37fe9dad6",
+    "fp/solution.csv": "8bda7d246a2bcb8b592daa5467ce175c2f62145e68334fcfc78da24b9136885f",
     "single/trajectory.csv": "25dfc2fbd86f1cef693f0bdf91e55f259c793a8649a91bcc9e8d2cfb27fa3b89",
     "single/histogram.csv": "d17f8c3f898a8950fb3366c1e85ac9932aeb3561bbae40a19d73912f1d2c76d3",
     "debt/trajectory.csv": "b792b1b1cc458490751e194e2f87306ac815ccc693c86ffb3cf3061e481d0a72",
@@ -941,42 +1072,12 @@ CI_RECIPE_DIGESTS = {
     "coupled-debt/histogram2.csv": "464e0560ed79e915c624e32e37dde497d16b55262cdc40e3fb307f1c17b76ced",
     "energy/cdf.csv": "69ddfc9f908c3b7e0352c3cf31d3f4fa703787d22076b43a47f046b8550bd6db",
     "energy/lorenz.csv": "af1db48dcc3a13c5a24cc28811dd6183f3b06d4f51b200b89e0009ece13dfacf",
-    "fit-income/lorenz.csv": "705ac8fb7822acc18157ea68067b31191b3b4bd19f96a3310fb90d2fa52fe3da",
+    "fit-income/lorenz.csv": "1529ff46d62840b28a0d26d1245b614ed47a6f45ab991018cd79695c5cfd3a17",
 }
 
 
-def test_ci_recipe_data_files_keep_their_bytes(tmp_path, capsys):
-    from ineqstats.io import sha256_file
-    table = sample_income_table(TwoClassModel(48, 1.34, 113), 100000,
-                                np.random.default_rng(1), year=2007)
-    comp = table.counts[::-1].cumsum()[::-1]
-    income = tmp_path / "income.csv"
-    income.write_text("level_kusd,returns_at_or_above\n" + "".join(
-        f"{level!r},{count}\n" for level, count in zip(table.levels.tolist(), comp.tolist())))
-    energy, population = WRI_FIXTURE
-    simulate = ["simulate", "--agents", "100", "--money", "5000", "--seed", "3"]
-    coupled = ["--agents2", "100", "--money2", "2000", "--steps", "5000", "--events", "500",
-               "--migration-rate", "0.3"]
-    recipes = {
-        "fp": (["fp", "--kind", "additive", "--a0", "1", "--b0", "40"], ["solution.csv"]),
-        "single": (simulate + ["--steps", "20000", "--checkpoint-every", "2000"],
-                   ["trajectory.csv", "histogram.csv"]),
-        "debt": (simulate + ["--steps", "20000", "--checkpoint-every", "2000",
-                             "--floor", "-20"], ["trajectory.csv", "histogram.csv"]),
-        "coupled": (simulate + coupled, ["flux.json", "histogram1.csv", "histogram2.csv"]),
-        # odd N, a debt floor and both coupling channels
-        "coupled-debt": (["simulate", "--agents", "101", "--money", "5000", "--seed", "3",
-                          "--floor", "-20"] + coupled,
-                         ["flux.json", "histogram1.csv", "histogram2.csv"]),
-        "energy": (["energy", "--energy", str(energy), "--population", str(population),
-                    "--per-capita", "--year", "2005"], ["cdf.csv", "lorenz.csv"]),
-        "fit-income": (["fit-income", "--input", str(income), "--year", "2007"],
-                       ["lorenz.csv"]),
-    }
-    digests = {}
-    for name, (argv, files) in recipes.items():
-        assert dispatch(argv + ["--out", str(tmp_path / name)]) == 0, name
-        for file in files:
-            digests[f"{name}/{file}"] = sha256_file(tmp_path / name / file)
-    capsys.readouterr()
+def test_ci_recipe_data_files_keep_their_bytes(ci_recipes):
+    out, _ = ci_recipes
+    digests = {f"{name}/{file}": sha256(read(out / name / file))
+               for name, (_, files) in CI_RECIPES.items() for file in files}
     assert digests == CI_RECIPE_DIGESTS

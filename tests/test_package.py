@@ -40,7 +40,7 @@ def test_removed_aliases_are_gone():
         (DriftDiffusionSpec, ("from_json",)),
         (cli, ("_reject_unread", "_config_echo")),
         (kinetic, ("exchange_step",)),
-        (io, ("load_config", "format_cell")),
+        (io, ("load_config", "format_cell", "sha256_file")),
         (Trajectory, ("rows",)),
         (income, ("empirical_cdf_income", "fit_crossover", "CrossoverFit")),
         (kinetic, ("multiplicity_exact",)),
