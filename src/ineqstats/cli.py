@@ -7,8 +7,10 @@ binned income table) and ``energy`` (per-capita consumption analytics).
 
 Every run writes its data files plus a ``manifest.json`` recording the
 configuration, the SHA-256 digest of the bytes it read from each input
-(a pipe's too), the Python, numpy and machine that made its bytes, and
-the list of outputs, so a run can be reproduced and verified exactly.
+(a pipe's too), the Python, numpy and machine that made its bytes, with
+the target of numpy's float64 exp, log, power, arctan and expm1 loops on
+this CPU, and the list of outputs, so a run can be reproduced and
+verified exactly.
 Each input is opened once: its digest is taken from the bytes the run
 read, not from the path again once the outputs are written.  Exit codes:
 0 success, 1 domain/data errors, 2 usage errors.  Diagnostics go to stderr.
@@ -27,6 +29,7 @@ from dataclasses import MISSING, asdict, fields
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.introspect import opt_func_info
 
 from . import __version__
 from .energy import ingest_wri, slope_profile, weighted_cdf
@@ -42,12 +45,27 @@ from .kinetic import (BinnedHistogram, CoupledConfig, SimulationConfig,
 __all__ = ["build_parser", "dispatch", "emit_manifest", "main"]
 
 
+# the float64 ufuncs whose loop numpy picks by CPU feature and whose last
+# place the outputs depend on
+_DISPATCHED = ("exp", "log", "power", "arctan", "expm1")
+
+
+@functools.cache
+def _dispatch_targets() -> dict[str, str]:
+    """The target of numpy's float64 loop for each ufunc of
+    ``_DISPATCHED`` in this process, as ``opt_func_info`` names it."""
+    return {name: target["current"] for name in _DISPATCHED
+            for target in opt_func_info(func_name=f"^{name}$",
+                                        signature="float64")[name].values()}
+
+
 def emit_manifest(out_dir: Path, subcommand: str, config: dict,
                   outputs: list[str]) -> None:
     """Write manifest.json: config in effect, the SHA-256 of the bytes
     read from each input, as the readers entered it in the run's record
-    (``dispatch`` opens one; no input is opened again), the Python, numpy
-    and machine that made the outputs, and the outputs."""
+    (``dispatch`` opens one; no input is opened again), the Python, numpy,
+    machine and numpy float64 dispatch targets that made the outputs, and
+    the outputs."""
     manifest = {
         "tool": "ineqstats",
         "version": __version__,
@@ -58,6 +76,7 @@ def emit_manifest(out_dir: Path, subcommand: str, config: dict,
         "python": sys.version,
         "numpy": np.__version__,
         "machine": platform.machine(),
+        "dispatch": _dispatch_targets(),
         "outputs": sorted(outputs),
     }
     write_json(out_dir / "manifest.json", manifest)

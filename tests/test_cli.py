@@ -1045,6 +1045,15 @@ def test_energy_years_run_twice_in_one_process_give_the_one_shot_bytes(ci_recipe
                 name, file)
 
 
+def test_manifests_of_runs_held_to_the_baseline_name_its_targets(ci_recipes):
+    out, _ = ci_recipes
+    for name in [*CI_RECIPES, *_ONE_SHOT_YEARS]:
+        targets = json.loads((out / name / "manifest.json").read_text())["dispatch"]
+        assert sorted(targets) == ["arctan", "exp", "expm1", "log", "power"], name
+        assert all(target.startswith("baseline") for target in targets.values()), (
+            name, targets)
+
+
 def test_ci_table_fit_recovers_the_model(ci_recipes):
     out, _ = ci_recipes
     report = json.loads((out / "fit-income" / "report.json").read_text())

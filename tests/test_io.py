@@ -1,11 +1,13 @@
 import hashlib
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ineqstats import FormatError
+from ineqstats._shortest import BLOCK_ROWS, CUTOVER
 from ineqstats.io import (inputs_read, read_csv_rows, read_text, recording_inputs,
                           usable_row, write_csv)
 
@@ -79,17 +81,21 @@ _UINT64 = st.integers(0, 2 ** 64 - 1) | st.sampled_from([2 ** 64 - 1])
 
 @st.composite
 def _columns(draw):
-    rows = draw(st.integers(0, 50))
+    """1-3 columns of a few rows, or of enough rows, over one or more
+    blocks, that a table of float64 columns takes the numpy formatter:
+    there each column repeats a short draw.  Half the columns are float64."""
+    rows = draw(st.integers(0, 50) | st.integers(CUTOVER, 2 * BLOCK_ROWS + 1))
     columns = []
     for _ in range(draw(st.integers(1, 3))):
-        kind = draw(st.sampled_from(["float64", "int64", "uint64", "list"]))
+        kind = draw(st.just("float64") | st.sampled_from(["int64", "uint64", "list"]))
         if kind == "list":
             cells = st.one_of(_FLOATS, _INT64, st.booleans())
-            columns.append(draw(st.lists(cells, min_size=rows, max_size=rows)))
+            drawn = draw(st.lists(cells, min_size=min(rows, 1), max_size=min(rows, 40)))
+            columns.append((drawn * rows)[:rows])
         else:
             cells = {"float64": _FLOATS, "int64": _INT64, "uint64": _UINT64}[kind]
-            columns.append(np.array(draw(st.lists(cells, min_size=rows, max_size=rows)),
-                                    dtype=kind))
+            drawn = draw(st.lists(cells, min_size=min(rows, 1), max_size=min(rows, 40)))
+            columns.append(np.resize(np.array(drawn, dtype=kind), rows))
     return columns
 
 
@@ -100,6 +106,48 @@ def test_writer_matches_a_cell_by_cell_join(tmp_path_factory, columns):
     path = tmp_path_factory.getbasetemp() / "writer.csv"
     write_csv(path, header, columns)
     assert path.read_bytes() == reference_csv(header, columns).encode()
+
+
+def written_floats(tmp_path, values) -> list[str]:
+    """The cells that ``write_csv`` writes for the float64 ``values``, put
+    in a column long enough for the numpy formatter."""
+    column = np.resize(np.asarray(values, dtype=np.float64), max(len(values), CUTOVER))
+    write_csv(tmp_path / "floats.csv", ("x",), (column,))
+    return (tmp_path / "floats.csv").read_text().splitlines()[1:len(values) + 1]
+
+
+@given(st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=64))
+@settings(max_examples=300, deadline=None)
+def test_float_cells_are_str_of_any_bit_pattern(tmp_path_factory, patterns):
+    values = np.array(patterns, dtype=np.uint64).view(np.float64)
+    assert written_floats(tmp_path_factory.getbasetemp(), values) == [
+        str(v) for v in values.tolist()]
+
+
+def test_float_cells_are_str_at_the_edges_of_each_notation(tmp_path):
+    powers = [2.0 ** e for e in range(-1074, 1024)] + [float(f"1e{e}") for e in range(-323, 309)]
+    values = np.array(powers + [2.0 ** 53 + k for k in range(-20, 21)] + [
+        1e16, 9999999999999998.0, 1e-4, 1e-5, 0.0001, 0.00012, 2.2250738585072014e-308,
+        5e-324, 1.7976931348623157e308, -0.0, 0.0, 123.0, 0.5, float("inf"), float("nan")])
+    with np.errstate(over="ignore"):      # the largest float's upper neighbour is inf
+        values = np.concatenate([values, np.nextafter(values, 0), np.nextafter(values, np.inf)])
+    values = np.concatenate([values, -values])
+    assert written_floats(tmp_path, values) == [str(v) for v in values.tolist()]
+
+
+def test_a_large_table_is_written_within_the_memory_of_one_join(tmp_path):
+    # the join of str() cells peaks at 1.95 MiB on this 12 300-row table
+    r = np.geomspace(1e-3, 4e3, 12300)
+    columns = (r, np.exp(-r / 40) / 40)
+    tracemalloc.start()
+    try:
+        write_csv(tmp_path / "solution.csv", ("r", "density"), columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.95 * 2 ** 20
+    assert (tmp_path / "solution.csv").read_bytes() == reference_csv(
+        ("r", "density"), columns).encode()
 
 
 def test_each_thread_records_the_inputs_it_read(tmp_path):
