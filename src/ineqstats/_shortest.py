@@ -13,10 +13,11 @@ and nan are str() of the Python value.
 
 A block of rows is one uint8 matrix, a fixed-width slot per cell and
 its separator, with a mask of the bytes to keep; the kept bytes, in
-order, are the block's text.  A float's slot holds its digits twice, before and after the
-point, so that no byte moves with the point: the mask, one row of a
-table per layout, keeps the integer digits of the first copy and the
-fraction digits of the second.
+order, are the block's text.  A float's slot holds four '0's and its 17
+digits with the point put among them, and its exponent field; the mask,
+one row of a table per layout (notation, exponent, digit count, sign),
+keeps one run of digits and point, the exponent if any, and the
+separator.
 """
 
 from __future__ import annotations
@@ -42,16 +43,16 @@ BLOCK_ROWS = 2048
 _M32 = np.uint64(0xFFFFFFFF)
 _M63 = np.uint64(2 ** 63 - 1)
 _1, _2, _10, _32, _52, _63 = (np.uint64(v) for v in (1, 2, 10, 32, 52, 63))
-_ONE = np.float64(1).view(np.uint64)
+_ONE = np.float64(1).view(np.uint64)          # the bits of 1.0
 _K_MIN, _K_MAX = -324, 292
 _POW10 = np.array([10 ** i for i in range(18)], dtype=np.uint64)
 
-# A float's slot: its sign, four '0's and 17 digits, the point, the same
-# 21 digits, 'e', the exponent's sign and its last three digits, and the
-# separator.
-_TEMPLATE = np.frombuffer(b"-0" + b"?" * 20 + b".0" + b"?" * 20 + b"e????,", dtype=np.uint8)
-SLOT = _TEMPLATE.size
-_INTEGER, _FRACTION, _POINT, _EXPONENT = 1, 23, 22, 44
+# A float's slot: its sign; its digits with the point among them: four
+# '0's, then 17 digits, the point before one of the first 21; a spare
+# byte; then, as one 8-byte word, 'e', the exponent's sign and digits,
+# right-aligned in 7 bytes, and the separator.
+SLOT = 32
+_DIGITS, _EXPONENT = 1, 24
 _FORMS = 20 * 17 + 17 * 2           # fixed: exponent and digit count; else digit
                                     # count and exponent width
 
@@ -62,44 +63,37 @@ def _floor_log2(numerator: int, denominator: int) -> int:
     return e if (numerator << max(-e, 0)) >= (denominator << max(e, 0)) else e - 1
 
 
-def _keep_rows() -> np.ndarray:
-    """The slot bytes kept for each float layout, positive then negative:
-    fixed notation by exponent in [-4, 15] and digit count n; then
-    exponent notation by n and whether the exponent has three digits."""
+def _layouts() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """By (exponent + 330) * 18 + n, for the decimal exponents of normal
+    floats and digit counts n in 1..17, the layout of a positive float:
+    fixed notation by exponent in [-4, 15] and n, then exponent notation
+    by n and whether the exponent has three digits.  By layout, the byte
+    of the point among the digits; and the slot bytes kept, positive then
+    negative."""
+    exponent, n = np.arange(-330, 330)[:, None], np.arange(18)
+    forms = np.where((exponent >= -4) & (exponent < 16), (exponent + 4) * 17 + n - 1,
+                     340 + (n - 1) * 2 + (np.abs(exponent) >= 100)).astype(np.int16)
     exponent, n = np.divmod(np.arange(340), 17)
     exponent, n = exponent - 4, n + 1
-    point = exponent + 5                  # the digits are at 4 + i in each copy
     e_n, e_big = np.arange(1, 18).repeat(2), np.tile([False, True], 17)
-    integer = np.r_[np.minimum(point - 1, 4), np.full(34, 4)], np.r_[point, np.full(34, 5)]
-    fraction = np.r_[point, np.full(34, 5)], np.r_[np.maximum(n + 4, point + 1), e_n + 4]
-    column = np.arange(21)
+    point = np.r_[exponent + 5, np.full(34, 5)]     # after four '0's and exponent + 1 digits
+    first = np.r_[np.minimum(point[:340] - 1, 4), np.full(34, 4)]
+    last = np.r_[np.maximum(n + 4, point[:340] + 1), np.where(e_n > 1, e_n + 4, 4)]
+    column = np.arange(22)
     keep = np.zeros((2, _FORMS, SLOT), dtype=bool)
-    for start, (low, high) in ((_INTEGER, integer), (_FRACTION, fraction)):
-        keep[:, :, start:start + 21] = (low[:, None] <= column) & (column < high[:, None])
-    keep[:, :, _POINT] = np.r_[np.ones(340, dtype=bool), e_n > 1]
-    keep[:, 340:, _EXPONENT:_EXPONENT + 2] = True     # 'e' and the sign
+    keep[:, :, _DIGITS:_DIGITS + 22] = (first[:, None] <= column) & (column <= last[:, None])
     keep[:, 340:, _EXPONENT + 2] = e_big
-    keep[:, 340:, _EXPONENT + 3:] = True  # the last two exponent digits, the separator
+    keep[:, 340:, _EXPONENT + 3:] = True  # 'e', the sign, two digits, the separator
     keep[:, :, -1] = True
     keep[1, :, 0] = True
-    return keep.reshape(2 * _FORMS, SLOT)
-
-
-def _form_rows() -> np.ndarray:
-    """The layout of a positive float by (exponent + 330) * 18 + n, for
-    the decimal exponents of normal floats and digit counts n in 1..17."""
-    exponent, n = np.arange(-330, 330)[:, None], np.arange(18)
-    return np.where((exponent >= -4) & (exponent < 16), (exponent + 4) * 17 + n - 1,
-                    340 + (n - 1) * 2 + (np.abs(exponent) >= 100)).astype(np.int16).ravel()
+    return forms.ravel(), point, keep.reshape(2 * _FORMS, SLOT)
 
 
 @functools.cache
-def _tables():
+def _multipliers() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Schubfach's g(k) = floor(10**-k / 2**r) + 1, 2**125 <= g < 2**126,
     as g1 = g >> 63 and g0 = g mod 2**63, and h(k) = floor(log2(10**-k)) + 2,
-    for k in [-324, 292]; the four ASCII digits of 0..9999 as uint32, and
-    their trailing '0's; the layout of each exponent and digit count, and
-    the kept bytes of each layout."""
+    for k in [-324, 292], built with Python ints."""
     g1, g0, h = [], [], []
     for k in range(_K_MIN, _K_MAX + 1):
         num, den = (10 ** -k, 1) if k <= 0 else (1, 10 ** k)
@@ -109,12 +103,23 @@ def _tables():
         g1.append(g >> 63)
         g0.append(g & (2 ** 63 - 1))
         h.append(log2 + 2)
+    return (np.array(g1, dtype=np.uint64), np.array(g0, dtype=np.uint64),
+            np.array(h, dtype=np.int64))
+
+
+@functools.cache
+def _glyphs() -> tuple[np.ndarray, ...]:
+    """The four ASCII digits of 0..9999 as uint32, and their trailing
+    '0's; 'e' and each exponent, right-aligned in the first 7 bytes of a
+    uint64; which of the digits 1..20 go before a point at each byte; and
+    the float layouts of ``_layouts``."""
     quads = np.arange(10000)[:, None]
     digits = (quads // [1000, 100, 10, 1] % 10 + ord("0")).astype(np.uint8)
     zeros = sum(quads[:, 0] % 10 ** p == 0 for p in range(1, 5)).astype(np.uint8)
-    return (np.array(g1, dtype=np.uint64), np.array(g0, dtype=np.uint64),
-            np.array(h, dtype=np.int64), digits.view(np.uint32)[:, 0], zeros, _form_rows(),
-            _keep_rows())
+    exponents = np.frombuffer(b"".join((b"e%+03d" % e).rjust(7, b"?") + b"?"
+                                       for e in range(-330, 330)), dtype=np.uint64)
+    before = np.arange(1, 21) < np.arange(21)[:, None]
+    return digits.view(np.uint32)[:, 0], zeros, exponents, before, *_layouts()
 
 
 def _high(a_hi, a_lo, b_hi, b_lo):
@@ -135,7 +140,7 @@ def _shortest(bits):
     """(x, e): the shortest decimal that rounds to the float64 of each of
     ``bits`` (finite, normal and nonzero), the one nearest it when two are
     as short, as x * 10**(e - 16) with 10**16 <= x < 10**17."""
-    g1_table, g0_table, h_table = _tables()[:3]
+    g1_table, g0_table, h_table = _multipliers()
     bq = (bits >> _52) & np.uint64(0x7FF)
     frac = bits & np.uint64(2 ** 52 - 1)
     q = bq.astype(np.int64) - 1075
@@ -159,7 +164,7 @@ def _shortest(bits):
     uin = vbl <= s << _2
     win = (s + _1) << _2 <= vbr
     mid = (s << _2) + _2                   # 2 (s + t) with t = s + 1
-    lower = np.where(uin != win, uin, (vb < mid) | ((vb == mid) & ((s & _1) == 0)))
+    lower = (uin & ~win) | ((uin == win) & ((vb < mid) | ((vb == mid) & ((s & _1) == 0))))
     d = np.where(tens, np.where(upin, sp10, sp10 + _10), s + ~lower)
     wide = d >= _POW10[16]                 # c 2**q >= 2**52 10**k: d has 16 or 17 digits
     return np.where(wide, d, d * _10), k + 15 + wide
@@ -176,7 +181,7 @@ def _format(values) -> tuple[np.ndarray, np.ndarray]:
 
     # the 17 digits of x after three '0's, and the count of them that
     # matter: 17 less the trailing zeros of its four last groups of four
-    digits, zeros, form_rows, keep_rows = _tables()[3:]
+    digits, zeros, exponents, before, forms, points, keep_rows = _glyphs()
     top = x // _POW10[16]
     x -= top * _POW10[16]
     upper = (x // _POW10[8]).astype(np.uint32)
@@ -191,32 +196,30 @@ def _format(values) -> tuple[np.ndarray, np.ndarray]:
     z = zeros.take(quads[:, 1:].T)
     n = 17 - (z[3] + (z[3] == 4) * (z[2] + (z[2] == 4) * (z[1] + (z[1] == 4) * z[0]))
               ).astype(np.intp)
-    magnitude = np.abs(exponent)
-    text = np.empty((len(x), SLOT), dtype=np.uint8)
-    text[:] = _TEMPLATE
-    text[:, _INTEGER + 1:_INTEGER + 21] = groups
-    text[:, _FRACTION + 1:_FRACTION + 21] = groups
-    text[:, _EXPONENT + 1:_EXPONENT + 5] = digits.take(magnitude).view(np.uint8).reshape(-1, 4)
-    text[:, _EXPONENT + 1] = np.where(exponent < 0, ord("-"), ord("+"))
+    form = forms.take((exponent + 330) * 18 + n)
+    point = points.take(form)
 
-    form = form_rows.take((exponent + 330) * 18 + n) + (bits >> _63).astype(np.intp) * _FORMS
-    keep = keep_rows.take(form, axis=0)
+    # the digits with the point: each digit moves one byte right from the point
+    shifted = np.empty((len(x), 20), dtype=np.uint8)
+    shifted[:, 0] = ord("0")
+    shifted[:, 1:] = groups[:, :19]
+    text = np.empty((len(x), SLOT), dtype=np.uint8)
+    text[:, 0] = ord("-")
+    text[:, _DIGITS] = ord("0")
+    text[:, _DIGITS + 1:_DIGITS + 21] = shifted + before.take(point, axis=0) * (groups - shifted)
+    text[:, _DIGITS + 21] = groups[:, 19]
+    np.put(text, np.arange(_DIGITS, len(x) * SLOT, SLOT) + point, ord("."))
+    text.view(np.uint64)[:, _EXPONENT // 8] = exponents.take(exponent + 330)
+    keep = keep_rows.take(form + (bits >> _63).astype(np.intp) * _FORMS, axis=0)
 
     odd = np.flatnonzero(~usual)
-    if odd.size:
-        _put(text, keep, odd, [str(v) for v in values[odd].tolist()])
+    if odd.size:                # str() of each, from the slot's first byte
+        cells = [str(v).encode() for v in values[odd].tolist()]
+        width = max(map(len, cells))
+        text[odd, :width] = np.frombuffer(b"".join(cell.ljust(width) for cell in cells),
+                                          dtype=np.uint8).reshape(-1, width)
+        keep[odd, :-1] = np.arange(SLOT - 1) < np.array([len(cell) for cell in cells])[:, None]
     return text, keep
-
-
-def _put(text, keep, rows, cells) -> None:
-    """Set ``rows`` of ``text`` and ``keep``, but the separator, to the
-    bytes of ``cells``."""
-    encoded = [cell.encode() for cell in cells]
-    width = max(map(len, encoded))
-    text[rows, :width] = np.frombuffer(b"".join(e.ljust(width, b"\0") for e in encoded),
-                                       dtype=np.uint8).reshape(len(encoded), width)
-    lengths = np.fromiter(map(len, encoded), dtype=np.intp, count=len(encoded))
-    keep[rows, :-1] = np.arange(text.shape[1] - 1) < lengths[:, None]
 
 
 def float_cells(columns) -> int:
