@@ -6,8 +6,8 @@ that `ineqstats energy` uses.  Builds the population-weighted
 complementary CDF of per-capita energy consumption for 1990/2000/2005,
 compares it with the parameter-free exponential overlay exp(-eps/T) where
 T is the world average, and tracks the Lorenz curve and Gini coefficient
-across the three years, printing the direction the three Ginis take.  The same pipeline accepts full WRI downloads via
-`ineqstats energy`.
+across the three years, printing the direction the three Ginis take.
+The same pipeline accepts full WRI downloads via `ineqstats energy`.
 
 Run:  python demos/demo_energy_inequality.py
 """

@@ -27,14 +27,14 @@ import functools
 import numpy as np
 
 # Cells from which csv_body beats the join of str() cells.  Writing the
-# first rows of an fp solution (r and density) took, best of 300 runs on
-# a 2-vCPU x86-64 host (numpy 2.4.6, Python 3.11.7):
+# first rows of an fp solution (r and density) took, best of 300
+# interleaved runs on a 2-vCPU x86-64 host (numpy 2.4.6, Python 3.11.7):
 #     cells     join    numpy
-#       400   0.29 ms  0.39 ms
-#       800   0.52 ms  0.49 ms
-#      1000   0.61 ms  0.50 ms
-#      1600   0.98 ms  0.67 ms
-#     24600  16.2  ms  6.7  ms
+#       400   0.33 ms  0.44 ms
+#       800   0.57 ms  0.53 ms
+#      1000   0.70 ms  0.57 ms
+#      1600   1.05 ms  0.69 ms
+#     24600  17.5  ms  6.3  ms
 # The two meet near 700 cells.  Blocks of 2048 rows keep the working set
 # of a two-column table near 1 MiB, and were the fastest of 1024-4096.
 CUTOVER = 1000
