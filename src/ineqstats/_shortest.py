@@ -45,7 +45,7 @@ _M63 = np.uint64(2 ** 63 - 1)
 _1, _2, _10, _32, _52, _63 = (np.uint64(v) for v in (1, 2, 10, 32, 52, 63))
 _ONE = np.float64(1).view(np.uint64)          # the bits of 1.0
 _K_MIN, _K_MAX = -324, 292
-_POW10 = np.array([10 ** i for i in range(18)], dtype=np.uint64)
+_E8, _E16 = np.uint64(10 ** 8), np.uint64(10 ** 16)
 
 # A float's slot: its sign; its digits with the point among them: four
 # '0's, then 17 digits, the point before one of the first 21; a spare
@@ -166,7 +166,7 @@ def _shortest(bits):
     mid = (s << _2) + _2                   # 2 (s + t) with t = s + 1
     lower = (uin & ~win) | ((uin == win) & ((vb < mid) | ((vb == mid) & ((s & _1) == 0))))
     d = np.where(tens, np.where(upin, sp10, sp10 + _10), s + ~lower)
-    wide = d >= _POW10[16]                 # c 2**q >= 2**52 10**k: d has 16 or 17 digits
+    wide = d >= _E16                 # c 2**q >= 2**52 10**k: d has 16 or 17 digits
     return np.where(wide, d, d * _10), k + 15 + wide
 
 
@@ -182,10 +182,10 @@ def _format(values) -> tuple[np.ndarray, np.ndarray]:
     # the 17 digits of x after three '0's, and the count of them that
     # matter: 17 less the trailing zeros of its four last groups of four
     digits, zeros, exponents, before, forms, points, keep_rows = _glyphs()
-    top = x // _POW10[16]
-    x -= top * _POW10[16]
-    upper = (x // _POW10[8]).astype(np.uint32)
-    lower = (x - upper * _POW10[8]).astype(np.uint32)
+    top = x // _E16
+    x -= top * _E16
+    upper = (x // _E8).astype(np.uint32)
+    lower = (x - upper * _E8).astype(np.uint32)
     quads = np.empty((len(x), 5), dtype=np.uint32)
     quads[:, 0] = top
     np.floor_divide(upper, 10000, out=quads[:, 1])

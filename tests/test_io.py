@@ -136,7 +136,7 @@ def test_float_cells_are_str_at_the_edges_of_each_notation(tmp_path):
 
 
 def test_a_large_table_is_written_within_the_memory_of_one_join(tmp_path):
-    # the join of str() cells peaks at 1.95 MiB on this 12 300-row table
+    # the join of str() cells peaked at 1.96 MiB on this 12 300-row table
     r = np.geomspace(1e-3, 4e3, 12300)
     columns = (r, np.exp(-r / 40) / 40)
     tracemalloc.start()
